@@ -132,6 +132,16 @@ def _write_doc(config: RunConfig, obj: Any) -> None:
             fh.write(text)
 
 
+def _without_space(doc: dict) -> dict:
+    """The document minus its ``space`` key.
+
+    Parsing a second part of a document against the space already
+    parsed from it keeps one ``FiniteSpace`` per document, so space
+    checks compare one object instead of two label tuples.
+    """
+    return {key: value for key, value in doc.items() if key != "space"}
+
+
 def _masses_obj(mu: TMeasure) -> dict:
     return {
         label: bicomplex_to_obj(mu.atom(i))
@@ -257,7 +267,7 @@ def _cmd_integrate(config: RunConfig) -> dict:
             "success": report.success,
         }
 
-    f = parse_function(doc, "input", space)
+    f = parse_function(_without_space(doc), "input", space)
     mask = None
     if isinstance(doc, dict) and "set" in doc:
         mask = parse_mask(doc["set"], space, "input.set")
@@ -277,7 +287,7 @@ def _cmd_integrate(config: RunConfig) -> dict:
 def _cmd_pushforward(config: RunConfig) -> dict:
     doc = _read_doc(config)
     mu = parse_measure(doc, "input")
-    f = parse_map(doc, "input", mu.space)
+    f = parse_map(_without_space(doc), "input", mu.space)
     iterations = doc.get("iterations", 1)
     if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 1:
         raise SchemaError("input.iterations", "expected a positive integer")
@@ -293,7 +303,7 @@ def _cmd_find_invariant(config: RunConfig) -> dict:
     f = parse_map(doc, "input")
     space = f.space
     if isinstance(doc, dict) and "measure" in doc:
-        mu0 = parse_measure(doc, "input", space)
+        mu0 = parse_measure(_without_space(doc), "input", space)
     else:
         uniform = np.full(space.size, 1.0 / space.size)
         mu0 = TMeasure(space, uniform, uniform.copy())

@@ -21,7 +21,7 @@ the offending node.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import SchemaError
 from .integration import TFunction
@@ -87,22 +87,31 @@ def bicomplex_to_obj(b: Bicomplex) -> dict:
     }
 
 
-def _parse_complex_pair(x: Any, loc: str) -> complex:
+def _parse_complex_pair(obj: dict, key: str, loc: str) -> complex:
+    # Locations are built only on error: this runs twice per atom.
+    x = obj[key]
     if not isinstance(x, list) or len(x) != 2:
-        raise SchemaError(loc, "expected [re, im]")
-    return complex(
-        _require_number(x[0], f"{loc}[0]"), _require_number(x[1], f"{loc}[1]")
+        raise SchemaError(f"{loc}.{key}", "expected [re, im]")
+    re, im = x
+    if isinstance(re, bool) or not isinstance(re, (int, float)):
+        raise SchemaError(f"{loc}.{key}[0]", "expected a number")
+    if isinstance(im, bool) or not isinstance(im, (int, float)):
+        raise SchemaError(f"{loc}.{key}[1]", "expected a number")
+    return complex(float(re), float(im))
+
+
+def _parse_components(obj: Any, loc: str) -> tuple[complex, complex]:
+    obj = _require_dict(obj, loc)
+    if len(obj) != 2 or "e1" not in obj or "e2" not in obj:
+        raise SchemaError(loc, "expected exactly the keys e1 and e2")
+    return (
+        _parse_complex_pair(obj, "e1", loc),
+        _parse_complex_pair(obj, "e2", loc),
     )
 
 
 def parse_bicomplex(obj: Any, loc: str = "bicomplex") -> Bicomplex:
-    obj = _require_dict(obj, loc)
-    if set(obj) != {"e1", "e2"}:
-        raise SchemaError(loc, "expected exactly the keys e1 and e2")
-    return Bicomplex(
-        _parse_complex_pair(obj["e1"], f"{loc}.e1"),
-        _parse_complex_pair(obj["e2"], f"{loc}.e2"),
-    )
+    return Bicomplex(*_parse_components(obj, loc))
 
 
 def space_to_obj(space: FiniteSpace) -> dict:
@@ -125,6 +134,25 @@ def parse_space(obj: Any, loc: str = "space") -> FiniteSpace:
 
 def mask_to_obj(mask: SetMask) -> list[str]:
     return sorted(mask.labels())
+
+
+def _parse_table(
+    body: dict, space: FiniteSpace, loc: str
+) -> tuple[list[complex], list[complex]]:
+    """Component lists of a label-to-bicomplex object; omitted atoms get 0.
+
+    One pass in document order, with labels looked up in the space's
+    index dict.
+    """
+    index = space._index
+    e1 = [0j] * space.size
+    e2 = [0j] * space.size
+    for label, value in body.items():
+        i = index.get(label)
+        if i is None:
+            raise SchemaError(f"{loc}.{label}", "unknown atom label")
+        e1[i], e2[i] = _parse_components(value, f"{loc}.{label}")
+    return e1, e2
 
 
 def parse_mask(obj: Any, space: FiniteSpace, loc: str = "set") -> SetMask:
@@ -173,14 +201,8 @@ def parse_measure(
         space = parse_space(obj["space"], f"{loc}.space")
     if space is None:
         raise SchemaError(f"{loc}.space", "missing space")
-    body = obj.get("measure")
-    body = _require_dict(body, f"{loc}.measure")
-    masses: dict[str, Bicomplex] = {}
-    for label, value in body.items():
-        if label not in space.atoms:
-            raise SchemaError(f"{loc}.measure.{label}", "unknown atom label")
-        masses[label] = parse_bicomplex(value, f"{loc}.measure.{label}")
-    mu = TMeasure.from_atoms(space, masses)
+    body = _require_dict(obj.get("measure"), f"{loc}.measure")
+    mu = TMeasure(space, *_parse_table(body, space, f"{loc}.measure"))
     hint = obj.get("kind_hint")
     if hint is not None:
         if hint not in _KIND_BY_HINT:
@@ -215,14 +237,8 @@ def parse_function(
         space = parse_space(obj["space"], f"{loc}.space")
     if space is None:
         raise SchemaError(f"{loc}.space", "missing space")
-    body = obj.get("function")
-    body = _require_dict(body, f"{loc}.function")
-    values: dict[str, Bicomplex] = {}
-    for label, value in body.items():
-        if label not in space.atoms:
-            raise SchemaError(f"{loc}.function.{label}", "unknown atom label")
-        values[label] = parse_bicomplex(value, f"{loc}.function.{label}")
-    return TFunction.from_atoms(space, values)
+    body = _require_dict(obj.get("function"), f"{loc}.function")
+    return TFunction(space, *_parse_table(body, space, f"{loc}.function"))
 
 
 def map_to_obj(f: PointMap) -> dict:
@@ -243,18 +259,20 @@ def parse_map(
         space = parse_space(obj["space"], f"{loc}.space")
     if space is None:
         raise SchemaError(f"{loc}.space", "missing space")
-    body = obj.get("map")
-    body = _require_dict(body, f"{loc}.map")
-    mapping: dict[str, str] = {}
+    body = _require_dict(obj.get("map"), f"{loc}.map")
+    index = space._index
+    image = [-1] * space.size
     for src, dst in body.items():
         if not isinstance(dst, str):
             raise SchemaError(f"{loc}.map.{src}", "expected a string label")
-        if src not in space.atoms:
+        i = index.get(src)
+        if i is None:
             raise SchemaError(f"{loc}.map.{src}", "unknown atom label")
-        if dst not in space.atoms:
+        j = index.get(dst)
+        if j is None:
             raise SchemaError(f"{loc}.map.{src}", f"unknown target label {dst!r}")
-        mapping[src] = dst
-    try:
-        return PointMap.from_labels(space, mapping)
-    except ValueError as exc:
-        raise SchemaError(f"{loc}.map", str(exc)) from None
+        image[i] = j
+    missing = [label for label, j in zip(space.atoms, image) if j < 0]
+    if missing:
+        raise SchemaError(f"{loc}.map", f"map is not total; missing {missing}")
+    return PointMap(space, image)

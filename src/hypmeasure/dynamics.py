@@ -84,8 +84,10 @@ class PointMap:
         """The exact preimage mask f^{-1}(A)."""
         if a.space != self.space:
             raise ValueError("mask lives on a different space")
-        hits = [i for i in range(self.space.size) if a.contains(int(self.image[i]))]
-        return self.space.subset_of_indices(hits)
+        member = np.zeros(self.space.size, dtype=bool)
+        member[list(a.indices())] = True
+        hits = np.flatnonzero(member[self.image])
+        return self.space.subset_of_indices(hits.tolist())
 
     def pullback(self, phi: TFunction) -> TFunction:
         """The composition phi after this map."""

@@ -10,9 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+import operator
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["FiniteSpace", "SetMask", "all_subsets", "set_partitions"]
+
+# Set bit positions of every byte value, ascending.
+_BYTE_BITS = tuple(
+    tuple(j for j in range(8) if b >> j & 1) for b in range(256)
+)
 
 
 @dataclass(frozen=True)
@@ -60,18 +66,18 @@ class FiniteSpace:
         return SetMask(self, 1 << index)
 
     def subset_of_labels(self, labels: Iterable[str]) -> "SetMask":
-        bits = 0
-        for label in labels:
-            bits |= 1 << self.index_of(label)
-        return SetMask(self, bits)
+        return self.subset_of_indices(map(self.index_of, labels))
 
     def subset_of_indices(self, indices: Iterable[int]) -> "SetMask":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < self.size:
+        # Set bits in a byte buffer and convert once: OR-ing into a big
+        # int per member would copy the whole mask every time.
+        n = self.size
+        buf = bytearray((n + 7) >> 3)
+        for i in map(operator.index, indices):
+            if not 0 <= i < n:
                 raise ValueError("atom index out of range")
-            bits |= 1 << i
-        return SetMask(self, bits)
+            buf[i >> 3] |= 1 << (i & 7)
+        return SetMask(self, int.from_bytes(buf, "little"))
 
 
 @dataclass(frozen=True)
@@ -91,12 +97,23 @@ class SetMask:
             raise ValueError("mask bits exceed the space width")
 
     def indices(self) -> Iterator[int]:
-        """Yield member atom indices in ascending order."""
+        """Yield member atom indices in ascending order.
+
+        One pass over the mask's bytes through a 256-entry table, so a
+        walk costs O(n) on an n-atom space. The low byte is read off the
+        int itself, which keeps walks on small spaces free of the byte
+        conversion.
+        """
         bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        yield from _BYTE_BITS[bits & 0xFF]
+        high = bits >> 8
+        if high:
+            base = 8
+            for byte in high.to_bytes((high.bit_length() + 7) >> 3, "little"):
+                if byte:
+                    for j in _BYTE_BITS[byte]:
+                        yield base + j
+                base += 8
 
     def labels(self) -> list[str]:
         return [self.space.atoms[i] for i in self.indices()]

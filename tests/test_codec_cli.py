@@ -129,11 +129,110 @@ class TestStructureCodec:
         with pytest.raises(SchemaError):
             parse_map({"space": space_to_obj(space), "map": {"a": "z", "b": "a"}})
 
+    def test_map_error_locations(self):
+        space = space_to_obj(FiniteSpace(("a", "b")))
+        with pytest.raises(SchemaError) as exc:
+            parse_map({"space": space, "map": {"a": "b", "b": "z"}})
+        assert exc.value.location == "map.map.b"
+        assert exc.value.message == "unknown target label 'z'"
+        with pytest.raises(SchemaError) as exc:
+            parse_map({"space": space, "map": {"a": 1, "b": "a"}})
+        assert exc.value.location == "map.map.a"
+        assert exc.value.message == "expected a string label"
+        with pytest.raises(SchemaError) as exc:
+            parse_map({"space": space, "map": {"z": "a"}})
+        assert exc.value.location == "map.map.z"
+        assert exc.value.message == "unknown atom label"
+        # within one entry the target's type is checked first
+        with pytest.raises(SchemaError) as exc:
+            parse_map({"space": space, "map": {"z": 1}})
+        assert exc.value.message == "expected a string label"
+
+    def test_function_unknown_atom_location(self):
+        obj = {
+            "space": {"atoms": ["a"]},
+            "function": {"a": {"e1": [1, 0], "e2": [0, 0]}, "q": {"e1": [1, 0], "e2": [0, 0]}},
+        }
+        with pytest.raises(SchemaError) as exc:
+            parse_function(obj)
+        assert exc.value.location == "function.function.q"
+        assert exc.value.message == "unknown atom label"
+
+    def test_errors_follow_document_order(self):
+        space = {"atoms": ["a", "b"]}
+        good = {"e1": [1, 0], "e2": [0, 0]}
+        bad_value = {"e1": [1, "x"], "e2": [0, 0]}
+        obj = {"space": space, "measure": {"b": bad_value, "z": good}}
+        with pytest.raises(SchemaError) as exc:
+            parse_measure(obj)
+        assert exc.value.location == "measure.measure.b.e1[1]"
+        obj = {"space": space, "measure": {"z": good, "b": bad_value}}
+        with pytest.raises(SchemaError) as exc:
+            parse_measure(obj)
+        assert exc.value.location == "measure.measure.z"
+        with pytest.raises(SchemaError) as exc:
+            parse_map({"space": space, "map": {"z": "a", "a": 3}})
+        assert exc.value.location == "map.map.z"
+
     def test_canonical_dump_is_key_order_insensitive(self):
         a = dumps_canonical({"b": 1, "a": [1.5, {"y": 2, "x": 3}]})
         b = dumps_canonical({"a": [1.5, {"x": 3, "y": 2}], "b": 1})
         assert a == b
         assert a.endswith("\n")
+
+
+class TestCodecAtScale:
+    """Round trips at 10^5 atoms; parsing is linear in the atom count."""
+
+    N = 100_000
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        n = self.N
+        space = FiniteSpace(tuple(f"x{i:06d}" for i in range(n)))
+        rng = np.random.default_rng(5)
+
+        def values():
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+            v[::7] = -0.0
+            v[1::11] = 5e-324
+            return v
+
+        e1 = values() + 1j * values()
+        e2 = values() - 1j * values()
+        return space, rng, e1, e2
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.tobytes() == b.tobytes()
+
+    def test_measure(self, big):
+        space, _, e1, e2 = big
+        mu = TMeasure(space, e1, e2)
+        again = parse_measure(json.loads(json.dumps(measure_to_obj(mu))))
+        assert self._same_bits(again.e1, mu.e1)
+        assert self._same_bits(again.e2, mu.e2)
+
+    def test_function(self, big):
+        space, _, e1, e2 = big
+        f = TFunction(space, e2, e1)
+        again = parse_function(json.loads(json.dumps(function_to_obj(f))))
+        assert self._same_bits(again.e1, f.e1)
+        assert self._same_bits(again.e2, f.e2)
+
+    def test_map(self, big):
+        space, rng, _, _ = big
+        f = PointMap(space, rng.integers(0, self.N, size=self.N))
+        again = parse_map(json.loads(json.dumps(map_to_obj(f))))
+        assert np.array_equal(again.image, f.image)
+
+    def test_mask(self, big):
+        space, rng, _, _ = big
+        members = np.flatnonzero(rng.random(self.N) < 0.5).tolist()
+        mask = space.subset_of_indices(members)
+        again = parse_mask(json.loads(json.dumps(mask_to_obj(mask))), space)
+        assert again == mask
+        assert list(again.indices()) == members
 
 
 def _run(argv, capsys):

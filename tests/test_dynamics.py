@@ -320,3 +320,14 @@ def test_integral_against_pushforward_matches_pullback(cycle3):
         space, {"a": Bicomplex(2, 1), "b": Bicomplex(-1, 3), "c": Bicomplex(0, -2)}
     )
     assert integrate(phi, pushforward(f, mu)) == integrate(f.pullback(phi), mu)
+
+
+def test_preimage_matches_pointwise_reference():
+    n = 300
+    space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+    rng = np.random.default_rng(7)
+    f = PointMap(space, rng.integers(0, n, size=n))
+    for p in (0.0, 0.1, 0.5, 1.0):
+        a = space.subset_of_indices(np.flatnonzero(rng.random(n) < p).tolist())
+        want = [i for i in range(n) if a.contains(int(f.image[i]))]
+        assert list(f.preimage(a).indices()) == want

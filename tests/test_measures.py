@@ -10,8 +10,10 @@ from hypmeasure import (
     FiniteSpace,
     Hyperbolic,
     MeasureKind,
+    TFunction,
     TMeasure,
     dominates,
+    integrate,
     normalize_to_probability,
     probability_variant,
     range_in_plus_minus_cones,
@@ -219,3 +221,72 @@ def test_variation_additive_over_complements(masses):
         lhs = mu.total_variation(space.full())
         rhs = mu.total_variation(e) + mu.total_variation(e.complement())
         assert lhs == rhs
+
+
+def _exact(z):
+    # float.hex tells -0.0 from +0.0, so equal strings mean equal bits.
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _ascending_sum(terms, members):
+    s = 0j
+    for i in members:
+        s += terms[i]
+    return s
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 65, 1000])
+def test_set_sums_equal_the_ascending_scalar_sum_bitwise(n):
+    space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+    rng = np.random.default_rng(n)
+    scale = 10.0 ** rng.integers(-300, 300, size=n)
+    mu = TMeasure(
+        space,
+        rng.standard_normal(n) * scale + 1j * rng.standard_normal(n),
+        rng.standard_normal(n) * scale,
+    )
+    d = variation_measure(mu)
+    f = TFunction(space, rng.standard_normal(n) * 1j, rng.standard_normal(n))
+    abs1, abs2 = np.abs(mu.e1), np.abs(mu.e2)
+    for p in (0.0, 0.3, 1.0):
+        members = np.flatnonzero(rng.random(n) < p).tolist()
+        e = space.subset_of_indices(members)
+        got = mu.of(e)
+        assert _exact(got.e1) == _exact(_ascending_sum(mu.e1, members))
+        assert _exact(got.e2) == _exact(_ascending_sum(mu.e2, members))
+        tv = mu.total_variation(e)
+        assert tv.e1.hex() == _ascending_sum(abs1, members).real.hex()
+        assert tv.e2.hex() == _ascending_sum(abs2, members).real.hex()
+        val = integrate(f, d, e)
+        terms1 = [f.e1[i] * d.e1.real[i] for i in range(n)]
+        terms2 = [f.e2[i] * d.e2.real[i] for i in range(n)]
+        assert _exact(val.e1) == _exact(_ascending_sum(terms1, members))
+        assert _exact(val.e2) == _exact(_ascending_sum(terms2, members))
+
+
+def test_all_negative_zero_masses_sum_to_positive_zero():
+    # The ascending sum starts at +0.0, and +0.0 + -0.0 is +0.0; a
+    # cumulative sum seeded with the first term would keep -0.0.
+    n = 70
+    space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+    neg = np.full(n, complex(-0.0, -0.0))
+    mu = TMeasure(space, neg, neg)
+    for e in (space.full(), space.subset_of_indices(range(0, n, 3))):
+        got = mu.of(e)
+        assert _exact(got.e1) == _exact(got.e2) == ("0x0.0p+0", "0x0.0p+0")
+        tv = mu.total_variation(e)
+        assert tv.e1.hex() == tv.e2.hex() == "0x0.0p+0"
+    f = TFunction(space, neg, neg)
+    d = TMeasure(space, np.ones(n), np.ones(n))
+    val = integrate(f, d)
+    assert _exact(val.e1) == _exact(val.e2) == ("0x0.0p+0", "0x0.0p+0")
+
+
+def test_support_mask_past_63_atoms():
+    n = 130
+    space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+    e = np.zeros(n)
+    e[[3, 64, 70, 129]] = 1.0
+    mu = TMeasure(space, e, np.zeros(n))
+    assert list(mu.support_mask().indices()) == [3, 64, 70, 129]

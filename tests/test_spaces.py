@@ -118,3 +118,47 @@ def test_partitions_match_independent_oracle():
     for p in set_partitions(items):
         flat = [x for block in p for x in block]
         assert sorted(flat) == items
+
+
+def _space(n):
+    return FiniteSpace(tuple(f"x{i}" for i in range(n)))
+
+
+def _members(bits, n):
+    # Reference walk: test every bit position in ascending order.
+    return [i for i in range(n) if bits >> i & 1]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 1000])
+def test_indices_match_reference_walk(n):
+    space = _space(n)
+    rng = np.random.default_rng(n)
+    masks = [space.empty(), space.full(), space.singleton(n - 1)]
+    masks += [
+        space.subset_of_indices(np.flatnonzero(rng.random(n) < p).tolist())
+        for p in (0.05, 0.5, 0.95)
+    ]
+    for m in masks:
+        assert list(m.indices()) == _members(m.bits, n)
+        assert m.labels() == [space.atoms[i] for i in _members(m.bits, n)]
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 64, 65, 1000])
+def test_mask_builders_set_exactly_the_members(n):
+    space = _space(n)
+    rng = np.random.default_rng(n)
+    members = sorted(set(rng.integers(0, n, size=n // 2 + 1).tolist()))
+    want = sum(1 << i for i in members)
+    assert space.subset_of_indices(members).bits == want
+    assert space.subset_of_indices(reversed(members)).bits == want
+    # numpy integers past bit 63 must not wrap
+    assert space.subset_of_indices(np.array(members)).bits == want
+    labels = [space.atoms[i] for i in members]
+    assert space.subset_of_labels(labels).bits == want
+    assert space.subset_of_indices([]).bits == 0
+    with pytest.raises(ValueError, match="out of range"):
+        space.subset_of_indices(members + [n])
+    with pytest.raises(ValueError, match="out of range"):
+        space.subset_of_indices([-1])
+    with pytest.raises(ValueError, match="unknown atom label 'zz'"):
+        space.subset_of_labels(labels + ["zz"])
