@@ -28,14 +28,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 from numpy.random import default_rng
 
 from . import generators as gen_mod
 from .codec import (
+    _as_float,
     bicomplex_to_obj,
     dumps_canonical,
     function_to_obj,
@@ -48,6 +48,7 @@ from .codec import (
     parse_mask,
     parse_measure,
     space_to_obj,
+    table_to_obj,
 )
 from .decomposition import (
     abs_continuous,
@@ -69,7 +70,7 @@ from .integration import check_modulus_inequality, dct_run, in_l1, integrate
 from .measures import TMeasure, probability_variant, variation_measure
 from .verify import run_verify
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 GEN_KINDS = (
     "t-measure",
@@ -82,38 +83,24 @@ GEN_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flags shared by every subcommand."""
-
-    command: str
-    input_path: Optional[str]
-    output_path: Optional[str]
-    seed: int
-    tol: float
-    cases: int
-    suite: str
-    kind: Optional[str] = None
-    atoms: int = 4
-    mode: str = "float"
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0.0:
-            raise SchemaError("tol", "must be positive")
-        if self.cases <= 0:
-            raise SchemaError("cases", "must be positive")
-        if self.seed < 0:
-            raise SchemaError("seed", "must be a nonnegative integer")
-        if self.atoms < 1:
-            raise SchemaError("atoms", "must be at least 1")
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject out-of-range flag values; only ``gen`` has ``--atoms``."""
+    if args.tol <= 0.0:
+        raise SchemaError("tol", "must be positive")
+    if args.cases <= 0:
+        raise SchemaError("cases", "must be positive")
+    if args.seed < 0:
+        raise SchemaError("seed", "must be a nonnegative integer")
+    if getattr(args, "atoms", 1) < 1:
+        raise SchemaError("atoms", "must be at least 1")
 
 
-def _read_doc(config: RunConfig) -> Any:
+def _read_doc(args: argparse.Namespace) -> Any:
     try:
-        if config.input_path is None:
+        if args.input is None:
             text = sys.stdin.read()
         else:
-            with open(config.input_path, "r", encoding="utf-8") as fh:
+            with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
         raise SchemaError("input", str(exc)) from None
@@ -123,12 +110,12 @@ def _read_doc(config: RunConfig) -> Any:
         raise SchemaError("input", f"invalid JSON: {exc}") from None
 
 
-def _write_doc(config: RunConfig, obj: Any) -> None:
+def _write_doc(args: argparse.Namespace, obj: Any) -> None:
     text = dumps_canonical(obj)
-    if config.output_path is None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -142,18 +129,11 @@ def _without_space(doc: dict) -> dict:
     return {key: value for key, value in doc.items() if key != "space"}
 
 
-def _masses_obj(mu: TMeasure) -> dict:
-    return {
-        label: bicomplex_to_obj(mu.atom(i))
-        for i, label in enumerate(mu.space.atoms)
-    }
-
-
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_decompose(config: RunConfig) -> dict:
-    doc = _read_doc(config)
+def _cmd_decompose(args: argparse.Namespace) -> dict:
+    doc = _read_doc(args)
     mu = parse_measure(doc, "input")
     if not mu.is_real():
         raise SchemaError(
@@ -175,7 +155,7 @@ def _cmd_decompose(config: RunConfig) -> dict:
 
     pair = jordan(mu)
     var = variation_measure(mu)
-    hahn_res = hahn(mu, tol=config.tol)
+    hahn_res = hahn(mu, tol=args.tol)
     h = polar_density(mu)
     lrn = lebesgue_radon_nikodym(mu, ref)
 
@@ -185,24 +165,24 @@ def _cmd_decompose(config: RunConfig) -> dict:
     )
     checks = {
         "jordan_difference": (pair.mu_plus - pair.mu_minus).equal_exact(mu),
-        "jordan_variation": (pair.mu_plus + pair.mu_minus).isclose(var, config.tol),
+        "jordan_variation": (pair.mu_plus + pair.mu_minus).isclose(var, args.tol),
         "hahn_mu_plus": hahn_res.mu_plus_check,
         "hahn_mu_minus": hahn_res.mu_minus_check,
         "polar_unimodular": bool(
-            np.all(np.abs(np.abs(h.e1) - 1.0) <= config.tol)
-            and np.all(np.abs(np.abs(h.e2) - 1.0) <= config.tol)
+            np.all(np.abs(np.abs(h.e1) - 1.0) <= args.tol)
+            and np.all(np.abs(np.abs(h.e2) - 1.0) <= args.tol)
         ),
-        "polar_reconstruction": recon.isclose(mu, config.tol),
+        "polar_reconstruction": recon.isclose(mu, args.tol),
         "lrn_sum": (lrn.lambda_ac + lrn.lambda_sing).equal_exact(mu),
         "lrn_abs_continuous": abs_continuous(lrn.lambda_ac, ref),
         "lrn_singular": mutually_singular(lrn.lambda_sing, ref),
-        "lrn_density": dens.isclose(lrn.lambda_ac, config.tol),
+        "lrn_density": dens.isclose(lrn.lambda_ac, args.tol),
     }
     result = {
         "space": space_to_obj(space),
         "jordan": {
-            "mu_plus": _masses_obj(pair.mu_plus),
-            "mu_minus": _masses_obj(pair.mu_minus),
+            "mu_plus": table_to_obj(pair.mu_plus),
+            "mu_minus": table_to_obj(pair.mu_minus),
         },
         "hahn": {
             "A": mask_to_obj(hahn_res.partition.A),
@@ -212,9 +192,9 @@ def _cmd_decompose(config: RunConfig) -> dict:
         },
         "polar_h": function_to_obj(h, with_space=False),
         "lrn": {
-            "reference": _masses_obj(ref),
-            "absolutely_continuous": _masses_obj(lrn.lambda_ac),
-            "singular": _masses_obj(lrn.lambda_sing),
+            "reference": table_to_obj(ref),
+            "absolutely_continuous": table_to_obj(lrn.lambda_ac),
+            "singular": table_to_obj(lrn.lambda_sing),
             "density": function_to_obj(lrn.density, with_space=False),
         },
         "checks": checks,
@@ -227,8 +207,8 @@ def _cmd_decompose(config: RunConfig) -> dict:
     return result
 
 
-def _cmd_integrate(config: RunConfig) -> dict:
-    doc = _read_doc(config)
+def _cmd_integrate(args: argparse.Namespace) -> dict:
+    doc = _read_doc(args)
     mu = parse_measure(doc, "input")
     if not mu.is_d_measure():
         raise SchemaError("input.measure", "integration needs a D-measure")
@@ -250,11 +230,12 @@ def _cmd_integrate(config: RunConfig) -> dict:
             raise SchemaError("input.dominator", "missing dominating function")
         limit = parse_function(doc["limit"], "input.limit", space)
         dominator = parse_function(doc["dominator"], "input.dominator", space)
-        tol = doc.get("tol", config.tol)
+        tol = doc.get("tol", args.tol)
         if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
             raise SchemaError("input.tol", "expected a positive number")
+        tol = _as_float(tol, "input.tol")
         try:
-            report = dct_run(seq, limit, dominator, mu, float(tol))
+            report = dct_run(seq, limit, dominator, mu, tol)
         except ValueError as exc:
             raise SchemaError("input", str(exc)) from None
         return {
@@ -284,8 +265,8 @@ def _cmd_integrate(config: RunConfig) -> dict:
     }
 
 
-def _cmd_pushforward(config: RunConfig) -> dict:
-    doc = _read_doc(config)
+def _cmd_pushforward(args: argparse.Namespace) -> dict:
+    doc = _read_doc(args)
     mu = parse_measure(doc, "input")
     f = parse_map(_without_space(doc), "input", mu.space)
     iterations = doc.get("iterations", 1)
@@ -298,8 +279,8 @@ def _cmd_pushforward(config: RunConfig) -> dict:
     return measure_to_obj(out)
 
 
-def _cmd_find_invariant(config: RunConfig) -> dict:
-    doc = _read_doc(config)
+def _cmd_find_invariant(args: argparse.Namespace) -> dict:
+    doc = _read_doc(args)
     f = parse_map(doc, "input")
     space = f.space
     if isinstance(doc, dict) and "measure" in doc:
@@ -315,7 +296,7 @@ def _cmd_find_invariant(config: RunConfig) -> dict:
     if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
         raise SchemaError("input.max_iter", "expected a positive integer")
 
-    trace = cesaro_invariant(f, mu0, max_iter=max_iter, tol=config.tol)
+    trace = cesaro_invariant(f, mu0, max_iter=max_iter, tol=args.tol)
     basis = invariant_basis_bruteforce(f)
     limit = trace.iterates[-1]
     return {
@@ -324,19 +305,19 @@ def _cmd_find_invariant(config: RunConfig) -> dict:
         "converged": trace.converged,
         "iterations": len(trace.iterates),
         "gaps": [hyperbolic_to_obj(g) for g in trace.gaps],
-        "limit": _masses_obj(limit),
-        "limit_is_invariant": is_invariant(f, limit, config.tol),
+        "limit": table_to_obj(limit),
+        "limit_is_invariant": is_invariant(f, limit, args.tol),
         "limit_in_hull": in_invariant_hull(f, limit),
-        "basis": [_masses_obj(m) for m in basis],
+        "basis": [table_to_obj(m) for m in basis],
     }
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        report = run_verify(config.seed, config.cases, config.suite)
+        report = run_verify(args.seed, args.cases, args.suite)
     except ValueError as exc:
         raise SchemaError("suite", str(exc)) from None
-    _write_doc(config, report.to_obj())
+    _write_doc(args, report.to_obj())
     if report.all_passed:
         return 0
     dump = {
@@ -354,15 +335,13 @@ def _default_breakpoints() -> list[tuple[float, float]]:
     return [(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)]
 
 
-def _cmd_gen(config: RunConfig) -> dict:
-    if config.kind is None:
-        raise SchemaError("kind", "missing --kind")
-    rng = default_rng(config.seed)
-    kind = config.kind
+def _cmd_gen(args: argparse.Namespace) -> dict:
+    rng = default_rng(args.seed)
+    kind = args.kind
     if kind == "interval-map-discretization":
         breakpoints = _default_breakpoints()
-        if config.input_path is not None:
-            doc = _read_doc(config)
+        if args.input is not None:
+            doc = _read_doc(args)
             doc_bp = doc.get("breakpoints") if isinstance(doc, dict) else None
             if not isinstance(doc_bp, list):
                 raise SchemaError(
@@ -378,32 +357,34 @@ def _cmd_gen(config: RunConfig) -> dict:
                     raise SchemaError(
                         f"input.breakpoints[{i}]", "expected an [x, y] pair"
                     )
-                breakpoints.append((float(pt[0]), float(pt[1])))
+                breakpoints.append(tuple(
+                    _as_float(c, f"input.breakpoints[{i}][{j}]") for j, c in enumerate(pt)
+                ))
         try:
             _, pm = gen_mod.gen_interval_map_discretization(
-                config.atoms, breakpoints
+                args.atoms, breakpoints
             )
         except ValueError as exc:
             raise SchemaError("input.breakpoints", str(exc)) from None
         return map_to_obj(pm)
 
-    space = gen_mod.make_space(config.atoms)
+    space = gen_mod.make_space(args.atoms)
     if kind == "t-measure":
-        return measure_to_obj(gen_mod.gen_t_measure(rng, space, config.mode))
+        return measure_to_obj(gen_mod.gen_t_measure(rng, space, args.mode))
     if kind == "d-measure":
-        return measure_to_obj(gen_mod.gen_d_measure(rng, space, config.mode))
+        return measure_to_obj(gen_mod.gen_d_measure(rng, space, args.mode))
     if kind == "signed-measure":
         return measure_to_obj(
-            gen_mod.gen_signed_measure(rng, space, config.mode)
+            gen_mod.gen_signed_measure(rng, space, args.mode)
         )
     if kind == "d-probability":
         return measure_to_obj(
             gen_mod.gen_d_probability(
-                rng, space, dyadic=(config.mode == "dyadic")
+                rng, space, dyadic=(args.mode == "dyadic")
             )
         )
     if kind == "function":
-        return function_to_obj(gen_mod.gen_function(rng, space, config.mode))
+        return function_to_obj(gen_mod.gen_function(rng, space, args.mode))
     if kind == "map":
         return map_to_obj(gen_mod.gen_map(rng, space))
     raise SchemaError("kind", f"unknown kind {kind!r}")
@@ -460,22 +441,11 @@ _COMMANDS = {
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            input_path=getattr(args, "input", None),
-            output_path=args.output,
-            seed=args.seed,
-            tol=args.tol,
-            cases=args.cases,
-            suite=getattr(args, "suite", "*"),
-            kind=getattr(args, "kind", None),
-            atoms=getattr(args, "atoms", 4),
-            mode=getattr(args, "mode", "float"),
-        )
-        if config.command == "verify":
-            return _cmd_verify(config)
-        result = _COMMANDS[config.command](config)
-        _write_doc(config, result)
+        _check_flags(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        result = _COMMANDS[args.command](args)
+        _write_doc(args, result)
         return 0
     except SchemaError as exc:
         sys.stderr.write(

@@ -25,7 +25,7 @@ from typing import Any
 
 from .errors import SchemaError
 from .integration import TFunction
-from .measures import MeasureKind, TMeasure
+from .measures import AtomTable, MeasureKind, TMeasure
 from .numbers import Bicomplex, Hyperbolic
 from .spaces import FiniteSpace, SetMask
 from .dynamics import PointMap
@@ -40,6 +40,7 @@ __all__ = [
     "parse_space",
     "mask_to_obj",
     "parse_mask",
+    "table_to_obj",
     "measure_to_obj",
     "parse_measure",
     "function_to_obj",
@@ -54,10 +55,18 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _as_float(x: int | float, loc: str) -> float:
+    """``float(x)``; a JSON integer past the float range is a schema error."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise SchemaError(loc, "number outside the float range") from None
+
+
 def _require_number(x: Any, loc: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError(loc, "expected a number")
-    return float(x)
+    return _as_float(x, loc)
 
 
 def _require_dict(x: Any, loc: str) -> dict:
@@ -97,7 +106,13 @@ def _parse_complex_pair(obj: dict, key: str, loc: str) -> complex:
         raise SchemaError(f"{loc}.{key}[0]", "expected a number")
     if isinstance(im, bool) or not isinstance(im, (int, float)):
         raise SchemaError(f"{loc}.{key}[1]", "expected a number")
-    return complex(float(re), float(im))
+    try:
+        return complex(float(re), float(im))
+    except OverflowError:
+        # Name the part at fault; one of these two raises.
+        _as_float(re, f"{loc}.{key}[0]")
+        _as_float(im, f"{loc}.{key}[1]")
+        raise
 
 
 def _parse_components(obj: Any, loc: str) -> tuple[complex, complex]:
@@ -176,13 +191,22 @@ _KIND_ORDER = {
 _KIND_BY_HINT = {k.value: k for k in MeasureKind}
 
 
+def table_to_obj(t: AtomTable) -> dict:
+    """Label to bicomplex object for every atom of a measure or function.
+
+    Reads each component array once; the values are the Python floats
+    ``bicomplex_to_obj(t.atom(i))`` holds, ``-0.0`` included.
+    """
+    return {
+        label: {"e1": [w1.real, w1.imag], "e2": [w2.real, w2.imag]}
+        for label, w1, w2 in zip(t.space.atoms, t.e1.tolist(), t.e2.tolist())
+    }
+
+
 def measure_to_obj(mu: TMeasure) -> dict:
     return {
         "space": space_to_obj(mu.space),
-        "measure": {
-            label: bicomplex_to_obj(mu.atom(i))
-            for i, label in enumerate(mu.space.atoms)
-        },
+        "measure": table_to_obj(mu),
         "kind_hint": mu.kind.value,
     }
 
@@ -218,12 +242,7 @@ def parse_measure(
 
 
 def function_to_obj(f: TFunction, with_space: bool = True) -> dict:
-    obj: dict[str, Any] = {
-        "function": {
-            label: bicomplex_to_obj(f.value_at(i))
-            for i, label in enumerate(f.space.atoms)
-        }
-    }
+    obj: dict[str, Any] = {"function": table_to_obj(f)}
     if with_space:
         obj["space"] = space_to_obj(f.space)
     return obj

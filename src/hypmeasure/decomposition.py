@@ -213,10 +213,7 @@ def hahn(mu: TMeasure, tol: float = 1e-12) -> HahnResult:
 def is_concentrated(lam: TMeasure, a: SetMask) -> bool:
     """True iff every atom outside ``a`` has zero mass in both components."""
     lam._check_mask(a)
-    outside = [i for i in range(lam.space.size) if not a.contains(i)]
-    return bool(
-        np.all(lam.e1[outside] == 0) and np.all(lam.e2[outside] == 0)
-    )
+    return lam.support_mask().is_subset_of(a)
 
 
 def mutually_singular(a: TMeasure, b: TMeasure) -> bool:
@@ -226,8 +223,7 @@ def mutually_singular(a: TMeasure, b: TMeasure) -> bool:
     atom carries nonzero mass of both measures at once; the splitting
     of X is then the support of ``a`` against its complement.
     """
-    if a.space != b.space:
-        raise ValueError("measures live on different spaces")
+    a._check_space(b)
     clash1 = (a.e1 != 0) & (b.e1 != 0)
     clash2 = (a.e2 != 0) & (b.e2 != 0)
     return not bool(np.any(clash1) or np.any(clash2))
@@ -243,8 +239,7 @@ def abs_continuous(lam: TMeasure, mu: TMeasure) -> bool:
     ValueError
         On space mismatch or a non-D reference measure.
     """
-    if lam.space != mu.space:
-        raise ValueError("measures live on different spaces")
+    lam._check_space(mu)
     if not mu.is_d_measure():
         raise ValueError("reference measure must be a D-measure")
     null1 = mu.e1.real == 0.0
@@ -312,8 +307,7 @@ def check_lattice_properties(
         On space mismatch or a non-D reference measure.
     """
     for m in (lam_p, lam_pp):
-        if m.space != lam.space:
-            raise ValueError("measures live on different spaces")
+        lam._check_space(m)
 
     var_lam = variation_measure(lam)
     # a) supports of a measure and its modulus coincide atomwise, so
@@ -383,8 +377,7 @@ def lebesgue_radon_nikodym(lam: TMeasure, mu: TMeasure) -> LRNResult:
         If a verified invariant fails (not reachable for finite
         inputs).
     """
-    if lam.space != mu.space:
-        raise ValueError("measures live on different spaces")
+    lam._check_space(mu)
     if not mu.is_d_measure():
         raise ValueError("reference measure must be a D-measure")
 
@@ -465,8 +458,7 @@ def epsilon_delta_witness(
     """
     if not (epsilon.e1 > 0.0 and epsilon.e2 > 0.0):
         raise ValueError("epsilon must be strictly positive in both components")
-    if lam.space != mu.space:
-        raise ValueError("measures live on different spaces")
+    lam._check_space(mu)
     if lam.space.size > SUBSET_CAP:
         raise ValueError(f"space too large for subset enumeration (> {SUBSET_CAP})")
     if not abs_continuous(lam, mu):

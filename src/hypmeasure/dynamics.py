@@ -210,8 +210,7 @@ def convex_combine(a: TMeasure, b: TMeasure, t: float) -> TMeasure:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    if a.space != b.space:
-        raise ValueError("measures live on different spaces")
+    a._check_space(b)
     va = probability_variant(a)
     vb = probability_variant(b)
     if va != vb:

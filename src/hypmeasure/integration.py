@@ -10,12 +10,12 @@ bit-reproducible across runs and threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .numbers import Bicomplex, Hyperbolic, lt_d
-from .measures import TMeasure
+from .measures import AtomTable, TMeasure, _MassLike, _as_components, _from_atoms
 from .spaces import FiniteSpace, SetMask
 
 __all__ = [
@@ -31,58 +31,19 @@ __all__ = [
     "indefinite_integral",
 ]
 
-_ValueLike = Union[Bicomplex, Hyperbolic, complex, float, int]
 
+class TFunction(AtomTable):
+    """An atom table read as a function: pointwise values and scalars."""
 
-def _as_components(value: _ValueLike) -> tuple[complex, complex]:
-    if isinstance(value, Bicomplex):
-        return value.e1, value.e2
-    if isinstance(value, Hyperbolic):
-        return complex(value.e1), complex(value.e2)
-    value = complex(value)
-    return value, value
+    __slots__ = ()
+    _PLURAL = "functions"
+    _SCALARS = (int, float, complex, Hyperbolic, Bicomplex)
 
-
-class TFunction:
-    """An atom-indexed table of bicomplex values.
-
-    Parameters
-    ----------
-    space : FiniteSpace
-    e1, e2 : array_like of complex
-        Component values per atom, in atom index order.
-    """
-
-    __slots__ = ("space", "e1", "e2")
-
-    def __init__(self, space: FiniteSpace, e1, e2) -> None:
-        a1 = np.array(e1, dtype=np.complex128)
-        a2 = np.array(e2, dtype=np.complex128)
-        if a1.shape != (space.size,) or a2.shape != (space.size,):
-            raise ValueError("component arrays must have one entry per atom")
-        a1.setflags(write=False)
-        a2.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "e1", a1)
-        object.__setattr__(self, "e2", a2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TFunction is immutable")
+    from_atoms = classmethod(_from_atoms)
+    value_at = AtomTable.atom
 
     @classmethod
-    def from_atoms(
-        cls, space: FiniteSpace, values: Mapping[str, _ValueLike]
-    ) -> "TFunction":
-        """Build from a label-to-value mapping; omitted atoms get 0."""
-        e1 = np.zeros(space.size, dtype=np.complex128)
-        e2 = np.zeros(space.size, dtype=np.complex128)
-        for label, value in values.items():
-            i = space.index_of(label)
-            e1[i], e2[i] = _as_components(value)
-        return cls(space, e1, e2)
-
-    @classmethod
-    def constant(cls, space: FiniteSpace, value: _ValueLike) -> "TFunction":
+    def constant(cls, space: FiniteSpace, value: _MassLike) -> "TFunction":
         c1, c2 = _as_components(value)
         return cls(space, np.full(space.size, c1), np.full(space.size, c2))
 
@@ -93,9 +54,6 @@ class TFunction:
         for i in mask.indices():
             bits[i] = 1.0
         return cls(mask.space, bits, bits.copy())
-
-    def value_at(self, index: int) -> Bicomplex:
-        return Bicomplex(complex(self.e1[index]), complex(self.e2[index]))
 
     def d_modulus(self) -> "TFunction":
         """Atomwise D-modulus; the result is D+-valued."""
@@ -112,57 +70,10 @@ class TFunction:
             self.space, unimodular_factor(self.e1), unimodular_factor(self.e2)
         )
 
-    def is_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.e1.real))
-            and np.all(np.isfinite(self.e1.imag))
-            and np.all(np.isfinite(self.e2.real))
-            and np.all(np.isfinite(self.e2.imag))
-        )
-
-    def __add__(self, other: "TFunction") -> "TFunction":
-        if not isinstance(other, TFunction):
-            return NotImplemented
-        if other.space != self.space:
-            raise ValueError("functions live on different spaces")
-        return TFunction(self.space, self.e1 + other.e1, self.e2 + other.e2)
-
-    def __sub__(self, other: "TFunction") -> "TFunction":
-        if not isinstance(other, TFunction):
-            return NotImplemented
-        if other.space != self.space:
-            raise ValueError("functions live on different spaces")
-        return TFunction(self.space, self.e1 - other.e1, self.e2 - other.e2)
-
-    def __neg__(self) -> "TFunction":
-        return TFunction(self.space, -self.e1, -self.e2)
-
-    def scaled(self, c: _ValueLike) -> "TFunction":
+    def scaled(self, c: _MassLike) -> "TFunction":
         """Pointwise scalar product with a bicomplex scalar."""
         c1, c2 = _as_components(c)
         return TFunction(self.space, c1 * self.e1, c2 * self.e2)
-
-    def __mul__(self, c) -> "TFunction":
-        if isinstance(c, (int, float, complex, Hyperbolic, Bicomplex)):
-            return self.scaled(c)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def isclose(self, other: "TFunction", tol: float = 1e-12) -> bool:
-        if other.space != self.space:
-            return False
-        return bool(
-            np.all(np.abs(self.e1 - other.e1) <= tol)
-            and np.all(np.abs(self.e2 - other.e2) <= tol)
-        )
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(
-            f"{label}: ({self.e1[i]:.4g}, {self.e2[i]:.4g})"
-            for i, label in enumerate(self.space.atoms)
-        )
-        return f"TFunction({pairs})"
 
 
 def unimodular_factor(values: np.ndarray) -> np.ndarray:
@@ -248,8 +159,7 @@ def check_linearity(
     be arbitrary bicomplex numbers; complex scalars are the special
     case with equal components.
     """
-    if f.space != g.space:
-        raise ValueError("functions live on different spaces")
+    f._check_space(g)
     combo = f.scaled(alpha) + g.scaled(beta)
     if not in_l1(combo, mu):
         return False

@@ -58,17 +58,25 @@ def _as_components(value: _MassLike) -> tuple[complex, complex]:
     return value, value
 
 
-class TMeasure:
-    """An atom-indexed table of bicomplex masses.
+class AtomTable:
+    """An atom-indexed table of bicomplex values, immutable once built.
+
+    The shared core of :class:`TMeasure` and ``TFunction``: both are
+    two complex component arrays in the idempotent basis. The roles
+    differ only in the scalars they accept and the operations they add.
 
     Parameters
     ----------
     space : FiniteSpace
     e1, e2 : array_like of complex
-        Component masses per atom, in atom index order.
+        Component values per atom, in atom index order.
     """
 
+    # ``_kind`` caches TMeasure.kind; the slot lives here so both roles
+    # share one constructor.
     __slots__ = ("space", "e1", "e2", "_kind")
+    _PLURAL = "tables"
+    _SCALARS: tuple = ()
 
     def __init__(self, space: FiniteSpace, e1, e2) -> None:
         a1 = np.array(e1, dtype=np.complex128)
@@ -83,27 +91,96 @@ class TMeasure:
         object.__setattr__(self, "_kind", None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("TMeasure is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def from_atoms(
-        cls, space: FiniteSpace, masses: Mapping[str, _MassLike]
-    ) -> "TMeasure":
-        """Build from a label-to-mass mapping; omitted atoms get 0."""
-        e1 = np.zeros(space.size, dtype=np.complex128)
-        e2 = np.zeros(space.size, dtype=np.complex128)
-        for label, value in masses.items():
-            i = space.index_of(label)
-            e1[i], e2[i] = _as_components(value)
-        return cls(space, e1, e2)
+    def atom(self, index: int) -> Bicomplex:
+        """Value of the atom at ``index``."""
+        return Bicomplex(complex(self.e1[index]), complex(self.e2[index]))
+
+    def is_finite(self) -> bool:
+        """True iff both components of every atom value are finite."""
+        return bool(
+            np.all(np.isfinite(self.e1.real))
+            and np.all(np.isfinite(self.e1.imag))
+            and np.all(np.isfinite(self.e2.real))
+            and np.all(np.isfinite(self.e2.imag))
+        )
+
+    def _check_space(self, other: "AtomTable") -> None:
+        if other.space != self.space:
+            raise ValueError(f"{self._PLURAL} live on different spaces")
+
+    # Arithmetic stays within one role: a measure plus a function is
+    # NotImplemented, hence a TypeError.
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_space(other)
+        return type(self)(self.space, self.e1 + other.e1, self.e2 + other.e2)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_space(other)
+        return type(self)(self.space, self.e1 - other.e1, self.e2 - other.e2)
+
+    def __neg__(self):
+        return type(self)(self.space, -self.e1, -self.e2)
+
+    def __mul__(self, c):
+        if isinstance(c, self._SCALARS):
+            return self.scaled(c)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def isclose(self, other: "AtomTable", tol: float = 1e-12) -> bool:
+        """Atomwise closeness of both components within ``tol``."""
+        if other.space != self.space:
+            return False
+        return bool(
+            np.all(np.abs(self.e1 - other.e1) <= tol)
+            and np.all(np.abs(self.e2 - other.e2) <= tol)
+        )
+
+    def equal_exact(self, other: "AtomTable") -> bool:
+        if other.space != self.space:
+            return False
+        return bool(np.all(self.e1 == other.e1) and np.all(self.e2 == other.e2))
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(
+            f"{label}: ({self.e1[i]:.4g}, {self.e2[i]:.4g})"
+            for i, label in enumerate(self.space.atoms)
+        )
+        return f"{type(self).__name__}({pairs})"
+
+
+def _from_atoms(cls, space: FiniteSpace, values: Mapping[str, _MassLike]):
+    """Build from a label-to-value mapping; omitted atoms get 0."""
+    e1 = np.zeros(space.size, dtype=np.complex128)
+    e2 = np.zeros(space.size, dtype=np.complex128)
+    for label, value in values.items():
+        i = space.index_of(label)
+        e1[i], e2[i] = _as_components(value)
+    return cls(space, e1, e2)
+
+
+class TMeasure(AtomTable):
+    """An atom table read as bicomplex masses: set values, kinds, variation."""
+
+    __slots__ = ()
+    _PLURAL = "measures"
+    # Complex scalars are not D-module scalars, so ``mu * 1j`` is refused.
+    _SCALARS = (int, float, Hyperbolic, Bicomplex)
+
+    # Each role binds its own ``from_atoms``, so that its class namespace
+    # holds it (perfbench/spans.py wraps methods through ``__dict__``).
+    from_atoms = classmethod(_from_atoms)
 
     @classmethod
     def zero(cls, space: FiniteSpace) -> "TMeasure":
         return cls(space, np.zeros(space.size), np.zeros(space.size))
-
-    def atom(self, index: int) -> Bicomplex:
-        """Mass of the atom at ``index``."""
-        return Bicomplex(complex(self.e1[index]), complex(self.e2[index]))
 
     def _check_mask(self, e: SetMask) -> None:
         if e.space != self.space:
@@ -158,15 +235,6 @@ class TMeasure:
         """True iff every atom mass is hyperbolic (kind SignedD or stricter)."""
         return self.kind is not MeasureKind.T
 
-    def is_finite(self) -> bool:
-        """True iff both components of every atom mass are finite."""
-        return bool(
-            np.all(np.isfinite(self.e1.real))
-            and np.all(np.isfinite(self.e1.imag))
-            and np.all(np.isfinite(self.e2.real))
-            and np.all(np.isfinite(self.e2.imag))
-        )
-
     def total_variation(self, e: SetMask) -> Hyperbolic:
         """Total variation over a subset.
 
@@ -191,64 +259,17 @@ class TMeasure:
         nonzero = (self.e1 != 0) | (self.e2 != 0)
         return self.space.subset_of_indices(np.flatnonzero(nonzero))
 
-    def __add__(self, other: "TMeasure") -> "TMeasure":
-        if not isinstance(other, TMeasure):
-            return NotImplemented
-        if other.space != self.space:
-            raise ValueError("measures live on different spaces")
-        return TMeasure(self.space, self.e1 + other.e1, self.e2 + other.e2)
-
-    def __sub__(self, other: "TMeasure") -> "TMeasure":
-        if not isinstance(other, TMeasure):
-            return NotImplemented
-        if other.space != self.space:
-            raise ValueError("measures live on different spaces")
-        return TMeasure(self.space, self.e1 - other.e1, self.e2 - other.e2)
-
-    def __neg__(self) -> "TMeasure":
-        return TMeasure(self.space, -self.e1, -self.e2)
-
     def scaled(self, c: "Hyperbolic | Bicomplex | float | int") -> "TMeasure":
         """Scalar product c*mu, componentwise in the idempotent basis.
 
         Hyperbolic scalars make the measures a module over D; scaling
         by a zero divisor (e.g. e1) annihilates the other component.
         """
+        if not isinstance(c, self._SCALARS):
+            raise TypeError("scalar must be hyperbolic, bicomplex or real")
         if isinstance(c, (int, float)):
             c = Hyperbolic.from_real(c)
-        if isinstance(c, Hyperbolic):
-            return TMeasure(self.space, self.e1 * c.e1, self.e2 * c.e2)
-        if isinstance(c, Bicomplex):
-            return TMeasure(self.space, self.e1 * c.e1, self.e2 * c.e2)
-        raise TypeError("scalar must be hyperbolic, bicomplex or real")
-
-    def __mul__(self, c) -> "TMeasure":
-        if isinstance(c, (int, float, Hyperbolic, Bicomplex)):
-            return self.scaled(c)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def isclose(self, other: "TMeasure", tol: float = 1e-12) -> bool:
-        """Atomwise closeness of both components within ``tol``."""
-        if other.space != self.space:
-            return False
-        return bool(
-            np.all(np.abs(self.e1 - other.e1) <= tol)
-            and np.all(np.abs(self.e2 - other.e2) <= tol)
-        )
-
-    def equal_exact(self, other: "TMeasure") -> bool:
-        if other.space != self.space:
-            return False
-        return bool(np.all(self.e1 == other.e1) and np.all(self.e2 == other.e2))
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(
-            f"{label}: ({self.e1[i]:.4g}, {self.e2[i]:.4g})"
-            for i, label in enumerate(self.space.atoms)
-        )
-        return f"TMeasure({pairs})"
+        return TMeasure(self.space, self.e1 * c.e1, self.e2 * c.e2)
 
 
 def subset_sums(values: np.ndarray) -> np.ndarray:
@@ -326,8 +347,7 @@ def dominates(lambda_d: TMeasure, mu: TMeasure, tol: float = 1e-12) -> bool:
         If spaces differ, ``lambda_d`` is not a D-measure, or the
         space exceeds the enumeration cap.
     """
-    if lambda_d.space != mu.space:
-        raise ValueError("measures live on different spaces")
+    lambda_d._check_space(mu)
     if not lambda_d.is_d_measure():
         raise ValueError("dominating measure must be a D-measure")
     n = mu.space.size

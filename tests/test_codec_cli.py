@@ -32,6 +32,7 @@ from hypmeasure import (
     space_to_obj,
 )
 from hypmeasure.cli import GEN_KINDS, main
+from hypmeasure.codec import table_to_obj
 import hypmeasure.verify as verify_mod
 
 
@@ -48,6 +49,14 @@ class TestScalarCodec:
         with pytest.raises(SchemaError) as exc:
             parse_hyperbolic({"e1": True, "e2": 0})
         assert exc.value.location == "hyperbolic.e1"
+
+    def test_integer_past_float_range(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_hyperbolic({"e1": 0, "e2": -(10**400)})
+        assert exc.value.location == "hyperbolic.e2"
+        with pytest.raises(SchemaError) as exc:
+            parse_bicomplex({"e1": [1, 0], "e2": [1, 10**400]})
+        assert exc.value.location == "bicomplex.e2[1]"
 
     def test_missing_component(self):
         with pytest.raises(SchemaError):
@@ -235,6 +244,34 @@ class TestCodecAtScale:
         assert list(again.indices()) == members
 
 
+@pytest.mark.parametrize("n", [1, 64, 10_000])
+def test_table_encoder_matches_per_atom_reference(n):
+    space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+    rng = np.random.default_rng(n)
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -1.5])
+
+    def component():
+        z = np.zeros(n, dtype=np.complex128)
+        for part in (z.real, z.imag):
+            part[:] = rng.standard_normal(n)
+            hit = rng.random(n) < 0.5
+            part[hit] = rng.choice(special, size=int(hit.sum()))
+        return z
+
+    e1 = component()
+    e2 = component()
+    e1[0] = complex(-0.0, np.nan)
+    mu = TMeasure(space, e1, e2)
+    f = TFunction(space, e2, e1)
+    for table, doc in ((mu, measure_to_obj(mu)["measure"]), (f, function_to_obj(f)["function"])):
+        reference = {
+            label: bicomplex_to_obj(table.atom(i))
+            for i, label in enumerate(space.atoms)
+        }
+        assert dumps_canonical(table_to_obj(table)) == dumps_canonical(reference)
+        assert dumps_canonical(doc) == dumps_canonical(reference)
+
+
 def _run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -246,6 +283,9 @@ def _run_json(argv, capsys):
     assert code == 0, err
     return json.loads(out)
 
+
+# A JSON integer with 400 digits: valid JSON, too large for a float.
+BIG_INT = "1" + "0" * 399
 
 WORKED_EXAMPLE = {
     "space": {"atoms": ["a", "b"]},
@@ -412,6 +452,32 @@ class TestCliIntegrate:
         code, _, err = _run(["integrate", "--input", str(path)], capsys)
         assert code == 2
         assert json.loads(err)["location"] == "input.measure"
+
+    def test_mass_past_float_range(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(
+            '{"space": {"atoms": ["a"]}, "measure": {"a": {"e1": [1, 0], '
+            f'"e2": [{BIG_INT}, 0]}}}}, "function": {{}}}}'
+        )
+        code, _, err = _run(["integrate", "--input", str(path)], capsys)
+        assert code == 2
+        assert json.loads(err)["location"] == "input.measure.a.e2[0]"
+
+    def test_dct_tol_past_float_range(self, tmp_path, capsys):
+        unit = {"function": {"a": {"e1": [1, 0], "e2": [1, 0]}}}
+        doc_in = {
+            "space": {"atoms": ["a"]},
+            "measure": unit["function"],
+            "sequence": [unit],
+            "limit": unit,
+            "dominator": unit,
+            "tol": 10**400,
+        }
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc_in))
+        code, _, err = _run(["integrate", "--input", str(path)], capsys)
+        assert code == 2
+        assert json.loads(err)["location"] == "input.tol"
 
 
 class TestCliDynamics:
@@ -604,6 +670,14 @@ class TestCliGen:
         )
         assert code == 2
         assert "breakpoints" in json.loads(err)["location"]
+
+    def test_breakpoint_past_float_range(self, tmp_path, capsys):
+        path = tmp_path / "bp.json"
+        path.write_text(f'{{"breakpoints": [[0, 0], [1, -{BIG_INT}]]}}')
+        argv = ["gen", "--kind", "interval-map-discretization", "--input", str(path)]
+        code, _, err = _run(argv, capsys)
+        assert code == 2
+        assert json.loads(err)["location"] == "input.breakpoints[1][1]"
 
 
 class TestCliParser:

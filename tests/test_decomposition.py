@@ -174,6 +174,33 @@ class TestSingularityPredicates:
         assert is_concentrated(mu, SetMask(space, 0b01))
         assert not is_concentrated(mu, SetMask(space, 0b10))
         assert is_concentrated(TMeasure.zero(space), space.empty())
+        # past 64 atoms, against a pointwise reference
+        n = 150
+        big = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+        rng = np.random.default_rng(11)
+        e1 = np.where(rng.random(n) < 0.3, rng.standard_normal(n), 0.0)
+        e2 = np.where(rng.random(n) < 0.3, 1j * rng.standard_normal(n), -0.0)
+        e1[100] = np.nan  # NaN is support
+        lam = TMeasure(big, e1, e2)
+
+        def reference(a):
+            return all(
+                lam.e1[i] == 0 and lam.e2[i] == 0
+                for i in range(n)
+                if not a.contains(i)
+            )
+
+        support = lam.support_mask()
+        masks = [support, big.full(), big.empty(), support.complement()]
+        masks.append(SetMask(big, support.bits & ~(1 << 100)))
+        masks += [
+            big.subset_of_indices(np.flatnonzero(rng.random(n) < p))
+            for p in (0.5, 0.9, 0.99)
+        ]
+        for a in masks:
+            assert is_concentrated(lam, a) == reference(a)
+        assert is_concentrated(lam, support)
+        assert not is_concentrated(lam, masks[4])
 
     def test_mutually_singular(self, space):
         a = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1)})

@@ -65,8 +65,10 @@ class TestTFunction:
 
     def test_immutability(self, space):
         f = TFunction.constant(space, 1.0)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="^TFunction is immutable$"):
             f.e1 = np.zeros(2)
+        with pytest.raises(ValueError):
+            f.e1[0] = 2.0
 
 
 def test_unimodular_factor_zero_convention():

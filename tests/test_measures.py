@@ -49,7 +49,7 @@ class TestConstruction:
 
     def test_immutability(self, space):
         mu = TMeasure.zero(space)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="^TMeasure is immutable$"):
             mu.e1 = np.ones(2)
         with pytest.raises(ValueError):
             mu.e1[0] = 1.0
@@ -90,6 +90,13 @@ class TestArithmetic:
         assert (a + b).atom(0) == Bicomplex(4, 1)
         assert (a - b).atom(1) == Bicomplex(-1, -1)
         assert (-a).atom(0) == Bicomplex(-1, -2)
+        # a measure and a function do not combine, in either order
+        f = TFunction.from_atoms(space, {"a": Bicomplex(1, 2)})
+        for x, y in ((a, f), (f, a)):
+            with pytest.raises(TypeError):
+                x + y
+            with pytest.raises(TypeError):
+                x - y
 
     def test_scaling_by_idempotent_annihilates(self, space):
         mu = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1)})
@@ -105,11 +112,28 @@ class TestArithmetic:
         mu = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1)})
         assert (2 * mu).atom(0) == Bicomplex(2, 2)
         assert (mu * 2).equal_exact(2 * mu)
+        # complex scalars are refused by measures and accepted by functions
+        for product in (lambda: mu * 1j, lambda: 1j * mu, lambda: mu.scaled(1j)):
+            with pytest.raises(TypeError):
+                product()
+        f = TFunction.from_atoms(space, {"a": Bicomplex(1, 2)})
+        assert (f * 1j).value_at(0) == Bicomplex(1j, 2j)
+        assert (1j * f).value_at(0) == Bicomplex(1j, 2j)
 
     def test_space_mismatch(self, space):
         other = FiniteSpace(("x", "y"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^measures live on different spaces$"):
             TMeasure.zero(space) + TMeasure.zero(other)
+        with pytest.raises(ValueError, match="^measures live on different spaces$"):
+            TMeasure.zero(space) - TMeasure.zero(other)
+        with pytest.raises(ValueError, match="^functions live on different spaces$"):
+            TFunction.constant(space, 1) - TFunction.constant(other, 1)
+
+    def test_repr_names_the_role(self, space):
+        mu = TMeasure.from_atoms(space, {"a": Bicomplex(1, 2)})
+        assert repr(mu) == "TMeasure(a: (1+0j, 2+0j), b: (0+0j, 0+0j))"
+        f = TFunction.from_atoms(space, {"b": 3})
+        assert repr(f) == "TFunction(a: (0+0j, 0+0j), b: (3+0j, 3+0j))"
 
 
 class TestTotalVariation:
