@@ -252,11 +252,20 @@ def _cmd_integrate(args: argparse.Namespace) -> dict:
     mask = None
     if isinstance(doc, dict) and "set" in doc:
         mask = parse_mask(doc["set"], space, "input.set")
+    if not mu.is_finite():
+        raise SchemaError("input.measure", "integration needs finite masses")
+    # With finite masses, a non-finite value or an overflowing product
+    # makes the integral of |f| non-finite.
+    integrable = in_l1(f, mu)
+    if not integrable:
+        raise SchemaError(
+            "input.function", "function is not integrable against this measure"
+        )
     value = integrate(f, mu, mask)
     mod = check_modulus_inequality(f, mu)
     return {
         "integral": bicomplex_to_obj(value),
-        "in_l1": in_l1(f, mu),
+        "in_l1": integrable,
         "modulus": {
             "integral_modulus": hyperbolic_to_obj(mod.lhs),
             "integral_of_modulus": hyperbolic_to_obj(mod.rhs),

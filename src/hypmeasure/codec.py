@@ -20,6 +20,7 @@ the offending node.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any
 
@@ -51,8 +52,127 @@ __all__ = [
 
 
 def dumps_canonical(obj: Any) -> str:
-    """Serialize with sorted keys and a trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Serialize with sorted keys and a trailing newline.
+
+    The text is exactly ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``,
+    and the same inputs raise the same errors. The stdlib drops its C
+    encoder when ``indent`` is set; this writer appends the chunks to one
+    list and joins them once, and writes each bicomplex node (the one
+    node per atom) from one template.
+    """
+    chunks: list[str] = []
+    _encode(obj, 0, chunks.append, {})
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+_escape = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+@functools.cache
+def _node_template(level: int) -> str:
+    """A bicomplex node with its braces at indent ``level``; one %r per float."""
+    at, inner, item = ("\n" + "  " * d for d in (level, level + 1, level + 2))
+    pair = f"[{item}%r,{item}%r{inner}]"
+    return f'{{{inner}"e1": {pair},{inner}"e2": {pair}{at}}}'
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key: Any) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+def _enter(o: Any, markers: dict) -> None:
+    if id(o) in markers:
+        raise ValueError("Circular reference detected")
+    markers[id(o)] = o
+
+
+def _encode(o: Any, level: int, append, markers: dict) -> None:
+    """Append the text of ``o`` with its brackets at indent ``level``."""
+    if type(o) is dict and len(o) == 2:
+        p = o.get("e1")
+        q = o.get("e2")
+        if type(p) is list and type(q) is list and len(p) == 2 and len(q) == 2:
+            a, b = p
+            c, d = q
+            # Exact floats only (no subclass reprs), all finite: x * 0.0
+            # is a zero for finite x and NaN otherwise.
+            if (
+                type(a) is float and type(b) is float
+                and type(c) is float and type(d) is float
+                and a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 == 0.0
+            ):
+                append(_node_template(level) % (a, b, c, d))
+                return
+    if isinstance(o, str):
+        append(_escape(o))
+    elif o is None:
+        append("null")
+    elif o is True:
+        append("true")
+    elif o is False:
+        append("false")
+    elif isinstance(o, int):
+        append(int.__repr__(o))
+    elif isinstance(o, float):
+        append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            append("[]")
+            return
+        _enter(o, markers)
+        level += 1
+        newline = "\n" + "  " * level
+        sep = "[" + newline
+        for item in o:
+            append(sep)
+            sep = "," + newline
+            _encode(item, level, append, markers)
+        append("\n" + "  " * (level - 1) + "]")
+        del markers[id(o)]
+    elif isinstance(o, dict):
+        if not o:
+            append("{}")
+            return
+        _enter(o, markers)
+        level += 1
+        newline = "\n" + "  " * level
+        sep = "{" + newline
+        for key, value in sorted(o.items()):
+            if type(key) is not str:
+                key = _key_text(key)
+            append(sep + _escape(key) + ": ")
+            sep = "," + newline
+            _encode(value, level, append, markers)
+        append("\n" + "  " * (level - 1) + "}")
+        del markers[id(o)]
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _as_float(x: int | float, loc: str) -> float:

@@ -48,7 +48,7 @@ class PointMap:
         image[x] is the index the atom x maps to.
     """
 
-    __slots__ = ("space", "image")
+    __slots__ = ("space", "image", "_cycle_cache")
 
     def __init__(self, space: FiniteSpace, image) -> None:
         arr = np.array(image, dtype=np.int64)
@@ -59,6 +59,7 @@ class PointMap:
         arr.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "image", arr)
+        object.__setattr__(self, "_cycle_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PointMap is immutable")
@@ -94,6 +95,24 @@ class PointMap:
         if phi.space != self.space:
             raise ValueError("function lives on a different space")
         return TFunction(self.space, phi.e1[self.image], phi.e2[self.image])
+
+    def _cycle_structure(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """On-cycle flags and the cycles, computed once per map.
+
+        Each cycle is a read-only index array that starts at its smallest
+        member and follows the map; cycles are ordered by that member.
+        """
+        cached = self._cycle_cache
+        if cached is None:
+            on_cycle = _cycle_flags(self.image)
+            cycles = tuple(
+                np.array(c, dtype=np.int64) for c in _cycles(self.image, on_cycle)
+            )
+            for arr in (on_cycle, *cycles):
+                arr.setflags(write=False)
+            cached = (on_cycle, cycles)
+            object.__setattr__(self, "_cycle_cache", cached)
+        return cached
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -136,7 +155,11 @@ def pushforward(f: PointMap, mu: TMeasure) -> TMeasure:
 
 
 def pushforward_iter(f: PointMap, mu: TMeasure, i: int) -> TMeasure:
-    """The i-fold push-forward, i >= 1."""
+    """The i-fold push-forward, i >= 1.
+
+    Gives the bits of i single pushes; past the atom count the time no
+    longer grows with i.
+    """
     if i < 1:
         raise ValueError("iteration count must be >= 1")
     _require_same_space(f, mu)
@@ -144,9 +167,33 @@ def pushforward_iter(f: PointMap, mu: TMeasure, i: int) -> TMeasure:
     m1 = mu.e1.real
     m2 = mu.e2.real
     n = f.space.size
-    for _ in range(i):
+    # Past the atom count, push only until no mass is left on the tails.
+    # Every tail atom then holds +0.0 (a bincount sum seeded with +0.0
+    # over zeros) and no atom holds -0.0, so each further push moves the
+    # cycle atoms' values to their images unchanged.
+    steps = i if i <= n else _carrying_depth(f, m1, m2) + 1
+    for _ in range(steps):
         m1, m2 = _push_arrays(f.image, m1, m2, n)
+    if steps < i:
+        src = np.flatnonzero(f._cycle_structure()[0])
+        dst = _power(f.image, i - steps)[src]
+        out1 = np.zeros(n)
+        out2 = np.zeros(n)
+        out1[dst] = m1[src]
+        out2[dst] = m2[src]
+        m1, m2 = out1, out2
     return TMeasure(f.space, m1, m2)
+
+
+def _power(image: np.ndarray, r: int) -> np.ndarray:
+    """The index array of the r-fold composition of the map, r >= 0."""
+    result = np.arange(len(image))
+    while r:
+        if r & 1:
+            result = image[result]
+        image = image[image]
+        r >>= 1
+    return result
 
 
 def is_invariant(f: PointMap, mu: TMeasure, tol: float) -> bool:
@@ -238,9 +285,8 @@ def _cycle_flags(image: np.ndarray) -> np.ndarray:
     return ~removed
 
 
-def _cycles(image: np.ndarray) -> list[list[int]]:
+def _cycles(image: np.ndarray, on_cycle: np.ndarray) -> list[list[int]]:
     """Cycles of the functional graph, ordered by smallest member."""
-    on_cycle = _cycle_flags(image)
     seen = np.zeros(len(image), dtype=bool)
     cycles: list[list[int]] = []
     for start in range(len(image)):
@@ -274,6 +320,13 @@ def _tail_depths(image: np.ndarray, on_cycle: np.ndarray) -> np.ndarray:
             d += 1
             depth[y] = d
     return depth
+
+
+def _carrying_depth(f: PointMap, m1: np.ndarray, m2: np.ndarray) -> int:
+    """Longest tail below an atom with nonzero mass in either component."""
+    depths = _tail_depths(f.image, f._cycle_structure()[0])
+    carrying = (m1 != 0.0) | (m2 != 0.0)
+    return int(depths[carrying].max()) if carrying.any() else 0
 
 
 @dataclass(frozen=True)
@@ -329,10 +382,7 @@ def cesaro_invariant(
 
     n_atoms = f.space.size
     if burn_in == "auto":
-        on_cycle = _cycle_flags(f.image)
-        depths = _tail_depths(f.image, on_cycle)
-        carrying = (mu0.e1.real != 0.0) | (mu0.e2.real != 0.0)
-        burn = int(depths[carrying].max()) if carrying.any() else 0
+        burn = _carrying_depth(f, mu0.e1.real, mu0.e2.real)
     else:
         burn = int(burn_in)
         if burn < 0:
@@ -388,7 +438,7 @@ def invariant_basis_bruteforce(f: PointMap) -> list[TMeasure]:
     if f.space.size > BASIS_CAP:
         raise ValueError(f"space too large for cycle enumeration (> {BASIS_CAP})")
     basis = []
-    for cycle in _cycles(f.image):
+    for cycle in f._cycle_structure()[1]:
         mass = np.zeros(f.space.size)
         mass[cycle] = 1.0 / len(cycle)
         basis.append(TMeasure(f.space, mass, mass.copy()))
@@ -405,8 +455,7 @@ def in_invariant_hull(f: PointMap, mu: TMeasure, tol: float = 1e-9) -> bool:
     weights zero.
     """
     _require_same_space(f, mu)
-    on_cycle = _cycle_flags(f.image)
-    cycles = _cycles(f.image)
+    on_cycle, cycles = f._cycle_structure()
     for comp in (mu.e1.real, mu.e2.real):
         off = comp[~on_cycle]
         if off.size and float(np.max(np.abs(off))) > tol:

@@ -770,7 +770,7 @@ def _run_cesaro_hull(rng: Generator) -> Optional[dict]:
     )
     expected1 = np.zeros(n)
     expected2 = np.zeros(n)
-    for cycle in dyn._cycles(f.image):
+    for cycle in f._cycle_structure()[1]:
         expected1[cycle] = base.e1.real[cycle].sum() / len(cycle)
         expected2[cycle] = base.e2.real[cycle].sum() / len(cycle)
     if not limit.isclose(TMeasure(space, expected1, expected2), 1e-9):

@@ -2,9 +2,13 @@
 
 import io
 import json
+import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypmeasure import (
     Bicomplex,
@@ -272,6 +276,147 @@ def test_table_encoder_matches_per_atom_reference(n):
         assert dumps_canonical(doc) == dumps_canonical(reference)
 
 
+def _stdlib_canonical(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_CHARS = st.one_of(
+    st.integers(0, 0x10FFFF).map(chr),  # lone surrogates included
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "é", " ", "\ud800", "😀"]),
+)
+_TEXT = st.text(_CHARS, max_size=6)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e22, 1.5e-7]),
+)
+_PAIR = st.lists(_FLOATS, min_size=2, max_size=2)
+_NODE = st.fixed_dictionaries({"e1": _PAIR, "e2": _PAIR})
+# Nodes one step away from the bicomplex shape: each must take the generic
+# path and still print the stdlib's bytes. Their other floats are finite, so
+# that nothing but the one flaw keeps such a node off the template.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FINITE_PAIR = st.lists(_FINITE, min_size=2, max_size=2)
+_ODD_PAIR = st.one_of(
+    st.tuples(st.integers(), _FINITE).map(list),
+    st.tuples(_FINITE, st.integers()).map(list),
+    st.lists(_FINITE, min_size=3, max_size=3),
+    _FINITE_PAIR.map(lambda p: [np.float64(x) for x in p]),
+    st.tuples(_FINITE, _FINITE.map(np.float64)).map(list),
+    _FINITE_PAIR.map(tuple),
+    st.none(),
+)
+_NEAR_MISS = st.one_of(
+    st.fixed_dictionaries({"e1": _ODD_PAIR, "e2": _FINITE_PAIR}),
+    st.fixed_dictionaries({"e1": _FINITE_PAIR, "e2": _ODD_PAIR}),
+    st.fixed_dictionaries({"e1": _FINITE_PAIR, "e2": _FINITE_PAIR, "e3": _PAIR}),
+    st.fixed_dictionaries({"e1": _FINITE_PAIR}),
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    _TEXT,
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    _NODE,
+    _NEAR_MISS,
+    st.lists(_NODE, max_size=3),  # as in a DCT run's integral_trace
+)
+_NUMBER_KEYS = st.one_of(st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(_NUMBER_KEYS, children, max_size=4),
+    )
+
+
+_JSON_TREES = st.recursive(_LEAVES, _containers, max_leaves=12)
+
+
+class TestCanonicalWriter:
+    """``dumps_canonical`` gives the stdlib's indent=2, sort_keys bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(obj=_JSON_TREES)
+    def test_bytes_match_stdlib(self, obj):
+        try:
+            want = _stdlib_canonical(obj)
+        except TypeError:
+            # e.g. None and int keys in one dict cannot be sorted
+            with pytest.raises(TypeError):
+                dumps_canonical(obj)
+            return
+        assert dumps_canonical(obj) == want
+
+    def test_fixed_cases(self):
+        node = {"e1": [0.5, -0.0], "e2": [1e16, 5e-324]}
+        cases = [
+            None, True, 0, -(2**65), 2.5, math.nan, "\ud800\"\\\x01é", [], {}, (),
+            {"a": {}, "b": [], "c": [[]]},
+            {10: "x", 9: "y", 9.5: "z", True: "t"},  # sorted by value, not text
+            {"trace": [node, node], "nested": {"deeper": [node, {"x": node}]}},
+            {"e1": [math.inf, 0.0], "e2": [0.0, math.nan]},
+            {"e1": [np.float64(0.5), 0.25], "e2": [0.0, 1.0]},
+            {"e1": [0.5, 0.25, 1.0], "e2": [0.0, 1.0]},
+            {"e1": [0.5, 2], "e2": [0.0, 1.0]},
+            node,
+        ]
+        for obj in cases:
+            assert dumps_canonical(obj) == _stdlib_canonical(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            np.bool_(True),
+            np.int64(3),
+            {"a": [np.int64(1)]},
+            {"e1": [np.int64(1), 0.0], "e2": [0.0, 0.0]},
+            {"e1": [np.float32(1.0), 0.0], "e2": [0.0, 0.0]},
+            {(1, 2): 3},
+            {1: "a", "b": 2},
+            {1, 2},
+            object(),
+        ],
+        ids=repr,
+    )
+    def test_raises_like_stdlib(self, obj):
+        with pytest.raises(TypeError) as want:
+            _stdlib_canonical(obj)
+        with pytest.raises(TypeError) as got:
+            dumps_canonical(obj)
+        assert str(got.value) == str(want.value)
+
+    def test_circular_reference(self):
+        loop = {"a": []}
+        loop["a"].append(loop)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            dumps_canonical(loop)
+
+    def test_find_invariant_output_at_scale(self, monkeypatch, capsys):
+        import hypmeasure.cli as cli_mod
+        from hypmeasure.generators import gen_map_with_small_cycles, make_space
+
+        space = make_space(10_000)
+        f = gen_map_with_small_cycles(np.random.default_rng(3), space)
+        written = []
+
+        def capture(obj):
+            written.append(obj)
+            return dumps_canonical(obj)
+
+        monkeypatch.setattr(cli_mod, "dumps_canonical", capture)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(map_to_obj(f))))
+        code, out, err = _run(["find-invariant"], capsys)
+        assert code == 0, err
+        (obj,) = written
+        assert len(obj["limit"]) == 10_000 and obj["basis"]
+        assert out == _stdlib_canonical(obj)
+
+
 def _run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -463,6 +608,32 @@ class TestCliIntegrate:
         assert code == 2
         assert json.loads(err)["location"] == "input.measure.a.e2[0]"
 
+    @pytest.mark.parametrize(
+        "mass, value, location, message",
+        [
+            ("NaN", "[1, 0]", "input.measure", "integration needs finite masses"),
+            ("1", "[NaN, 0]", "input.function", "function is not integrable against this measure"),
+            ("1", "[0, Infinity]", "input.function", "function is not integrable against this measure"),
+            # finite, but |f| * mass overflows
+            ("1e300", "[1e300, 0]", "input.function", "function is not integrable against this measure"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_integrable_value(self, tmp_path, capsys, mass, value, location, message):
+        path = tmp_path / "in.json"
+        path.write_text(
+            '{"space": {"atoms": ["a", "b"]}, '
+            f'"measure": {{"b": {{"e1": [{mass}, 0], "e2": [1, 0]}}}}, '
+            f'"function": {{"a": {{"e1": [1, 0], "e2": [1, 0]}}, '
+            f'"b": {{"e1": {value}, "e2": [1, 0]}}}}}}'
+        )
+        code, out, err = _run(["integrate", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "schema violation", "location": location, "message": message,
+        }
+
     def test_dct_tol_past_float_range(self, tmp_path, capsys):
         unit = {"function": {"a": {"e1": [1, 0], "e2": [1, 0]}}}
         doc_in = {
@@ -501,6 +672,25 @@ class TestCliDynamics:
             "b": {"e1": [0.25, 0.0], "e2": [0.25, 0.0]},
             "c": {"e1": [0.25, 0.0], "e2": [0.25, 0.0]},
         }
+
+    def test_pushforward_huge_iterations(self, tmp_path, capsys):
+        doc_in = {
+            "space": {"atoms": ["a", "b"]},
+            "measure": {
+                "a": {"e1": [0.75, 0], "e2": [0.5, 0]},
+                "b": {"e1": [0.25, 0], "e2": [0.5, 0]},
+            },
+            "map": {"a": "b", "b": "a"},
+            "iterations": 10**9 + 1,
+        }
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc_in))
+        start = time.perf_counter()
+        doc = _run_json(["pushforward", "--input", str(path)], capsys)
+        # one push per iteration would take about an hour
+        assert time.perf_counter() - start < 10.0
+        assert doc["measure"]["a"] == {"e1": [0.25, 0.0], "e2": [0.5, 0.0]}
+        assert doc["measure"]["b"] == {"e1": [0.75, 0.0], "e2": [0.5, 0.0]}
 
     def test_pushforward_rejects_bad_iterations(self, tmp_path, capsys):
         doc_in = {

@@ -124,6 +124,37 @@ class TestPushforward:
         once = pushforward_iter(f, mu, 1)
         assert once.equal_exact(pushforward(f, mu))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_long_iterates_match_single_pushes(self, seed):
+        # Random maps have tails, permutations none; counts past the atom
+        # count take the shortcut, which must give the bits of the literal
+        # loop.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+        image = rng.permutation(n) if seed >= 6 else rng.integers(0, n, size=n)
+        f = PointMap(space, image)
+        mass = rng.random((2, n)) * (rng.random((2, n)) < 0.6)
+        mass[:, 0] += 0.25
+        mass /= mass.sum(axis=1, keepdims=True)
+        if seed % 2:
+            mass[1] = 0.0  # the e1 variant
+        mass[mass == 0.0] = -0.0
+        mu = TMeasure(space, mass[0], mass[1])
+        step = mu
+        for i in range(1, 3 * n + 1):
+            step = pushforward(f, step)
+            got = pushforward_iter(f, mu, i)
+            assert got.e1.tobytes() == step.e1.tobytes(), i
+            assert got.e2.tobytes() == step.e2.tobytes(), i
+
+    def test_huge_count_on_a_swap(self):
+        space = FiniteSpace(("a", "b"))
+        f = PointMap(space, [1, 0])
+        mu = TMeasure(space, [0.75, 0.25], [0.5, 0.5])
+        assert pushforward_iter(f, mu, 10**9).equal_exact(mu)
+        assert pushforward_iter(f, mu, 10**30 + 1).equal_exact(pushforward(f, mu))
+
     def test_iterate_count_validation(self, cycle3):
         space, f = cycle3
         with pytest.raises(ValueError, match=">= 1"):
@@ -281,6 +312,31 @@ class TestInvariantBasis:
         space, f = cycle3
         lopsided = TMeasure(space, [0.5, 0.25, 0.25], [0.5, 0.25, 0.25])
         assert not in_invariant_hull(f, lopsided, tol=1e-12)
+
+
+def test_cycle_structure_is_computed_once(monkeypatch):
+    import hypmeasure.dynamics as dyn
+
+    calls = []
+    real = dyn._cycle_flags
+
+    def counted(image):
+        calls.append(image)
+        return real(image)
+
+    monkeypatch.setattr(dyn, "_cycle_flags", counted)
+    space = FiniteSpace(tuple("abcdef"))
+    f = PointMap(space, [1, 0, 0, 4, 5, 3])
+    trace = cesaro_invariant(f, _uniform(space), max_iter=50, tol=1e-12)
+    basis = invariant_basis_bruteforce(f)
+    assert in_invariant_hull(f, trace.iterates[-1])
+    assert not in_invariant_hull(f, _uniform(space))
+    assert len(calls) == 1
+    assert len(basis) == 2
+    on_cycle, cycles = f._cycle_structure()
+    assert on_cycle.tolist() == [True, True, False, True, True, True]
+    assert [c.tolist() for c in cycles] == [[0, 1], [3, 4, 5]]
+    assert not on_cycle.flags.writeable and not cycles[0].flags.writeable
 
 
 class TestContinuityProbe:
