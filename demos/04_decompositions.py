@@ -14,6 +14,7 @@ from hypmeasure import (
     abs_continuous,
     epsilon_delta_witness,
     hahn,
+    hahn_formulas_hold,
     jordan,
     lebesgue_radon_nikodym,
     mutually_singular,
@@ -34,10 +35,11 @@ assert (pair.mu_plus + pair.mu_minus).equal_exact(variation_measure(mu))
 # Hahn: four cells classified by the sign pattern of the polar
 # density. Atom a is positive/negative -> cell C; atom b is the
 # mirror image -> cell D.
-res = hahn(mu)
-print("cells   : A =", res.partition.A.labels(), " B =", res.partition.B.labels(),
-      " C =", res.partition.C.labels(), " D =", res.partition.D.labels())
-assert res.mu_plus_check and res.mu_minus_check
+cells = hahn(mu)
+print("cells   : A =", cells.A.labels(), " B =", cells.B.labels(),
+      " C =", cells.C.labels(), " D =", cells.D.labels())
+# Certify both Hahn formulas against the Jordan parts on every subset.
+assert hahn_formulas_hold(mu, cells) == (True, True)
 
 # Polar: a unimodular density against the variation measure. For
 # real masses the values are literal signs.

@@ -46,8 +46,8 @@ assert cov.equal
 # Cesaro averaging: advance past the transient tail, then average the
 # orbit. On the 2-cycle the running mean becomes exactly invariant.
 trace = cesaro_invariant(f, mu0, max_iter=100, tol=1e-12)
-limit = trace.iterates[-1]
-print("burn-in:", trace.burn_in, " iterations:", len(trace.iterates),
+limit = trace.limit
+print("burn-in:", trace.burn_in, " iterations:", len(trace.gaps),
       " converged:", trace.converged)
 print("limit masses:", [str(limit.atom(i)) for i in range(space.size)])
 assert trace.converged

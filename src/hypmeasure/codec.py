@@ -349,7 +349,7 @@ def parse_measure(
     mu = TMeasure(space, *_parse_table(body, space, f"{loc}.measure"))
     hint = obj.get("kind_hint")
     if hint is not None:
-        if hint not in _KIND_BY_HINT:
+        if not isinstance(hint, str) or hint not in _KIND_BY_HINT:
             raise SchemaError(
                 f"{loc}.kind_hint", "expected one of T, signedD, D, D+"
             )

@@ -333,13 +333,14 @@ def _carrying_depth(f: PointMap, m1: np.ndarray, m2: np.ndarray) -> int:
 class CesaroTrace:
     """Trace of the averaged push-forward orbit.
 
-    ``iterates[k]`` is the running average over the first k+1 orbit
-    terms, ``gaps[k]`` the total atomwise D-modulus of its invariance
-    defect; the two tuples have equal length. ``burn_in`` records how
-    many push-forwards were applied before averaging started.
+    ``gaps[k]`` is the total atomwise D-modulus of the invariance
+    defect of the running average over the first k+1 orbit terms, and
+    ``limit`` the last of those averages, after ``len(gaps)`` terms.
+    ``burn_in`` records how many push-forwards were applied before
+    averaging started.
     """
 
-    iterates: tuple[TMeasure, ...]
+    limit: TMeasure
     gaps: tuple[Hyperbolic, ...]
     converged: bool
     burn_in: int
@@ -396,7 +397,6 @@ def cesaro_invariant(
     sum1 = np.zeros(n_atoms)
     sum2 = np.zeros(n_atoms)
     bound = Hyperbolic(tol, tol)
-    iterates: list[TMeasure] = []
     gaps: list[Hyperbolic] = []
     converged = False
     for n in range(1, max_iter + 1):
@@ -404,7 +404,6 @@ def cesaro_invariant(
         sum2 += cur2
         avg1 = sum1 / n
         avg2 = sum2 / n
-        iterates.append(TMeasure(f.space, avg1, avg2))
         push1, push2 = _push_arrays(f.image, avg1, avg2, n_atoms)
         gap = Hyperbolic(
             float(np.sum(np.abs(push1 - avg1))),
@@ -416,7 +415,7 @@ def cesaro_invariant(
             break
         cur1, cur2 = _push_arrays(f.image, cur1, cur2, n_atoms)
     return CesaroTrace(
-        iterates=tuple(iterates),
+        limit=TMeasure(f.space, avg1, avg2),
         gaps=tuple(gaps),
         converged=converged,
         burn_in=burn,

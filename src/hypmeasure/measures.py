@@ -27,7 +27,6 @@ __all__ = [
     "variation_measure",
     "dominates",
     "normalize_to_probability",
-    "range_in_plus_minus_cones",
     "probability_variant",
     "subset_sums",
 ]
@@ -385,30 +384,6 @@ def normalize_to_probability(mu_hat: TMeasure) -> TMeasure:
     e1 = mu_hat.e1 / tu if tu != 0.0 else mu_hat.e1
     e2 = mu_hat.e2 / tv if tv != 0.0 else mu_hat.e2
     return TMeasure(mu_hat.space, e1, e2)
-
-
-def range_in_plus_minus_cones(mu: TMeasure) -> bool:
-    """Whether every subset value mu(E) lies in D+ or in D-.
-
-    This is the literal range condition for signed measures; it is
-    strictly stronger than having hyperbolic atom masses, because
-    atoms with opposite component signs break it on unions. Subsets
-    are enumerated, capped at 20 atoms.
-
-    Raises
-    ------
-    ValueError
-        If the space exceeds the enumeration cap.
-    """
-    if mu.space.size > SUBSET_CAP:
-        raise ValueError(f"space too large for subset enumeration (> {SUBSET_CAP})")
-    if not mu.is_real():
-        return False
-    u = subset_sums(mu.e1.real)
-    v = subset_sums(mu.e2.real)
-    in_plus = (u >= 0.0) & (v >= 0.0)
-    in_minus = (u <= 0.0) & (v <= 0.0)
-    return bool(np.all(in_plus | in_minus))
 
 
 _VARIANTS = (Hyperbolic(1.0, 1.0), Hyperbolic(1.0, 0.0), Hyperbolic(0.0, 1.0))

@@ -1,9 +1,12 @@
 """Wire-format round-trips and end-to-end command-line runs."""
 
+import contextlib
+import copy
 import io
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from hypmeasure import (
     parse_space,
     space_to_obj,
 )
+from hypmeasure import generators as gen_mod
 from hypmeasure.cli import GEN_KINDS, main
 from hypmeasure.codec import table_to_obj
 import hypmeasure.verify as verify_mod
@@ -379,7 +383,8 @@ class TestCanonicalWriter:
             {(1, 2): 3},
             {1: "a", "b": 2},
             {1, 2},
-            object(),
+            # repr() of a bare object holds its address, which changes per run
+            pytest.param(object(), id="object()"),
         ],
         ids=repr,
     )
@@ -529,6 +534,51 @@ class TestCliDecompose:
             assert all(doc["checks"].values())
 
 
+    @pytest.mark.parametrize("n, hahn_ok", [(20, True), (21, None), (200, None)])
+    def test_subset_cap(self, n, hahn_ok, capsys, monkeypatch):
+        # The Hahn cells are built at any size; only the two
+        # subset-exhaustive formula checks are capped, and read null.
+        rng = np.random.default_rng(n)
+        space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+        u = rng.integers(-5, 6, size=n).astype(float)
+        v = rng.integers(-5, 6, size=n).astype(float)
+        doc_in = measure_to_obj(TMeasure(space, u, v))
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc_in)))
+        code, out, err = _run(["decompose"], capsys)
+        assert code == 0, err
+        assert err == ""
+        doc = json.loads(out)
+        checks = doc["checks"]
+        assert checks.pop("hahn_mu_plus") is hahn_ok
+        assert checks.pop("hahn_mu_minus") is hahn_ok
+        assert all(checks.values())
+        plus = doc["jordan"]["mu_plus"]
+        minus = doc["jordan"]["mu_minus"]
+        for i, label in enumerate(space.atoms):
+            assert plus[label] == {"e1": [max(u[i], 0.0), 0.0], "e2": [max(v[i], 0.0), 0.0]}
+            assert minus[label] == {"e1": [max(-u[i], 0.0), 0.0], "e2": [max(-v[i], 0.0), 0.0]}
+        cells = [set(doc["hahn"][name]) for name in "ABCD"]
+        assert sum(len(c) for c in cells) == n
+        assert set().union(*cells) == set(space.atoms)
+
+    @pytest.mark.parametrize("mass", ["Infinity", "NaN"])
+    def test_non_finite_reference_rejected(self, tmp_path, capsys, mass):
+        path = tmp_path / "in.json"
+        path.write_text(
+            '{"space": {"atoms": ["a", "b"]}, '
+            '"measure": {"a": {"e1": [1, 0], "e2": [-1, 0]}}, '
+            f'"reference": {{"a": {{"e1": [{mass}, 0], "e2": [1, 0]}}}}}}'
+        )
+        code, out, err = _run(["decompose", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "schema violation",
+            "location": "input.reference",
+            "message": "decompose needs finite masses",
+        }
+
+
 class TestCliIntegrate:
     def test_plain_integral(self, tmp_path, capsys):
         doc_in = {
@@ -616,9 +666,10 @@ class TestCliIntegrate:
             ("1", "[0, Infinity]", "input.function", "function is not integrable against this measure"),
             # finite, but |f| * mass overflows
             ("1e300", "[1e300, 0]", "input.function", "function is not integrable against this measure"),
+            # an infinite value on a null atom: inf * 0
+            ("0", "[Infinity, 0]", "input.function", "function is not integrable against this measure"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_integrable_value(self, tmp_path, capsys, mass, value, location, message):
         path = tmp_path / "in.json"
         path.write_text(
@@ -718,6 +769,132 @@ class TestCliDynamics:
         assert doc["limit"]["a"] == {"e1": [0.5, 0.0], "e2": [0.5, 0.0]}
         assert doc["limit"]["c"] == {"e1": [0.0, 0.0], "e2": [0.0, 0.0]}
         assert len(doc["basis"]) == 1
+
+
+class TestCliKindHint:
+    ONE_ATOM = {
+        "space": {"atoms": ["a"]},
+        "measure": {"a": {"e1": [1, 0], "e2": [1, 0]}},
+    }
+    EXTRA = {
+        "decompose": {},
+        "integrate": {"function": {"a": {"e1": [1, 0], "e2": [1, 0]}}},
+        "pushforward": {"map": {"a": "a"}},
+        "find-invariant": {"map": {"a": "a"}},
+    }
+
+    @pytest.mark.parametrize("hint", [[], {}, ["D"]])
+    @pytest.mark.parametrize("command", sorted(EXTRA))
+    def test_non_string_hint_is_schema_error(self, tmp_path, capsys, command, hint):
+        doc_in = {**self.ONE_ATOM, **self.EXTRA[command], "kind_hint": hint}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc_in))
+        code, out, err = _run([command, "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "schema violation",
+            "location": "input.kind_hint",
+            "message": "expected one of T, signedD, D, D+",
+        }
+
+
+# Values a mutation puts in place of a document node.
+_SUBSTITUTES = [
+    math.nan, math.inf, -math.inf, 10**400, -(10**400), "", "x0", "D",
+    [], [0, 0], ["x0"], {}, {"e1": [1, 0], "e2": [1, 0]}, True, False, None,
+    0, -1, 0.5,
+]
+_DELETE = object()
+
+
+def _fuzz_document(command, rng, n):
+    """A valid input document of ``command`` on ``n`` generated atoms."""
+    space = gen_mod.make_space(n)
+    if command == "decompose":
+        doc = measure_to_obj(gen_mod.gen_signed_measure(rng, space, "integer"))
+        if rng.random() < 0.5:
+            doc["reference"] = table_to_obj(gen_mod.gen_d_measure(rng, space))
+        return doc
+    if command == "integrate":
+        if rng.random() < 0.3:
+            seq, f, _, dominator, mu = gen_mod.gen_dct_instance(rng, space, n_terms=3)
+            doc = measure_to_obj(mu)
+            doc["sequence"] = [function_to_obj(g, with_space=False) for g in seq]
+            doc["limit"] = function_to_obj(f, with_space=False)
+            doc["dominator"] = function_to_obj(dominator, with_space=False)
+            return doc
+        doc = measure_to_obj(gen_mod.gen_d_measure(rng, space))
+        doc["function"] = table_to_obj(gen_mod.gen_function(rng, space))
+        if rng.random() < 0.5:
+            doc["set"] = list(space.atoms[: int(rng.integers(0, n + 1))])
+        return doc
+    f = gen_mod.gen_map(rng, space)
+    if command == "pushforward":
+        doc = measure_to_obj(gen_mod.gen_d_probability(rng, space))
+        doc["map"] = map_to_obj(f)["map"]
+        doc["iterations"] = int(rng.integers(1, 2 * n + 2))
+        return doc
+    doc = map_to_obj(f)
+    if rng.random() < 0.5:
+        doc["measure"] = table_to_obj(gen_mod.gen_d_probability(rng, space))
+    doc["max_iter"] = 64
+    return doc
+
+
+def _nodes(obj, path=()):
+    """Every node of a JSON tree as a path of keys and indices."""
+    yield path
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        return
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(doc, path, value):
+    """``doc`` with the node at ``path`` deleted or replaced by a copy of ``value``."""
+    if not path:
+        return {} if value is _DELETE else copy.deepcopy(value)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+class TestCliExitContract:
+    """Mutated documents never escape ``main``: exit 0, 2 or 3, JSON stderr."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        command=st.sampled_from(["decompose", "integrate", "pushforward", "find-invariant"]),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_exit_is_0_2_or_3_with_json_stderr(self, command, n, seed, data):
+        doc = _fuzz_document(command, np.random.default_rng(seed), n)
+        for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+            path = data.draw(st.sampled_from(list(_nodes(doc))), label="node")
+            value = data.draw(st.sampled_from(_SUBSTITUTES + [_DELETE]), label="value")
+            doc = _mutate(doc, path, value)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+            code = main([command])
+        assert code in (0, 2, 3)
+        if code == 0:
+            json.loads(out.getvalue())
+            assert err.getvalue() == ""
+        else:
+            assert isinstance(json.loads(err.getvalue()), dict)
 
 
 class TestCliVerify:

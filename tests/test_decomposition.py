@@ -6,6 +6,7 @@ import pytest
 from hypmeasure import (
     Bicomplex,
     FiniteSpace,
+    HahnPartition,
     Hyperbolic,
     InternalInvariantError,
     SetMask,
@@ -15,6 +16,7 @@ from hypmeasure import (
     check_lattice_properties,
     epsilon_delta_witness,
     hahn,
+    hahn_formulas_hold,
     is_concentrated,
     jordan,
     lebesgue_radon_nikodym,
@@ -53,22 +55,22 @@ class TestJordan:
 
 class TestHahn:
     def test_single_atom_cells(self, space):
-        res = hahn(TMeasure.from_atoms(space, {"a": Bicomplex(3, -2)}))
-        p = res.partition
+        mu = TMeasure.from_atoms(space, {"a": Bicomplex(3, -2)})
+        p = hahn(mu)
         assert p.C.labels() == ["a"]
         assert p.A.labels() == ["b"]  # zero atoms land in A
-        assert res.mu_plus_check and res.mu_minus_check
+        assert hahn_formulas_hold(mu, p) == (True, True)
 
-        res2 = hahn(TMeasure.from_atoms(space, {"a": Bicomplex(-1, 1)}))
-        assert res2.partition.D.labels() == ["a"]
+        p2 = hahn(TMeasure.from_atoms(space, {"a": Bicomplex(-1, 1)}))
+        assert p2.D.labels() == ["a"]
 
     def test_nonnegative_measure_collapses_to_a(self, space):
         mu = TMeasure.from_atoms(space, {"a": Bicomplex(2, 3), "b": Bicomplex(1, 0)})
-        res = hahn(mu)
-        assert res.partition.A.labels() == ["a", "b"]
-        assert res.partition.B.is_empty()
-        assert res.partition.C.is_empty()
-        assert res.partition.D.is_empty()
+        p = hahn(mu)
+        assert p.A.labels() == ["a", "b"]
+        assert p.B.is_empty()
+        assert p.C.is_empty()
+        assert p.D.is_empty()
 
     def test_cells_partition_space(self):
         space = FiniteSpace(tuple("pqrs"))
@@ -81,8 +83,7 @@ class TestHahn:
                 "s": Bicomplex(-2, 6),
             },
         )
-        res = hahn(mu)
-        p = res.partition
+        p = hahn(mu)
         assert p.A.labels() == ["p"]
         assert p.B.labels() == ["q"]
         assert p.C.labels() == ["r"]
@@ -96,8 +97,7 @@ class TestHahn:
         mu = TMeasure.from_atoms(
             space, {k: Bicomplex(u, v) for k, (u, v) in masses.items()}
         )
-        res = hahn(mu)
-        assert res.mu_plus_check and res.mu_minus_check
+        assert hahn_formulas_hold(mu, hahn(mu)) == (True, True)
         vals = [masses[lab] for lab in space.atoms]
         for bits in range(16):
             members = [i for i in range(4) if bits >> i & 1]
@@ -120,6 +120,55 @@ class TestHahn:
         with pytest.raises(ValueError):
             hahn(TMeasure.from_atoms(space, {"a": Bicomplex(1j, 0)}))
 
+    @pytest.mark.parametrize("n", [21, 10_000])
+    def test_partition_past_the_subset_cap(self, n):
+        # Construction is atomwise, so it has no size cap.
+        rng = np.random.default_rng(n)
+        space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+        u = rng.integers(-2, 3, size=n).astype(float)
+        v = rng.integers(-2, 3, size=n).astype(float)
+        p = hahn(TMeasure(space, u, v))
+        cells = [p.A.bits, p.B.bits, p.C.bits, p.D.bits]
+        assert sum(cells) == space.full().bits
+        assert all(
+            cells[i] & cells[j] == 0 for i in range(4) for j in range(i + 1, 4)
+        )
+        pos_u, pos_v = u >= 0, v >= 0
+        assert list(p.A.indices()) == list(np.flatnonzero(pos_u & pos_v))
+        assert list(p.B.indices()) == list(np.flatnonzero(~pos_u & ~pos_v))
+        assert list(p.C.indices()) == list(np.flatnonzero(pos_u & ~pos_v))
+        assert list(p.D.indices()) == list(np.flatnonzero(~pos_u & pos_v))
+
+    def test_certifier_refuses_past_the_cap(self):
+        space = FiniteSpace(tuple(f"x{i}" for i in range(21)))
+        mu = TMeasure(space, np.ones(21), -np.ones(21))
+        p = hahn(mu)
+        with pytest.raises(ValueError, match="subset enumeration"):
+            hahn_formulas_hold(mu, p)
+
+    def test_certifier_rejects_swapped_cells(self):
+        space = FiniteSpace(tuple("pqrs"))
+        mu = TMeasure.from_atoms(
+            space,
+            {
+                "p": Bicomplex(2, 3),
+                "q": Bicomplex(-1, -4),
+                "r": Bicomplex(5, -1),
+                "s": Bicomplex(-2, 6),
+            },
+        )
+        p = hahn(mu)
+        assert hahn_formulas_hold(mu, p) == (True, True)
+        swapped = HahnPartition(A=p.A, B=p.B, C=p.D, D=p.C)
+        assert hahn_formulas_hold(mu, swapped) == (False, False)
+
+    def test_certifier_rejects_cells_of_another_space(self, space):
+        mu = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1)})
+        other = FiniteSpace(("a", "c"))
+        p = hahn(TMeasure.from_atoms(other, {"a": Bicomplex(1, 1)}))
+        with pytest.raises(ValueError, match="space"):
+            hahn_formulas_hold(mu, p)
+
     def test_float_masses_classify_exactly(self, space):
         # complex division loses an ulp on many real values; the sign
         # classification must not inherit that
@@ -130,10 +179,10 @@ class TestHahn:
                 "b": Bicomplex(0.6204748998199404, -0.283587060434),
             },
         )
-        res = hahn(mu)
-        assert res.partition.D.labels() == ["a"]
-        assert res.partition.C.labels() == ["b"]
-        assert res.mu_plus_check and res.mu_minus_check
+        p = hahn(mu)
+        assert p.D.labels() == ["a"]
+        assert p.C.labels() == ["b"]
+        assert hahn_formulas_hold(mu, p) == (True, True)
 
 
 class TestPolar:

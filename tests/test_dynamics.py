@@ -248,18 +248,17 @@ class TestCesaro:
         trace = cesaro_invariant(f, _delta(space, "x"), max_iter=10, tol=1e-12)
         assert trace.converged
         assert trace.burn_in == 0
-        limit = trace.iterates[-1]
-        assert limit.equal_exact(TMeasure(space, [0.5, 0.5], [0.5, 0.5]))
+        assert trace.limit.equal_exact(TMeasure(space, [0.5, 0.5], [0.5, 0.5]))
         assert trace.gaps[-1] == Hyperbolic(0, 0)
-        assert len(trace.iterates) == len(trace.gaps) == 2
+        assert len(trace.gaps) == 2
 
     def test_auto_burn_in_matches_tail_depth(self, tail_map):
         space, f = tail_map
         trace = cesaro_invariant(f, _delta(space, "c"), max_iter=10, tol=1e-12)
         assert trace.burn_in == 2
         assert trace.converged
-        assert trace.iterates[-1].equal_exact(_delta(space, "a"))
-        assert is_invariant(f, trace.iterates[-1], 1e-12)
+        assert trace.limit.equal_exact(_delta(space, "a"))
+        assert is_invariant(f, trace.limit, 1e-12)
 
     def test_literal_mode_stalls_on_transients(self, tail_map):
         space, f = tail_map
@@ -267,7 +266,7 @@ class TestCesaro:
             f, _delta(space, "c"), max_iter=50, tol=1e-12, burn_in=0
         )
         assert not trace.converged
-        assert len(trace.iterates) == 50
+        assert len(trace.gaps) == 50
         # the defect decays like 1/n, far above the tolerance
         assert trace.gaps[-1].e1 > 1e-3
 
@@ -281,7 +280,7 @@ class TestCesaro:
         mu0 = TMeasure(space, [0.5, 0.25, 0.25], [0.125, 0.75, 0.125])
         trace = cesaro_invariant(f, mu0, max_iter=100, tol=1e-12)
         assert trace.converged
-        assert in_invariant_hull(f, trace.iterates[-1], tol=1e-9)
+        assert in_invariant_hull(f, trace.limit, tol=1e-9)
 
 
 class TestInvariantBasis:
@@ -329,7 +328,7 @@ def test_cycle_structure_is_computed_once(monkeypatch):
     f = PointMap(space, [1, 0, 0, 4, 5, 3])
     trace = cesaro_invariant(f, _uniform(space), max_iter=50, tol=1e-12)
     basis = invariant_basis_bruteforce(f)
-    assert in_invariant_hull(f, trace.iterates[-1])
+    assert in_invariant_hull(f, trace.limit)
     assert not in_invariant_hull(f, _uniform(space))
     assert len(calls) == 1
     assert len(basis) == 2

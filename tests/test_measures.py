@@ -16,7 +16,6 @@ from hypmeasure import (
     integrate,
     normalize_to_probability,
     probability_variant,
-    range_in_plus_minus_cones,
     subset_sums,
     total_variation_bruteforce,
     variation_measure,
@@ -213,14 +212,6 @@ class TestNormalization:
         assert probability_variant(e2_only) == Hyperbolic(0, 1)
         with pytest.raises(ValueError):
             probability_variant(TMeasure.from_atoms(space, {"a": Bicomplex(2, 1)}))
-
-
-class TestRangePredicate:
-    def test_cone_membership(self, space):
-        pos = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1), "b": Bicomplex(-2, -2)})
-        assert range_in_plus_minus_cones(pos)
-        mixed = TMeasure.from_atoms(space, {"a": Bicomplex(1, -1)})
-        assert not range_in_plus_minus_cones(mixed)
 
 
 def test_subset_sums_oracle():
