@@ -11,15 +11,15 @@ from hypmeasure import (
     FiniteSpace,
     Hyperbolic,
     TMeasure,
-    abs_continuous,
+    certify_hahn,
+    certify_jordan,
+    certify_lrn,
+    certify_polar,
     epsilon_delta_witness,
     hahn,
-    hahn_formulas_hold,
     jordan,
     lebesgue_radon_nikodym,
-    mutually_singular,
     polar_density,
-    variation_measure,
 )
 
 space = FiniteSpace(("a", "b"))
@@ -29,8 +29,7 @@ space = FiniteSpace(("a", "b"))
 mu = TMeasure.from_atoms(space, {"a": Bicomplex(3, -2), "b": Bicomplex(-1, 4)})
 pair = jordan(mu)
 print("mu+ (a) =", pair.mu_plus.atom(0), "  mu- (a) =", pair.mu_minus.atom(0))
-assert (pair.mu_plus - pair.mu_minus).equal_exact(mu)
-assert (pair.mu_plus + pair.mu_minus).equal_exact(variation_measure(mu))
+assert certify_jordan(mu, pair) == {"jordan_difference": True, "jordan_variation": True}
 
 # Hahn: four cells classified by the sign pattern of the polar
 # density. Atom a is positive/negative -> cell C; atom b is the
@@ -39,13 +38,14 @@ cells = hahn(mu)
 print("cells   : A =", cells.A.labels(), " B =", cells.B.labels(),
       " C =", cells.C.labels(), " D =", cells.D.labels())
 # Certify both Hahn formulas against the Jordan parts on every subset.
-assert hahn_formulas_hold(mu, cells) == (True, True)
+assert certify_hahn(mu, cells) == {"hahn_mu_plus": True, "hahn_mu_minus": True}
 
 # Polar: a unimodular density against the variation measure. For
 # real masses the values are literal signs.
 h = polar_density(mu)
 print("h(a)    =", h.value_at(0), "  h(b) =", h.value_at(1))
 assert h.value_at(0) == Bicomplex(1, -1)
+assert all(certify_polar(mu, h).values())
 
 # Lebesgue decomposition with a Radon-Nikodym density: the reference
 # charges only atom a, so everything on b is singular and the density
@@ -55,9 +55,9 @@ lam = TMeasure.from_atoms(space, {"a": Bicomplex(2, 3), "b": Bicomplex(5, 0)})
 dec = lebesgue_radon_nikodym(lam, ref)
 print("ac      =", dec.lambda_ac.atom(0), "on a; singular =", dec.lambda_sing.atom(1), "on b")
 print("density =", dec.density.value_at(0), "on a")
-assert (dec.lambda_ac + dec.lambda_sing).equal_exact(lam)
-assert abs_continuous(dec.lambda_ac, ref)
-assert mutually_singular(dec.lambda_sing, ref)
+# Sum, absolute continuity, singularity and density, one verdict each.
+print("checks  =", certify_lrn(lam, ref, dec))
+assert all(certify_lrn(lam, ref, dec).values())
 assert dec.density.value_at(0) == Bicomplex(2, 3)
 
 # The epsilon-delta witness is constructive: it scans subset masses

@@ -53,12 +53,13 @@ from .codec import (
     table_to_obj,
 )
 from .decomposition import (
-    abs_continuous,
+    certify_hahn,
+    certify_jordan,
+    certify_lrn,
+    certify_polar,
     hahn,
-    hahn_formulas_hold,
     jordan,
     lebesgue_radon_nikodym,
-    mutually_singular,
     polar_density,
 )
 from .dynamics import (
@@ -70,7 +71,7 @@ from .dynamics import (
 )
 from .errors import InternalInvariantError, SchemaError
 from .integration import check_modulus_inequality, dct_run, in_l1, integrate
-from .measures import SUBSET_CAP, TMeasure, probability_variant, variation_measure
+from .measures import TMeasure, probability_variant, variation_measure
 from .verify import run_verify
 
 __all__ = ["main"]
@@ -87,12 +88,12 @@ GEN_KINDS = (
 
 
 def _check_flags(args: argparse.Namespace) -> None:
-    """Reject out-of-range flag values; only ``gen`` has ``--atoms``."""
-    if args.tol <= 0.0:
+    """Reject out-of-range flag values of the flags a subcommand has."""
+    if getattr(args, "tol", 1.0) <= 0.0:
         raise SchemaError("tol", "must be positive")
-    if args.cases <= 0:
+    if getattr(args, "cases", 1) <= 0:
         raise SchemaError("cases", "must be positive")
-    if args.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         raise SchemaError("seed", "must be a nonnegative integer")
     if getattr(args, "atoms", 1) < 1:
         raise SchemaError("atoms", "must be at least 1")
@@ -159,33 +160,14 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         ref = variation_measure(mu)
 
     pair = jordan(mu)
-    var = variation_measure(mu)
     cells = hahn(mu)
-    # Above the subset cap the certifier is not run; its checks read null.
-    hahn_ok = (None, None)
-    if space.size <= SUBSET_CAP:
-        hahn_ok = hahn_formulas_hold(mu, cells, tol=args.tol)
     h = polar_density(mu)
     lrn = lebesgue_radon_nikodym(mu, ref)
-
-    recon = TMeasure(space, h.e1 * np.abs(mu.e1), h.e2 * np.abs(mu.e2))
-    dens = TMeasure(
-        space, lrn.density.e1 * ref.e1.real, lrn.density.e2 * ref.e2.real
-    )
     checks = {
-        "jordan_difference": (pair.mu_plus - pair.mu_minus).equal_exact(mu),
-        "jordan_variation": (pair.mu_plus + pair.mu_minus).isclose(var, args.tol),
-        "hahn_mu_plus": hahn_ok[0],
-        "hahn_mu_minus": hahn_ok[1],
-        "polar_unimodular": bool(
-            np.all(np.abs(np.abs(h.e1) - 1.0) <= args.tol)
-            and np.all(np.abs(np.abs(h.e2) - 1.0) <= args.tol)
-        ),
-        "polar_reconstruction": recon.isclose(mu, args.tol),
-        "lrn_sum": (lrn.lambda_ac + lrn.lambda_sing).equal_exact(mu),
-        "lrn_abs_continuous": abs_continuous(lrn.lambda_ac, ref),
-        "lrn_singular": mutually_singular(lrn.lambda_sing, ref),
-        "lrn_density": dens.isclose(lrn.lambda_ac, args.tol),
+        **certify_jordan(mu, pair),
+        **certify_hahn(mu, cells, args.tol),
+        **certify_polar(mu, h, args.tol),
+        **certify_lrn(mu, ref, lrn, args.tol),
     }
     result = {
         "space": space_to_obj(space),
@@ -221,6 +203,8 @@ def _cmd_integrate(args: argparse.Namespace) -> dict:
     mu = parse_measure(doc, "input")
     if not mu.is_d_measure():
         raise SchemaError("input.measure", "integration needs a D-measure")
+    if not mu.is_finite():
+        raise SchemaError("input.measure", "integration needs finite masses")
     space = mu.space
 
     if isinstance(doc, dict) and "sequence" in doc:
@@ -261,8 +245,6 @@ def _cmd_integrate(args: argparse.Namespace) -> dict:
     mask = None
     if isinstance(doc, dict) and "set" in doc:
         mask = parse_mask(doc["set"], space, "input.set")
-    if not mu.is_finite():
-        raise SchemaError("input.measure", "integration needs finite masses")
     # With finite masses, a non-finite value or an overflowing product
     # makes the integral of |f| non-finite.
     integrable = in_l1(f, mu)
@@ -418,22 +400,18 @@ def build_parser() -> argparse.ArgumentParser:
         "push forward, find invariant measures, verify, generate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_input in (
-        ("decompose", True),
-        ("integrate", True),
-        ("pushforward", True),
-        ("find-invariant", True),
-        ("verify", False),
-        ("gen", False),
-    ):
+    # Each subcommand registers only the flags it reads.
+    for name in ("decompose", "integrate", "pushforward", "find-invariant", "verify", "gen"):
         p = sub.add_parser(name)
-        if needs_input or name == "gen":
+        if name != "verify":
             p.add_argument("--input", default=None, help="input JSON path (default stdin)")
         p.add_argument("--output", default=None, help="output JSON path (default stdout)")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--cases", type=int, default=1000)
+        if name in ("verify", "gen"):
+            p.add_argument("--seed", type=int, default=42)
+        if name in ("decompose", "integrate", "find-invariant"):
+            p.add_argument("--tol", type=float, default=1e-9)
         if name == "verify":
+            p.add_argument("--cases", type=int, default=1000)
             p.add_argument("--suite", default="*", help="suite name glob")
         if name == "gen":
             p.add_argument("--kind", choices=GEN_KINDS, required=True)

@@ -6,9 +6,9 @@ Hahn partition, and the Lebesgue decomposition with its Radon-Nikodym
 density as a ratio of atom masses. Atomic spaces make the classical
 existence proofs constructive and exact.
 
-Constructions are O(n) at any size. Certifying the Hahn formulas on
-every subset is a separate step, ``hahn_formulas_hold``, capped at 20
-atoms.
+Constructions are O(n) at any size. Each has one certifier, ``certify_*``,
+with named verdicts (True, False, or None when not run): Jordan, polar
+and LRN atomwise, the Hahn formulas on every subset up to 20 atoms.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantError
-from .integration import TFunction, indefinite_integral, integrate, unimodular_factor
+from .integration import TFunction, indefinite_integral, integrate
 from .measures import (
     SUBSET_CAP,
+    AtomTable,
     MeasureKind,
     TMeasure,
     subset_sums,
@@ -35,7 +36,10 @@ __all__ = [
     "polar_density",
     "HahnPartition",
     "hahn",
-    "hahn_formulas_hold",
+    "certify_jordan",
+    "certify_hahn",
+    "certify_polar",
+    "certify_lrn",
     "is_concentrated",
     "mutually_singular",
     "abs_continuous",
@@ -43,11 +47,29 @@ __all__ = [
     "check_lattice_properties",
     "LRNResult",
     "lebesgue_radon_nikodym",
-    "lrn_pair_is_valid",
     "epsilon_delta_witness",
     "TvOfIndefinite",
     "tv_of_indefinite_integral",
 ]
+
+
+# A sum of n terms in ascending order is off by at most (n - 1)*u*sum|x|,
+# u = eps/2. A checked identity compares two such sums, with at most
+# three more roundings on one side (the Hahn cell combination; atomwise,
+# a division and a product): (2n + 1)*u*sum|x| in all. So c = 4 in the
+# bound tol + c*n*eps*sum|x| covers every n >= 1, with room for
+# second-order terms and for the rounding of sum|x| itself.
+_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
+
+
+def _close(got, want, scale, tol: float) -> bool:
+    """Whether |got - want| <= tol + 4*eps*scale, with scale = n*sum|x|."""
+    return bool(np.all(np.abs(got - want) <= tol + _ROUNDING * scale))
+
+
+def _components(table: AtomTable) -> np.ndarray:
+    """The two component arrays as the columns of one (n, 2) array."""
+    return np.array((table.e1, table.e2)).T
 
 
 def _require_signed_d(mu: TMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -85,16 +107,42 @@ def jordan(mu: TMeasure) -> JordanPair:
     return JordanPair(mu_plus=plus, mu_minus=minus)
 
 
+def certify_jordan(mu: TMeasure, pair: JordanPair) -> dict[str, bool]:
+    """Verdicts ``jordan_difference`` (mu_plus - mu_minus = mu) and
+    ``jordan_variation`` (mu_plus + mu_minus = |mu|_D), atomwise and
+    exact: at every atom one of the parts is zero."""
+    return {
+        "jordan_difference": (pair.mu_plus - pair.mu_minus).equal_exact(mu),
+        "jordan_variation": (pair.mu_plus + pair.mu_minus).equal_exact(
+            variation_measure(mu)
+        ),
+    }
+
+
 def polar_density(mu: TMeasure) -> TFunction:
     """The unimodular density h with mu(E) = integral of h d|mu|_D.
 
     h(x) is the atom mass divided by its modulus, componentwise, with
     the convention h-component = 1 where the mass vanishes. For real
-    masses the values are exactly +1 or -1.
+    masses the values are exactly +1 or -1. It is the polar factor of
+    the masses read as a function.
     """
-    return TFunction(
-        mu.space, unimodular_factor(mu.e1), unimodular_factor(mu.e2)
-    )
+    return TFunction(mu.space, mu.e1, mu.e2).polar_factor()
+
+
+def certify_polar(
+    table: AtomTable, h: TFunction, tol: float = 1e-12
+) -> dict[str, bool]:
+    """Verdicts ``polar_unimodular`` (|h|_D = 1) and ``polar_reconstruction``
+    (h * |x|_D = x), atomwise, for a measure and its polar density or a
+    function and its polar factor. Each atom is compared within ``tol``
+    plus a rounding bound scaled by its modulus."""
+    table._check_space(h)
+    x, hx = _components(table), _components(h)
+    return {
+        "polar_unimodular": _close(np.abs(hx), 1.0, 1.0, tol),
+        "polar_reconstruction": _close(hx * np.abs(x), x, np.abs(x), tol),
+    }
 
 
 @dataclass(frozen=True)
@@ -116,7 +164,7 @@ def hahn(mu: TMeasure) -> HahnPartition:
 
     Classifies every atom by the signs of the polar density. The two
     formulas tying the cells to the Jordan parts are certified
-    separately, on every subset, by ``hahn_formulas_hold``.
+    separately, on every subset, by ``certify_hahn``.
 
     Raises
     ------
@@ -127,90 +175,61 @@ def hahn(mu: TMeasure) -> HahnPartition:
         which is impossible for signed-D input.
     """
     _require_signed_d(mu)
-    h = polar_density(mu)
-    h1 = h.e1.real
-    h2 = h.e2.real
-    if not (
-        np.all(np.abs(h1) == 1.0)
-        and np.all(np.abs(h2) == 1.0)
-        and np.all(h.e1.imag == 0.0)
-        and np.all(h.e2.imag == 0.0)
-    ):
+    h = _components(polar_density(mu))
+    if not np.all((h == 1.0) | (h == -1.0)):
         raise InternalInvariantError(
             "polar density is not of the (+-1, +-1) form",
-            payload={"h_e1": h.e1.tolist(), "h_e2": h.e2.tolist()},
+            payload={"h_e1": h[:, 0].tolist(), "h_e2": h[:, 1].tolist()},
         )
-
-    pos1 = h1 > 0
-    pos2 = h2 > 0
-    cells = {
-        "A": pos1 & pos2,
-        "B": ~pos1 & ~pos2,
-        "C": pos1 & ~pos2,
-        "D": ~pos1 & pos2,
-    }
+    pos1, pos2 = (h.real > 0).T
+    cells = (pos1 & pos2, ~pos1 & ~pos2, pos1 & ~pos2, ~pos1 & pos2)  # A, B, C, D
     return HahnPartition(
-        **{
-            name: mu.space.subset_of_indices(np.flatnonzero(flags))
-            for name, flags in cells.items()
-        }
+        *(mu.space.subset_of_indices(np.flatnonzero(flags)) for flags in cells)
     )
 
 
-def hahn_formulas_hold(
+def certify_hahn(
     mu: TMeasure, partition: HahnPartition, tol: float = 1e-12
-) -> tuple[bool, bool]:
-    """Subset-exhaustive check of both Hahn formulas, (plus_ok, minus_ok).
-
-    Compares against the Jordan parts, for every subset E of the space:
+) -> dict[str, bool | None]:
+    """Verdicts ``hahn_mu_plus`` and ``hahn_mu_minus``: the Hahn formulas
+    against the Jordan parts on every subset E,
 
         mu_plus(E)  = mu(E & A) + e1*|mu(E & C)|_D + e2*|mu(E & D)|_D
         mu_minus(E) = -mu(E & B) - mu(E & C) - mu(E & D)
                       + e1*|mu(E & C)|_D + e2*|mu(E & D)|_D
 
+    within ``tol`` plus a rounding bound scaled by |mu|_D(E). Above the
+    20-atom subset cap both verdicts are None (not run).
+
     Raises
     ------
     ValueError
-        If the measure is not signed-D, a cell belongs to another
-        space, or the space exceeds the subset-enumeration cap of 20
-        atoms.
+        If the measure is not signed-D or a cell is of another space.
     """
     u, v = _require_signed_d(mu)
-    if mu.space.size > SUBSET_CAP:
-        raise ValueError(f"space too large for subset enumeration (> {SUBSET_CAP})")
-
-    def cell_sums(cell: SetMask) -> tuple[np.ndarray, np.ndarray]:
+    cells = (partition.A, partition.B, partition.C, partition.D)
+    for cell in cells:
         mu._check_mask(cell)
-        inside = np.zeros(mu.space.size)
-        inside[list(cell.indices())] = 1.0
-        return subset_sums(u * inside), subset_sums(v * inside)
-
-    a1, a2 = cell_sums(partition.A)
-    b1, b2 = cell_sums(partition.B)
-    c1, c2 = cell_sums(partition.C)
-    d1, d2 = cell_sums(partition.D)
+    n = mu.space.size
+    if n > SUBSET_CAP:
+        return {"hahn_mu_plus": None, "hahn_mu_minus": None}
+    inside = np.zeros((4, n))
+    for row, cell in zip(inside, cells):
+        row[list(cell.indices())] = 1.0
     jp = jordan(mu)
-    plus1 = subset_sums(jp.mu_plus.e1.real)
-    plus2 = subset_sums(jp.mu_plus.e2.real)
-    minus1 = subset_sums(jp.mu_minus.e1.real)
-    minus2 = subset_sums(jp.mu_minus.e2.real)
-    abs_c1 = np.abs(c1)
-    abs_d2 = np.abs(d2)
-
-    formula_plus1 = a1 + abs_c1
-    formula_plus2 = a2 + abs_d2
-    formula_minus1 = -b1 - c1 - d1 + abs_c1
-    formula_minus2 = -b2 - c2 - d2 + abs_d2
-
-    plus_ok = bool(
-        np.all(np.abs(formula_plus1 - plus1) <= tol)
-        and np.all(np.abs(formula_plus2 - plus2) <= tol)
-    )
-    minus_ok = bool(
-        np.all(np.abs(formula_minus1 - minus1) <= tol)
-        and np.all(np.abs(formula_minus2 - minus2) <= tol)
-    )
-    return plus_ok, minus_ok
+    plus_ok = minus_ok = True
+    # Component e1 takes its modulus on C, component e2 on D.
+    for x, p, m, mixed_cell in (
+        (u, jp.mu_plus.e1.real, jp.mu_minus.e1.real, 2),
+        (v, jp.mu_plus.e2.real, jp.mu_minus.e2.real, 3),
+    ):
+        a, b, c, d = sums = [subset_sums(x * flags) for flags in inside]
+        mixed = np.abs(sums[mixed_cell])
+        plus, minus = subset_sums(p), subset_sums(m)
+        scale = n * (plus + minus)
+        plus_ok = plus_ok and _close(a + mixed, plus, scale, tol)
+        minus_ok = minus_ok and _close(-b - c - d + mixed, minus, scale, tol)
+    return {"hahn_mu_plus": plus_ok, "hahn_mu_minus": minus_ok}
 
 
 def is_concentrated(lam: TMeasure, a: SetMask) -> bool:
@@ -369,8 +388,8 @@ def lebesgue_radon_nikodym(lam: TMeasure, mu: TMeasure) -> LRNResult:
 
     Componentwise: the part of lam_i sitting on the support of mu_i
     is absolutely continuous with density lam_i/mu_i; the part on the
-    mu_i-null atoms is singular. The pair is unique atomwise; the
-    ``lrn`` verify suite and ``decompose`` check its invariants.
+    mu_i-null atoms is singular. The pair is unique atomwise;
+    ``certify_lrn`` checks its invariants.
 
     Raises
     ------
@@ -381,43 +400,44 @@ def lebesgue_radon_nikodym(lam: TMeasure, mu: TMeasure) -> LRNResult:
     if not mu.is_d_measure():
         raise ValueError("reference measure must be a D-measure")
 
-    m1 = mu.e1.real
-    m2 = mu.e2.real
-    supp1 = m1 > 0.0
-    supp2 = m2 > 0.0
-    ac = TMeasure(
-        lam.space,
-        np.where(supp1, lam.e1, 0.0),
-        np.where(supp2, lam.e2, 0.0),
-    )
-    sing = TMeasure(
-        lam.space,
-        np.where(supp1, 0.0, lam.e1),
-        np.where(supp2, 0.0, lam.e2),
-    )
+    x = _components(lam)
+    m = _components(mu).real
+    supp = m > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        h1 = np.where(supp1, lam.e1 / np.where(supp1, m1, 1.0), 0.0)
-        h2 = np.where(supp2, lam.e2 / np.where(supp2, m2, 1.0), 0.0)
-    density = TFunction(lam.space, h1, h2)
-
-    return LRNResult(lambda_ac=ac, lambda_sing=sing, density=density)
-
-
-def lrn_pair_is_valid(
-    lam: TMeasure, mu: TMeasure, ac: TMeasure, sing: TMeasure
-) -> bool:
-    """Whether (ac, sing) is a legal Lebesgue decomposition of lam.
-
-    Legal means ac + sing = lam atomwise (exactly), ac absolutely
-    continuous and sing singular with respect to mu. Used to verify
-    atomwise uniqueness: perturbing a valid pair on any atom breaks
-    one of the three conditions.
-    """
-    return (
-        (ac + sing).equal_exact(lam)
-        and abs_continuous(ac, mu)
-        and mutually_singular(sing, mu)
+        h = np.where(supp, x / np.where(supp, m, 1.0), 0.0)
+    return LRNResult(
+        lambda_ac=TMeasure(lam.space, *np.where(supp, x, 0.0).T),
+        lambda_sing=TMeasure(lam.space, *np.where(supp, 0.0, x).T),
+        density=TFunction(lam.space, *h.T),
     )
+
+
+def certify_lrn(
+    lam: TMeasure, mu: TMeasure, result: LRNResult, tol: float = 1e-12
+) -> dict[str, bool]:
+    """Verdicts ``lrn_sum``, ``lrn_abs_continuous``, ``lrn_singular`` and
+    ``lrn_density`` for a Lebesgue decomposition of lam against mu.
+
+    The first three are exact and together make the pair the (atomwise
+    unique) decomposition: ac + sing = lam, ac absolutely continuous and
+    sing singular with respect to mu. The last compares density * mu with
+    ac atomwise, within ``tol`` plus a rounding bound scaled by |lam|_D.
+
+    Raises
+    ------
+    ValueError
+        On space mismatch or a non-D reference measure.
+    """
+    ac, sing, density = result.lambda_ac, result.lambda_sing, result.density
+    for other in (mu, ac, density):
+        lam._check_space(other)
+    got = _components(density) * _components(mu).real
+    return {
+        "lrn_sum": (ac + sing).equal_exact(lam),
+        "lrn_abs_continuous": abs_continuous(ac, mu),
+        "lrn_singular": mutually_singular(sing, mu),
+        "lrn_density": _close(got, _components(ac), np.abs(_components(lam)), tol),
+    }
 
 
 def epsilon_delta_witness(

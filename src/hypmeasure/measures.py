@@ -277,15 +277,14 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     Entry m of the result sums values[k] over the set bits k of m, so
     the output has length 2**len(values) and entry 0 is zero.
     """
-    sums = np.zeros(1, dtype=values.dtype)
+    sums = np.zeros(1 << len(values), dtype=values.dtype)
+    size = 1
     for v in values:
-        sums = np.concatenate([sums, sums + v])
+        # Entry size + j is entry j plus v, so each sum still adds its
+        # values in ascending index order.
+        np.add(sums[:size], v, out=sums[size : 2 * size])
+        size *= 2
     return sums
-
-
-def _masked_values(mu: TMeasure, e: SetMask) -> tuple[np.ndarray, np.ndarray]:
-    idx = list(e.indices())
-    return mu.e1[idx], mu.e2[idx]
 
 
 def total_variation_bruteforce(mu: TMeasure, e: SetMask) -> Hyperbolic:

@@ -129,6 +129,14 @@ def _fail(check: str, **detail) -> dict:
     return {"check": check, **{k: repr(v) for k, v in detail.items()}}
 
 
+def _first_false(verdicts: dict, checks: dict[str, str], **detail) -> Optional[dict]:
+    """The failure ``checks[v]`` for the first verdict v in ``checks`` that is False."""
+    for verdict, check in checks.items():
+        if verdicts[verdict] is False:
+            return _fail(check, **detail)
+    return None
+
+
 # ---------------------------------------------------------------- algebra
 
 
@@ -430,18 +438,14 @@ def _run_integration(rng: Generator) -> Optional[dict]:
     if not report.holds:
         return _fail("modulus-inequality", lhs=report.lhs, rhs=report.rhs)
 
-    alpha_f = f.polar_factor()
-    mods = alpha_f.d_modulus()
-    if not (
-        np.all(np.abs(mods.e1.real - 1.0) <= 1e-12)
-        and np.all(np.abs(mods.e2.real - 1.0) <= 1e-12)
+    if failed := _first_false(
+        dec.certify_polar(f, f.polar_factor()),
+        {
+            "polar_unimodular": "polar-factor-not-unimodular",
+            "polar_reconstruction": "polar-reconstruction",
+        },
     ):
-        return _fail("polar-factor-not-unimodular")
-    recon = TFunction(
-        space, alpha_f.e1 * np.abs(f.e1), alpha_f.e2 * np.abs(f.e2)
-    )
-    if not recon.isclose(f, 1e-12):
-        return _fail("polar-reconstruction")
+        return failed
 
     e = _random_mask(rng, space)
     rest = e.complement()
@@ -496,10 +500,14 @@ def _run_jordan_hahn(rng: Generator) -> Optional[dict]:
     pair = dec.jordan(mu)
     if not pair.mu_plus.is_d_measure() or not pair.mu_minus.is_d_measure():
         return _fail("jordan-parts-not-d")
-    if not (pair.mu_plus - pair.mu_minus).equal_exact(mu):
-        return _fail("jordan-difference")
-    if not (pair.mu_plus + pair.mu_minus).equal_exact(variation_measure(mu)):
-        return _fail("jordan-sum-vs-variation")
+    if failed := _first_false(
+        dec.certify_jordan(mu, pair),
+        {
+            "jordan_difference": "jordan-difference",
+            "jordan_variation": "jordan-sum-vs-variation",
+        },
+    ):
+        return failed
 
     p = dec.hahn(mu)
     bits = [p.A.bits, p.B.bits, p.C.bits, p.D.bits]
@@ -508,8 +516,12 @@ def _run_jordan_hahn(rng: Generator) -> Optional[dict]:
         or p.B.bits & p.C.bits or p.B.bits & p.D.bits or p.C.bits & p.D.bits
     ):
         return _fail("partition-not-disjoint-cover")
-    if dec.hahn_formulas_hold(mu, p) != (True, True):
-        return _fail("hahn-formula-mismatch", mu=mu)
+    if failed := _first_false(
+        dec.certify_hahn(mu, p),
+        dict.fromkeys(("hahn_mu_plus", "hahn_mu_minus"), "hahn-formula-mismatch"),
+        mu=mu,
+    ):
+        return failed
     zero_atoms = (mu.e1.real == 0) & (mu.e2.real == 0)
     for i in np.flatnonzero(zero_atoms):
         if not p.A.contains(int(i)):
@@ -529,22 +541,15 @@ def _run_jordan_hahn(rng: Generator) -> Optional[dict]:
 def _run_polar_measure(rng: Generator) -> Optional[dict]:
     space = gen.make_space(int(rng.integers(1, 7)))
     mu = gen.gen_t_measure(rng, space)
-    h = dec.polar_density(mu)
-    if not (
-        np.all(np.abs(np.abs(h.e1) - 1.0) <= 1e-12)
-        and np.all(np.abs(np.abs(h.e2) - 1.0) <= 1e-12)
+    if failed := _first_false(
+        dec.certify_polar(mu, dec.polar_density(mu)),
+        {
+            "polar_unimodular": "density-not-unimodular",
+            "polar_reconstruction": "polar-reconstruction",
+        },
+        mu=mu,
     ):
-        return _fail("density-not-unimodular")
-    # mu(E) must equal the integral of h against |mu|_D on every subset.
-    recon1 = subset_sums(h.e1 * np.abs(mu.e1))
-    recon2 = subset_sums(h.e2 * np.abs(mu.e2))
-    want1 = subset_sums(mu.e1)
-    want2 = subset_sums(mu.e2)
-    if not (
-        np.all(np.abs(recon1 - want1) <= 1e-12)
-        and np.all(np.abs(recon2 - want2) <= 1e-12)
-    ):
-        return _fail("polar-reconstruction", mu=mu)
+        return failed
     zero = TMeasure.zero(space)
     hz = dec.polar_density(zero)
     if not (np.all(hz.e1 == 1.0) and np.all(hz.e2 == 1.0)):
@@ -561,30 +566,23 @@ def _run_lrn(rng: Generator) -> Optional[dict]:
     mu = gen.gen_d_measure(rng, space)
     lam = gen.gen_t_measure(rng, space)
     res = dec.lebesgue_radon_nikodym(lam, mu)
-    if not (res.lambda_ac + res.lambda_sing).equal_exact(lam):
-        return _fail("lrn-sum")
-    if not dec.abs_continuous(res.lambda_ac, mu):
-        return _fail("lrn-ac-part")
-    if not dec.mutually_singular(res.lambda_sing, mu):
-        return _fail("lrn-singular-part")
-    got1 = subset_sums(res.density.e1 * mu.e1.real)
-    got2 = subset_sums(res.density.e2 * mu.e2.real)
-    want1 = subset_sums(res.lambda_ac.e1)
-    want2 = subset_sums(res.lambda_ac.e2)
-    scale = 1e-12 * max(1, space.size)
-    if not (
-        np.all(np.abs(got1 - want1) <= scale)
-        and np.all(np.abs(got2 - want2) <= scale)
+    if failed := _first_false(
+        dec.certify_lrn(lam, mu, res),
+        {
+            "lrn_sum": "lrn-sum",
+            "lrn_abs_continuous": "lrn-ac-part",
+            "lrn_singular": "lrn-singular-part",
+            "lrn_density": "lrn-density-reproduces",
+        },
     ):
-        return _fail("lrn-density-reproduces")
-    if not dec.lrn_pair_is_valid(lam, mu, res.lambda_ac, res.lambda_sing):
-        return _fail("lrn-pair-validity")
+        return failed
+    # Uniqueness: moving mass between the parts on any atom must break
+    # the sum, absolute continuity or singularity.
     atom = int(rng.integers(0, space.size))
-    shift = np.zeros(space.size, dtype=np.complex128)
-    shift[atom] = 0.5
-    bumped_ac = TMeasure(space, res.lambda_ac.e1 + shift, res.lambda_ac.e2)
-    dropped_sing = TMeasure(space, res.lambda_sing.e1 - shift, res.lambda_sing.e2)
-    if dec.lrn_pair_is_valid(lam, mu, bumped_ac, dropped_sing):
+    shift = TMeasure(space, np.eye(space.size)[atom] * 0.5, np.zeros(space.size))
+    moved = dec.LRNResult(res.lambda_ac + shift, res.lambda_sing - shift, res.density)
+    verdicts = dec.certify_lrn(lam, mu, moved)
+    if all(verdicts[k] for k in ("lrn_sum", "lrn_abs_continuous", "lrn_singular")):
         return _fail("lrn-uniqueness", atom=atom)
     return None
 

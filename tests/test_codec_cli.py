@@ -534,6 +534,23 @@ class TestCliDecompose:
             assert all(doc["checks"].values())
 
 
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_large_masses_pass_their_checks(self, with_reference, capsys, monkeypatch):
+        # Float rounding grows with the masses; an absolute tolerance alone
+        # failed nearly every one of these documents.
+        rng = np.random.default_rng(109)
+        space = FiniteSpace(tuple(f"x{i}" for i in range(8)))
+        for _ in range(100):
+            doc_in = measure_to_obj(
+                TMeasure(space, rng.normal(0, 1e9, 8), rng.normal(0, 1e9, 8))
+            )
+            if with_reference:
+                ref = TMeasure(space, np.abs(rng.normal(0, 3, 8)), np.abs(rng.normal(0, 3, 8)))
+                doc_in["reference"] = measure_to_obj(ref)["measure"]
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc_in)))
+            doc = _run_json(["decompose"], capsys)
+            assert all(doc["checks"].values())
+
     @pytest.mark.parametrize("n, hahn_ok", [(20, True), (21, None), (200, None)])
     def test_subset_cap(self, n, hahn_ok, capsys, monkeypatch):
         # The Hahn cells are built at any size; only the two
@@ -683,6 +700,27 @@ class TestCliIntegrate:
         assert out == ""
         assert json.loads(err) == {
             "error": "schema violation", "location": location, "message": message,
+        }
+
+    @pytest.mark.parametrize("mass", ["NaN", "Infinity"])
+    def test_dct_non_finite_mass(self, tmp_path, capsys, mass):
+        # The fault is in the measure, so it is reported there, not at
+        # the dominator.
+        unit = {"function": {"a": {"e1": [1, 0], "e2": [1, 0]}}}
+        path = tmp_path / "in.json"
+        path.write_text(
+            '{"space": {"atoms": ["a"]}, '
+            f'"measure": {{"a": {{"e1": [{mass}, 0], "e2": [1, 0]}}}}, '
+            f'"sequence": [{json.dumps(unit)}], '
+            f'"limit": {json.dumps(unit)}, "dominator": {json.dumps(unit)}}}'
+        )
+        code, out, err = _run(["integrate", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "schema violation",
+            "location": "input.measure",
+            "message": "integration needs finite masses",
         }
 
     def test_dct_tol_past_float_range(self, tmp_path, capsys):
@@ -1059,6 +1097,26 @@ class TestCliParser:
             main(["gen"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["gen", "--kind", "map", "--tol", "5"], id="gen-tol"),
+            pytest.param(["gen", "--kind", "map", "--cases", "9"], id="gen-cases"),
+            pytest.param(["verify", "--tol", "1e-6"], id="verify-tol"),
+            pytest.param(["decompose", "--seed", "3"], id="decompose-seed"),
+            pytest.param(["decompose", "--cases", "3"], id="decompose-cases"),
+            pytest.param(["pushforward", "--tol", "1e-6"], id="pushforward-tol"),
+            pytest.param(["find-invariant", "--seed", "3"], id="find-invariant-seed"),
+            pytest.param(["integrate", "--cases", "3"], id="integrate-cases"),
+        ],
+    )
+    def test_unread_flag_is_rejected(self, argv, capsys):
+        # Each subcommand registers only the flags it reads.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_tol_is_schema_error(self, tmp_path, capsys):
         path = tmp_path / "in.json"

@@ -9,18 +9,22 @@ from hypmeasure import (
     HahnPartition,
     Hyperbolic,
     InternalInvariantError,
+    JordanPair,
+    LRNResult,
     SetMask,
     TFunction,
     TMeasure,
     abs_continuous,
+    certify_hahn,
+    certify_jordan,
+    certify_lrn,
+    certify_polar,
     check_lattice_properties,
     epsilon_delta_witness,
     hahn,
-    hahn_formulas_hold,
     is_concentrated,
     jordan,
     lebesgue_radon_nikodym,
-    lrn_pair_is_valid,
     mutually_singular,
     polar_density,
     tv_of_indefinite_integral,
@@ -59,7 +63,7 @@ class TestHahn:
         p = hahn(mu)
         assert p.C.labels() == ["a"]
         assert p.A.labels() == ["b"]  # zero atoms land in A
-        assert hahn_formulas_hold(mu, p) == (True, True)
+        assert certify_hahn(mu, p) == {"hahn_mu_plus": True, "hahn_mu_minus": True}
 
         p2 = hahn(TMeasure.from_atoms(space, {"a": Bicomplex(-1, 1)}))
         assert p2.D.labels() == ["a"]
@@ -97,7 +101,7 @@ class TestHahn:
         mu = TMeasure.from_atoms(
             space, {k: Bicomplex(u, v) for k, (u, v) in masses.items()}
         )
-        assert hahn_formulas_hold(mu, hahn(mu)) == (True, True)
+        assert certify_hahn(mu, hahn(mu)) == {"hahn_mu_plus": True, "hahn_mu_minus": True}
         vals = [masses[lab] for lab in space.atoms]
         for bits in range(16):
             members = [i for i in range(4) if bits >> i & 1]
@@ -140,11 +144,11 @@ class TestHahn:
         assert list(p.D.indices()) == list(np.flatnonzero(~pos_u & pos_v))
 
     def test_certifier_refuses_past_the_cap(self):
+        # Past the subset cap the formulas are not run: both verdicts None.
         space = FiniteSpace(tuple(f"x{i}" for i in range(21)))
         mu = TMeasure(space, np.ones(21), -np.ones(21))
         p = hahn(mu)
-        with pytest.raises(ValueError, match="subset enumeration"):
-            hahn_formulas_hold(mu, p)
+        assert certify_hahn(mu, p) == {"hahn_mu_plus": None, "hahn_mu_minus": None}
 
     def test_certifier_rejects_swapped_cells(self):
         space = FiniteSpace(tuple("pqrs"))
@@ -158,16 +162,16 @@ class TestHahn:
             },
         )
         p = hahn(mu)
-        assert hahn_formulas_hold(mu, p) == (True, True)
+        assert certify_hahn(mu, p) == {"hahn_mu_plus": True, "hahn_mu_minus": True}
         swapped = HahnPartition(A=p.A, B=p.B, C=p.D, D=p.C)
-        assert hahn_formulas_hold(mu, swapped) == (False, False)
+        assert certify_hahn(mu, swapped) == {"hahn_mu_plus": False, "hahn_mu_minus": False}
 
     def test_certifier_rejects_cells_of_another_space(self, space):
         mu = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1)})
         other = FiniteSpace(("a", "c"))
         p = hahn(TMeasure.from_atoms(other, {"a": Bicomplex(1, 1)}))
         with pytest.raises(ValueError, match="space"):
-            hahn_formulas_hold(mu, p)
+            certify_hahn(mu, p)
 
     def test_float_masses_classify_exactly(self, space):
         # complex division loses an ulp on many real values; the sign
@@ -182,7 +186,7 @@ class TestHahn:
         p = hahn(mu)
         assert p.D.labels() == ["a"]
         assert p.C.labels() == ["b"]
-        assert hahn_formulas_hold(mu, p) == (True, True)
+        assert certify_hahn(mu, p) == {"hahn_mu_plus": True, "hahn_mu_minus": True}
 
 
 class TestPolar:
@@ -327,15 +331,18 @@ class TestLrn:
         mu = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1)})
         lam = TMeasure.from_atoms(space, {"a": Bicomplex(2, 3), "b": Bicomplex(5, 0)})
         res = lebesgue_radon_nikodym(lam, mu)
-        assert lrn_pair_is_valid(lam, mu, res.lambda_ac, res.lambda_sing)
+        assert all(certify_lrn(lam, mu, res).values())
+
+        def pair_is_valid(ac, sing):
+            verdicts = certify_lrn(lam, mu, LRNResult(ac, sing, res.density))
+            return all(
+                verdicts[k] for k in ("lrn_sum", "lrn_abs_continuous", "lrn_singular")
+            )
+
         shift = TMeasure.from_atoms(space, {"a": Bicomplex(1, 0)})
-        assert not lrn_pair_is_valid(
-            lam, mu, res.lambda_ac + shift, res.lambda_sing - shift
-        )
+        assert not pair_is_valid(res.lambda_ac + shift, res.lambda_sing - shift)
         off = TMeasure.from_atoms(space, {"b": Bicomplex(1, 0)})
-        assert not lrn_pair_is_valid(
-            lam, mu, res.lambda_ac + off, res.lambda_sing - off
-        )
+        assert not pair_is_valid(res.lambda_ac + off, res.lambda_sing - off)
 
     def test_requires_d_reference(self, space):
         lam = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1)})
@@ -447,3 +454,111 @@ def test_internal_invariant_error_carries_payload():
     err = InternalInvariantError("boom", {"k": 1})
     assert err.payload == {"k": 1}
     assert str(err) == "boom"
+
+
+def _bumped(table, atom, d1=0.0, d2=0.0):
+    """``table`` with (d1, d2) added to one atom's components."""
+    e1, e2 = table.e1.copy(), table.e2.copy()
+    e1[atom] += d1
+    e2[atom] += d2
+    return type(table)(table.space, e1, e2)
+
+
+def _perturbed_verdicts(verdict):
+    """Certify a valid decomposition and one with a single input perturbed
+    so that ``verdict`` must fail; returns both verdict dicts."""
+    space = FiniteSpace(tuple("pqrs"))
+    # One atom per Hahn cell: p in A, q in B, r in C, s in D.
+    mu = TMeasure(space, [2, -1, 5, -2], [3, -4, -1, 6])
+    # The reference is null at q in e1 and at s in e2.
+    ref = TMeasure(space, [1, 0, 2, 4], [3, 1, 0.5, 0])
+    lam = TMeasure(space, [1 + 2j, 7, -3, 0.5j], [2, -1j, 4, 9])
+    certify = {
+        "jordan": lambda pair: certify_jordan(mu, pair),
+        "hahn": lambda cells: certify_hahn(mu, cells),
+        "polar": lambda h: certify_polar(mu, h),
+        "lrn": lambda res: certify_lrn(lam, ref, res),
+    }
+    valid = {
+        "jordan": jordan(mu),
+        "hahn": hahn(mu),
+        "polar": polar_density(mu),
+        "lrn": lebesgue_radon_nikodym(lam, ref),
+    }
+    pair, cells, h, res = valid.values()
+    ac, sing, density = res.lambda_ac, res.lambda_sing, res.density
+    family, perturbed = {
+        "jordan_difference": (
+            "jordan",
+            JordanPair(_bumped(pair.mu_plus, 0, 1.0), _bumped(pair.mu_minus, 0, -1.0)),
+        ),
+        "jordan_variation": (
+            "jordan",
+            JordanPair(_bumped(pair.mu_plus, 0, 1.0), _bumped(pair.mu_minus, 0, 1.0)),
+        ),
+        "hahn_mu_plus": ("hahn", HahnPartition(A=cells.A, B=cells.B, C=cells.D, D=cells.C)),
+        "hahn_mu_minus": ("hahn", HahnPartition(A=cells.B, B=cells.A, C=cells.C, D=cells.D)),
+        "polar_unimodular": ("polar", TFunction(space, h.e1 * [1, 1, 2, 1], h.e2)),
+        "polar_reconstruction": ("polar", TFunction(space, h.e1 * [1, -1, 1, 1], h.e2)),
+        "lrn_sum": ("lrn", LRNResult(_bumped(ac, 0, 1.0), sing, density)),
+        # q carries lam mass on a reference-null atom; move it into ac.
+        "lrn_abs_continuous": (
+            "lrn", LRNResult(_bumped(ac, 1, 7.0), _bumped(sing, 1, -7.0), density)
+        ),
+        # p carries lam mass on a reference atom; move it into sing.
+        "lrn_singular": (
+            "lrn", LRNResult(_bumped(ac, 0, -(1 + 2j)), _bumped(sing, 0, 1 + 2j), density)
+        ),
+        "lrn_density": ("lrn", LRNResult(ac, sing, _bumped(density, 2, 0.0, 1e-6))),
+    }[verdict]
+    return certify[family](valid[family]), certify[family](perturbed)
+
+
+@pytest.mark.parametrize(
+    "verdict",
+    [
+        "jordan_difference", "jordan_variation",
+        "hahn_mu_plus", "hahn_mu_minus",
+        "polar_unimodular", "polar_reconstruction",
+        "lrn_sum", "lrn_abs_continuous", "lrn_singular", "lrn_density",
+    ],
+)
+def test_every_verdict_can_fail(verdict):
+    valid, broken = _perturbed_verdicts(verdict)
+    assert all(value is True for value in valid.values())
+    assert broken[verdict] is False
+
+
+class TestLargeMasses:
+    """Rounding grows with the masses; the certifiers' bound grows with it."""
+
+    SIGMA = 1e9
+
+    def measures(self, count=100, n=8):
+        rng = np.random.default_rng(2024)
+        space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+        for _ in range(count):
+            mu = TMeasure(space, rng.normal(0, self.SIGMA, n), rng.normal(0, self.SIGMA, n))
+            ref = TMeasure(space, np.abs(rng.normal(0, 3, n)), np.abs(rng.normal(0, 3, n)))
+            yield mu, ref
+
+    def test_hahn_holds_and_a_cell_swap_fails(self):
+        swapped_cases = 0
+        for mu, _ in self.measures():
+            cells = hahn(mu)
+            assert certify_hahn(mu, cells) == {"hahn_mu_plus": True, "hahn_mu_minus": True}
+            if cells.C.is_empty() and cells.D.is_empty():
+                continue  # swapping two empty cells changes nothing
+            swapped = HahnPartition(A=cells.A, B=cells.B, C=cells.D, D=cells.C)
+            assert certify_hahn(mu, swapped) == {"hahn_mu_plus": False, "hahn_mu_minus": False}
+            swapped_cases += 1
+        assert swapped_cases >= 90
+
+    def test_density_perturbed_by_one_part_in_1e9_fails(self):
+        for mu, ref in self.measures():
+            res = lebesgue_radon_nikodym(mu, ref)
+            assert all(certify_lrn(mu, ref, res).values())
+            atom = 3
+            bump = res.density.e1[atom] * 1e-9
+            wrong = LRNResult(res.lambda_ac, res.lambda_sing, _bumped(res.density, atom, bump))
+            assert certify_lrn(mu, ref, wrong)["lrn_density"] is False
