@@ -69,7 +69,7 @@ from .dynamics import (
     is_invariant,
     pushforward_iter,
 )
-from .errors import InternalInvariantError, SchemaError
+from .errors import InternalInvariantError, NotIntegrableError, SchemaError
 from .integration import check_modulus_inequality, dct_run, in_l1, integrate
 from .measures import TMeasure, probability_variant, variation_measure
 from .verify import run_verify
@@ -163,12 +163,23 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
     cells = hahn(mu)
     h = polar_density(mu)
     lrn = lebesgue_radon_nikodym(mu, ref)
-    checks = {
-        **certify_jordan(mu, pair),
-        **certify_hahn(mu, cells, args.tol),
-        **certify_polar(mu, h, args.tol),
-        **certify_lrn(mu, ref, lrn, args.tol),
-    }
+    if not lrn.density.is_finite():
+        raise SchemaError(
+            "input.reference", "density against the reference overflows the float range"
+        )
+    # The certifiers add masses and scale a rounding bound by n * sum|x|.
+    # Finite masses can still overflow there, and the checks would then
+    # read false or be vacuous.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            checks = {
+                **certify_jordan(mu, pair),
+                **certify_hahn(mu, cells, args.tol),
+                **certify_polar(mu, h, args.tol),
+                **certify_lrn(mu, ref, lrn, args.tol),
+            }
+    except FloatingPointError:
+        raise SchemaError("input.measure", "mass sums overflow the float range") from None
     result = {
         "space": space_to_obj(space),
         "jordan": {
@@ -229,6 +240,9 @@ def _cmd_integrate(args: argparse.Namespace) -> dict:
         tol = _as_float(tol, "input.tol")
         try:
             report = dct_run(seq, limit, dominator, mu, tol)
+        except NotIntegrableError as exc:
+            where = "input.limit" if exc.term is None else f"input.sequence[{exc.term}]"
+            raise SchemaError(f"{where}.function", str(exc)) from None
         except ValueError as exc:
             raise SchemaError("input", str(exc)) from None
         return {

@@ -403,7 +403,9 @@ def lebesgue_radon_nikodym(lam: TMeasure, mu: TMeasure) -> LRNResult:
     x = _components(lam)
     m = _components(mu).real
     supp = m > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Off the support the quotient is discarded; on it, a tiny reference
+    # mass can overflow it to inf, which the density then reports.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         h = np.where(supp, x / np.where(supp, m, 1.0), 0.0)
     return LRNResult(
         lambda_ac=TMeasure(lam.space, *np.where(supp, x, 0.0).T),

@@ -270,34 +270,28 @@ def convex_combine(a: TMeasure, b: TMeasure, t: float) -> TMeasure:
 
 
 def _cycle_flags(image: np.ndarray) -> np.ndarray:
-    # Peel atoms of in-degree zero until only the cycles remain.
-    n = len(image)
-    indeg = np.bincount(image, minlength=n)
-    stack = [i for i in range(n) if indeg[i] == 0]
-    removed = np.zeros(n, dtype=bool)
-    while stack:
-        x = stack.pop()
-        removed[x] = True
-        y = int(image[x])
-        indeg[y] -= 1
-        if indeg[y] == 0 and not removed[y]:
-            stack.append(y)
-    return ~removed
+    # Every orbit reaches its cycle within n steps and the map permutes
+    # each cycle, so the on-cycle atoms are exactly the image of the
+    # n-fold map.
+    on_cycle = np.zeros(len(image), dtype=bool)
+    on_cycle[_power(image, len(image))] = True
+    return on_cycle
 
 
 def _cycles(image: np.ndarray, on_cycle: np.ndarray) -> list[list[int]]:
     """Cycles of the functional graph, ordered by smallest member."""
-    seen = np.zeros(len(image), dtype=bool)
+    step = image.tolist()
+    seen = bytearray(len(step))
     cycles: list[list[int]] = []
-    for start in range(len(image)):
-        if not on_cycle[start] or seen[start]:
+    for start in np.flatnonzero(on_cycle).tolist():
+        if seen[start]:
             continue
         cycle = []
         x = start
         while not seen[x]:
-            seen[x] = True
+            seen[x] = 1
             cycle.append(x)
-            x = int(image[x])
+            x = step[x]
         cycles.append(cycle)
     return cycles
 

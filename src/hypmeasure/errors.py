@@ -2,12 +2,14 @@
 
 ``SchemaError`` marks malformed input data (CLI exit code 2);
 ``InternalInvariantError`` marks a violated internal guarantee and
-carries a serializable counterexample payload (CLI exit code 3).
+carries a serializable counterexample payload (CLI exit code 3);
+``NotIntegrableError`` names the function of a dominated-convergence
+run that is not integrable, so the CLI can locate it.
 """
 
 from __future__ import annotations
 
-__all__ = ["SchemaError", "InternalInvariantError"]
+__all__ = ["SchemaError", "InternalInvariantError", "NotIntegrableError"]
 
 
 class SchemaError(ValueError):
@@ -32,3 +34,15 @@ class InternalInvariantError(RuntimeError):
     def __init__(self, message: str, payload: dict | None = None) -> None:
         super().__init__(message)
         self.payload = payload or {}
+
+
+class NotIntegrableError(ValueError):
+    """A function of a dominated-convergence run is not integrable.
+
+    ``term`` is the index of the sequence term at fault, or None for
+    the limit.
+    """
+
+    def __init__(self, term: int | None) -> None:
+        super().__init__("function is not integrable against this measure")
+        self.term = term

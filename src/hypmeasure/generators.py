@@ -44,7 +44,7 @@ def make_space(n_atoms: int, prefix: str = "x") -> FiniteSpace:
     if n_atoms < 1:
         raise ValueError("need at least one atom")
     width = len(str(n_atoms - 1))
-    return FiniteSpace(tuple(f"{prefix}{i:0{width}d}" for i in range(n_atoms)))
+    return FiniteSpace(tuple(prefix + str(i).zfill(width) for i in range(n_atoms)))
 
 
 def _real_values(rng: Generator, n: int, mode: str, bound: float) -> np.ndarray:
@@ -241,15 +241,15 @@ def gen_dct_instance(
     dominator = TFunction(space, np.abs(f.e1) + g1, np.abs(f.e2) + g2)
     mu = TMeasure(space, rng.uniform(0.1, 1.0, size=n), rng.uniform(0.1, 1.0, size=n))
 
-    def noise() -> np.ndarray:
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        return 0.9 * np.exp(1j * theta)
-
+    # One draw of the stream that n_terms * 2 draws of n angles would
+    # consume, in that order: term by term, e1 before e2.
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(n_terms, 2, n))
+    noise = 0.9 * np.exp(1j * theta)
     seq = [
         TFunction(
             space,
-            f.e1 + (g1 / k) * noise(),
-            f.e2 + (g2 / k) * noise(),
+            f.e1 + (g1 / k) * noise[k - 1, 0],
+            f.e2 + (g2 / k) * noise[k - 1, 1],
         )
         for k in range(1, n_terms + 1)
     ]

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import sys
 import time
 from unittest import mock
 
@@ -551,6 +552,31 @@ class TestCliDecompose:
             doc = _run_json(["decompose"], capsys)
             assert all(doc["checks"].values())
 
+    @pytest.mark.parametrize(
+        "masses, reference, location",
+        [
+            # Each mass is finite; their sum is not.
+            ([[1e308, 1e308], [1e308, 1e308]], None, "input.measure"),
+            # The sum is finite, n times it (the certifiers' rounding scale) is not.
+            ([[1e308, 1.0], [1e307, 1.0]], None, "input.measure"),
+            # A tiny reference mass overflows the density 9 / 5e-324.
+            ([[9.0, 1.0], [1.0, 1.0]], [[5e-324, 1.0], [1.0, 1.0]], "input.reference"),
+        ],
+    )
+    def test_overflowing_finite_input_is_a_schema_error(
+        self, masses, reference, location, capsys, monkeypatch
+    ):
+        space = FiniteSpace(("a", "b"))
+        doc_in = measure_to_obj(TMeasure(space, *np.array(masses).T))
+        if reference is not None:
+            doc_in["reference"] = measure_to_obj(TMeasure(space, *np.array(reference).T))["measure"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc_in)))
+        code, out, err = _run(["decompose"], capsys)
+        assert code == 2
+        assert out == ""
+        # One JSON document on stderr and nothing else: no numpy warning.
+        assert json.loads(err)["location"] == location
+
     @pytest.mark.parametrize("n, hahn_ok", [(20, True), (21, None), (200, None)])
     def test_subset_cap(self, n, hahn_ok, capsys, monkeypatch):
         # The Hahn cells are built at any size; only the two
@@ -702,6 +728,46 @@ class TestCliIntegrate:
             "error": "schema violation", "location": location, "message": message,
         }
 
+    @pytest.mark.parametrize(
+        "bad, location",
+        [
+            ({"sequence": 1, "value": "NaN"}, "input.sequence[1].function"),
+            # 1e308 is finite; its product with the mass 9 is not.
+            ({"sequence": 2, "value": "1e308", "mass": 9}, "input.sequence[2].function"),
+            ({"sequence": 0, "value": "-Infinity"}, "input.sequence[0].function"),
+            ({"limit": True, "value": "NaN"}, "input.limit.function"),
+            # A bad term is named before a bad limit.
+            ({"sequence": 2, "limit": True, "value": "NaN"}, "input.sequence[2].function"),
+            # Term and limit at +-1e307 are integrable against the mass 9;
+            # their distance 2e307 times 9 is not.
+            ({"sequence": 1, "value": "1e307", "limit_value": "-1e307", "mass": 9},
+             "input.sequence[1].function"),
+        ],
+    )
+    def test_dct_names_the_non_integrable_term(self, tmp_path, capsys, bad, location):
+        def fn(value="1"):
+            return f'{{"function": {{"a": {{"e1": [{value}, 0], "e2": [1, 0]}}}}}}'
+
+        seq = [fn() for _ in range(3)]
+        if "sequence" in bad:
+            seq[bad["sequence"]] = fn(bad["value"])
+        limit = fn(bad["value"] if "limit" in bad else bad.get("limit_value", "1"))
+        mass = bad.get("mass", 1)
+        path = tmp_path / "in.json"
+        path.write_text(
+            '{"space": {"atoms": ["a"]}, '
+            f'"measure": {{"a": {{"e1": [{mass}, 0], "e2": [1, 0]}}}}, '
+            f'"sequence": [{", ".join(seq)}], "limit": {limit}, "dominator": {fn()}}}'
+        )
+        code, out, err = _run(["integrate", "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "schema violation",
+            "location": location,
+            "message": "function is not integrable against this measure",
+        }
+
     @pytest.mark.parametrize("mass", ["NaN", "Infinity"])
     def test_dct_non_finite_mass(self, tmp_path, capsys, mass):
         # The fault is in the measure, so it is reported there, not at
@@ -842,6 +908,9 @@ _SUBSTITUTES = [
     math.nan, math.inf, -math.inf, 10**400, -(10**400), "", "x0", "D",
     [], [0, 0], ["x0"], {}, {"e1": [1, 0], "e2": [1, 0]}, True, False, None,
     0, -1, 0.5,
+    # Finite values at the edges of the float range: sums and products
+    # of them overflow or underflow.
+    1e308, -1e308, sys.float_info.max, 5e-324,
 ]
 _DELETE = object()
 

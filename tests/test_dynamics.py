@@ -386,3 +386,43 @@ def test_preimage_matches_pointwise_reference():
         a = space.subset_of_indices(np.flatnonzero(rng.random(n) < p).tolist())
         want = [i for i in range(n) if a.contains(int(f.image[i]))]
         assert list(f.preimage(a).indices()) == want
+
+
+def _cycle_structure_reference(image):
+    """On-cycle flags and cycles, atom by atom: x is on a cycle iff
+    following the map from x returns to x within n steps."""
+    n = len(image)
+    on_cycle = []
+    for x in range(n):
+        y = int(image[x])
+        for _ in range(n):
+            if y == x:
+                break
+            y = int(image[y])
+        on_cycle.append(y == x)
+    cycles, seen = [], set()
+    for x in range(n):
+        if on_cycle[x] and x not in seen:
+            cycle = [x]
+            y = int(image[x])
+            while y != x:
+                cycle.append(y)
+                y = int(image[y])
+            seen.update(cycle)
+            cycles.append(cycle)
+    return on_cycle, cycles
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+def test_cycle_structure_matches_pointwise_reference(n):
+    space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+    rng = np.random.default_rng(n)
+    images = [np.arange(n), rng.permutation(n), np.roll(np.arange(n), 1)]
+    images += [rng.integers(0, n, size=n) for _ in range(20)]
+    # Long tails into a short cycle: every atom points one step down.
+    images.append(np.maximum(np.arange(n) - 1, 0))
+    for image in images:
+        on_cycle, cycles = PointMap(space, image)._cycle_structure()
+        want_on, want_cycles = _cycle_structure_reference(image)
+        assert on_cycle.tolist() == want_on
+        assert [c.tolist() for c in cycles] == want_cycles

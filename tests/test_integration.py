@@ -7,6 +7,7 @@ from hypmeasure import (
     Bicomplex,
     FiniteSpace,
     Hyperbolic,
+    NotIntegrableError,
     SetMask,
     TFunction,
     TMeasure,
@@ -19,6 +20,7 @@ from hypmeasure import (
     leq_d,
     unimodular_factor,
 )
+from hypmeasure import generators as gen
 
 
 @pytest.fixture
@@ -206,3 +208,147 @@ class TestDct:
         report = dct_run(seq, f, g, prob, tol=1.0)
         for fn, traced in zip(seq, report.integral_trace):
             assert traced == integrate(fn, prob)
+
+
+# ------------------------------------------------- scalar references for dct_run
+
+
+def _hex(z):
+    # float.hex tells -0.0 from +0.0, so equal strings mean equal bits.
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _scalar_integral(v1, v2, m1, m2):
+    """The ascending scalar loop: numpy scalar products, a sum from +0.0."""
+    s1 = s2 = 0j
+    for i in range(len(m1)):
+        s1 += v1[i] * m1[i]
+        s2 += v2[i] * m2[i]
+    return complex(s1), complex(s2)
+
+
+def _dct_traces_reference(seq, f, mu):
+    """l1 and integral traces term by term, as scalar integrals of tables."""
+    m1, m2 = mu.e1.real, mu.e2.real
+    l1, ints = [], []
+    for fn in seq:
+        gap = (fn - f).d_modulus()
+        w1, w2 = _scalar_integral(gap.e1, gap.e2, m1, m2)
+        l1.append((w1.real.hex(), w2.real.hex()))
+        ints.append(tuple(map(_hex, _scalar_integral(fn.e1, fn.e2, m1, m2))))
+    return l1, ints
+
+
+def _edge_values(rng, shape, scale):
+    """Random complex values with -0.0, subnormals and tiny entries mixed in."""
+    out = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    specials = np.array([
+        complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+        5e-324, -5e-324j, complex(-1e-200, 1e-200), complex(2e-300, -3e-300),
+    ])
+    hit = rng.random(shape) < 0.3
+    out[hit] = rng.choice(specials, size=int(hit.sum()))
+    return out
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 100])
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 200])
+def test_dct_traces_equal_the_scalar_loop_bitwise(n_terms, n):
+    rng = np.random.default_rng([n_terms, n])
+    space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+    # Masses of 1e-200 turn the 1e-200-sized values into products that
+    # underflow, to -0.0 where the value is negative; some masses are -0.0.
+    m1 = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-200, 3, size=n)
+    m2 = np.abs(rng.standard_normal(n))
+    m1[rng.random(n) < 0.2] = -0.0
+    mu = TMeasure(space, m1, m2)
+    scale = 10.0 ** rng.integers(-200, 200, size=n)
+    seq = [
+        TFunction(space, _edge_values(rng, n, scale), _edge_values(rng, n, 1.0))
+        for _ in range(n_terms)
+    ]
+    # One term of all -0.0 values: every product is a zero, and the sums
+    # must still read +0.0.
+    seq[-1] = TFunction(space, np.full(n, complex(-0.0, -0.0)), seq[-1].e2)
+    f = TFunction(space, _edge_values(rng, n, scale), _edge_values(rng, n, 1.0))
+    g = TFunction.constant(space, 1.0)
+    report = dct_run(seq, f, g, mu, tol=1.0)
+    want_l1, want_ints = _dct_traces_reference(seq, f, mu)
+    assert [(h.e1.hex(), h.e2.hex()) for h in report.l1_limit] == want_l1
+    assert [(_hex(b.e1), _hex(b.e2)) for b in report.integral_trace] == want_ints
+    assert report.final_gap == report.l1_limit[-1]
+    for fn, traced in zip(seq, report.integral_trace):
+        got = integrate(fn, mu)
+        assert (_hex(got.e1), _hex(got.e2)) == (_hex(traced.e1), _hex(traced.e2))
+
+
+def test_dct_names_the_first_non_integrable_term():
+    space = FiniteSpace(("a", "b", "c"))
+    mu = TMeasure(space, [1.0, 9.0, 1.0], [1.0, 1.0, 1.0])
+    g = TFunction.constant(space, 1.0)
+    ok = TFunction.constant(space, 0.5)
+
+    def term(value, atom=1):
+        e1 = np.full(3, 0.5, dtype=complex)
+        e1[atom] = value
+        return TFunction(space, e1, np.full(3, 0.5))
+
+    cases = [
+        ([ok, term(np.nan), term(np.inf)], ok, 1),
+        ([ok, ok, term(1e308)], ok, 2),  # 1e308 * 9 overflows
+        ([ok, ok], term(np.nan), None),
+        ([ok, term(np.nan)], term(np.nan), 1),
+        # Term and limit integrable, their distance 2e307 * 9 is not.
+        ([ok, term(1e307), ok], term(-1e307), 1),
+    ]
+    for seq, limit, want in cases:
+        verdicts = [in_l1(fn, mu) for fn in seq]
+        with pytest.raises(NotIntegrableError) as info:
+            dct_run(seq, limit, g, mu, tol=1.0)
+        assert info.value.term == want
+        assert str(info.value) == "function is not integrable against this measure"
+        # The batched verdicts are in_l1's: every term before the named
+        # one is integrable, and the limit is named only after all terms.
+        if want is None:
+            assert all(verdicts) and not in_l1(limit, mu)
+        else:
+            assert all(verdicts[:want])
+
+
+def _dct_instance_reference(rng, space, n_terms):
+    """The sequence of gen_dct_instance with 2 * n_terms separate draws."""
+    n = space.size
+    f = gen.gen_function(rng, space)
+    g1 = rng.uniform(0.5, 2.0, size=n)
+    g2 = rng.uniform(0.5, 2.0, size=n)
+    rng.uniform(0.1, 1.0, size=n)
+    rng.uniform(0.1, 1.0, size=n)
+
+    def noise():
+        return 0.9 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
+
+    seq = []
+    for k in range(1, n_terms + 1):
+        e1 = f.e1 + (g1 / k) * noise()
+        e2 = f.e2 + (g2 / k) * noise()
+        seq.append((e1, e2))
+    return seq
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 200])
+def test_dct_instance_draws_the_stream_of_separate_draws(n):
+    space = gen.make_space(n)
+    for seed, n_terms in ((n, 1), (n + 1, 2), (n + 2, 100)):
+        seq, *_ = gen.gen_dct_instance(np.random.default_rng(seed), space, n_terms)
+        want = _dct_instance_reference(np.random.default_rng(seed), space, n_terms)
+        assert len(seq) == len(want)
+        for fn, (e1, e2) in zip(seq, want):
+            assert fn.e1.tobytes() == e1.tobytes()
+            assert fn.e2.tobytes() == e2.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 1000])
+def test_make_space_labels_are_zero_padded(n):
+    width = len(str(n - 1))
+    assert gen.make_space(n).atoms == tuple(f"x{i:0{width}d}" for i in range(n))

@@ -262,17 +262,28 @@ def test_set_sums_equal_the_ascending_scalar_sum_bitwise(n):
         rng.standard_normal(n) * scale,
     )
     d = variation_measure(mu)
-    f = TFunction(space, rng.standard_normal(n) * 1j, rng.standard_normal(n))
+    # -0.0 entries and values down to 1e-200, whose products with the
+    # masses down to 1e-300 underflow to zeros of either sign.
+    f1 = rng.standard_normal(n) * 1j
+    f1[rng.random(n) < 0.2] = complex(-0.0, -0.0)
+    f2 = rng.standard_normal(n) * 10.0 ** rng.integers(-200, 1, size=n)
+    f2[rng.random(n) < 0.2] = -0.0
+    f = TFunction(space, f1, f2)
     abs1, abs2 = np.abs(mu.e1), np.abs(mu.e2)
-    for p in (0.0, 0.3, 1.0):
-        members = np.flatnonzero(rng.random(n) < p).tolist()
-        e = space.subset_of_indices(members)
-        got = mu.of(e)
-        assert _exact(got.e1) == _exact(_ascending_sum(mu.e1, members))
-        assert _exact(got.e2) == _exact(_ascending_sum(mu.e2, members))
-        tv = mu.total_variation(e)
-        assert tv.e1.hex() == _ascending_sum(abs1, members).real.hex()
-        assert tv.e2.hex() == _ascending_sum(abs2, members).real.hex()
+    total = mu.total()
+    assert _exact(total.e1) == _exact(_ascending_sum(mu.e1, range(n)))
+    assert _exact(total.e2) == _exact(_ascending_sum(mu.e2, range(n)))
+    for p in (None, 0.0, 0.3, 1.0):
+        # None integrates over the whole space without a mask.
+        members = range(n) if p is None else np.flatnonzero(rng.random(n) < p).tolist()
+        e = None if p is None else space.subset_of_indices(members)
+        if e is not None:
+            got = mu.of(e)
+            assert _exact(got.e1) == _exact(_ascending_sum(mu.e1, members))
+            assert _exact(got.e2) == _exact(_ascending_sum(mu.e2, members))
+            tv = mu.total_variation(e)
+            assert tv.e1.hex() == _ascending_sum(abs1, members).real.hex()
+            assert tv.e2.hex() == _ascending_sum(abs2, members).real.hex()
         val = integrate(f, d, e)
         terms1 = [f.e1[i] * d.e1.real[i] for i in range(n)]
         terms2 = [f.e2[i] * d.e2.real[i] for i in range(n)]
@@ -287,6 +298,8 @@ def test_all_negative_zero_masses_sum_to_positive_zero():
     space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
     neg = np.full(n, complex(-0.0, -0.0))
     mu = TMeasure(space, neg, neg)
+    total = mu.total()
+    assert _exact(total.e1) == _exact(total.e2) == ("0x0.0p+0", "0x0.0p+0")
     for e in (space.full(), space.subset_of_indices(range(0, n, 3))):
         got = mu.of(e)
         assert _exact(got.e1) == _exact(got.e2) == ("0x0.0p+0", "0x0.0p+0")
