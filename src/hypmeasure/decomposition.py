@@ -64,7 +64,7 @@ _ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
 
 def _close(got, want, scale, tol: float) -> bool:
     """Whether |got - want| <= tol + 4*eps*scale, with scale = n*sum|x|."""
-    return bool(np.all(np.abs(got - want) <= tol + _ROUNDING * scale))
+    return bool((np.abs(got - want) <= tol + _ROUNDING * scale).all())
 
 
 def _components(table: AtomTable) -> np.ndarray:
@@ -176,7 +176,7 @@ def hahn(mu: TMeasure) -> HahnPartition:
     """
     _require_signed_d(mu)
     h = _components(polar_density(mu))
-    if not np.all((h == 1.0) | (h == -1.0)):
+    if not ((h == 1.0) | (h == -1.0)).all():
         raise InternalInvariantError(
             "polar density is not of the (+-1, +-1) form",
             payload={"h_e1": h[:, 0].tolist(), "h_e2": h[:, 1].tolist()},
@@ -248,7 +248,7 @@ def mutually_singular(a: TMeasure, b: TMeasure) -> bool:
     a._check_space(b)
     clash1 = (a.e1 != 0) & (b.e1 != 0)
     clash2 = (a.e2 != 0) & (b.e2 != 0)
-    return not bool(np.any(clash1) or np.any(clash2))
+    return not bool(clash1.any() or clash2.any())
 
 
 def abs_continuous(lam: TMeasure, mu: TMeasure) -> bool:
@@ -266,9 +266,7 @@ def abs_continuous(lam: TMeasure, mu: TMeasure) -> bool:
         raise ValueError("reference measure must be a D-measure")
     null1 = mu.e1.real == 0.0
     null2 = mu.e2.real == 0.0
-    return bool(
-        np.all(lam.e1[null1] == 0) and np.all(lam.e2[null2] == 0)
-    )
+    return bool((lam.e1[null1] == 0).all() and (lam.e2[null2] == 0).all())
 
 
 @dataclass(frozen=True)
@@ -355,7 +353,7 @@ def check_lattice_properties(
     )
     g_ok = _implies(
         abs_continuous(lam, mu) and mutually_singular(lam, mu),
-        bool(np.all(lam.e1 == 0) and np.all(lam.e2 == 0)),
+        bool((lam.e1 == 0).all() and (lam.e2 == 0).all()),
     )
     return LatticeReport(
         concentration_to_modulus=bool(a_ok),

@@ -35,8 +35,6 @@ __all__ = [
     "continuity_probe",
 ]
 
-BASIS_CAP = 1 << 16
-
 
 class PointMap:
     """A total map from atoms to atoms of one finite space.
@@ -157,32 +155,48 @@ def pushforward(f: PointMap, mu: TMeasure) -> TMeasure:
 def pushforward_iter(f: PointMap, mu: TMeasure, i: int) -> TMeasure:
     """The i-fold push-forward, i >= 1.
 
-    Gives the bits of i single pushes; past the atom count the time no
-    longer grows with i.
+    Gives the bits of i single pushes; once the tails are empty the time
+    no longer grows with i.
     """
     if i < 1:
         raise ValueError("iteration count must be >= 1")
     _require_same_space(f, mu)
     probability_variant(mu)
-    m1 = mu.e1.real
-    m2 = mu.e2.real
     n = f.space.size
-    # Past the atom count, push only until no mass is left on the tails.
-    # Every tail atom then holds +0.0 (a bincount sum seeded with +0.0
-    # over zeros) and no atom holds -0.0, so each further push moves the
-    # cycle atoms' values to their images unchanged.
-    steps = i if i <= n else _carrying_depth(f, m1, m2) + 1
-    for _ in range(steps):
-        m1, m2 = _push_arrays(f.image, m1, m2, n)
-    if steps < i:
+    m1, m2 = _push_arrays(f.image, mu.e1.real, mu.e2.real, n)
+    m1, m2, pushes = _settle(f, m1, m2, i - 1)
+    rest = i - 1 - pushes
+    if rest:
+        # No atom holds -0.0 after a push (a bincount sum starts at
+        # +0.0) and every tail atom now holds +0.0, so each further push
+        # moves the cycle atoms' values to their images unchanged.
         src = np.flatnonzero(f._cycle_structure()[0])
-        dst = _power(f.image, i - steps)[src]
+        dst = _power(f.image, rest)[src]
         out1 = np.zeros(n)
         out2 = np.zeros(n)
         out1[dst] = m1[src]
         out2[dst] = m2[src]
         m1, m2 = out1, out2
     return TMeasure(f.space, m1, m2)
+
+
+def _settle(
+    f: PointMap, m1: np.ndarray, m2: np.ndarray, limit: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Push while an off-cycle atom holds nonzero mass, at most limit times.
+
+    Returns the arrays and the number of pushes. On non-negative masses
+    that number is the longest tail below an atom with nonzero mass;
+    -0.0 reads as zero.
+    """
+    pushes = 0
+    if limit < 1:
+        return m1, m2, pushes
+    tail = np.flatnonzero(~f._cycle_structure()[0])
+    while pushes < limit and (m1[tail].any() or m2[tail].any()):
+        m1, m2 = _push_arrays(f.image, m1, m2, f.space.size)
+        pushes += 1
+    return m1, m2, pushes
 
 
 def _power(image: np.ndarray, r: int) -> np.ndarray:
@@ -214,7 +228,7 @@ def is_invariant(f: PointMap, mu: TMeasure, tol: float) -> bool:
     g1 = np.abs(nu.e1 - mu.e1)
     g2 = np.abs(nu.e2 - mu.e2)
     ok = (g1 <= tol) & (g2 <= tol) & ~((g1 == tol) & (g2 == tol))
-    return bool(np.all(ok))
+    return bool(ok.all())
 
 
 @dataclass(frozen=True)
@@ -296,33 +310,6 @@ def _cycles(image: np.ndarray, on_cycle: np.ndarray) -> list[list[int]]:
     return cycles
 
 
-def _tail_depths(image: np.ndarray, on_cycle: np.ndarray) -> np.ndarray:
-    """Steps needed to land on a cycle, per atom (0 on cycles)."""
-    n = len(image)
-    depth = np.full(n, -1, dtype=np.int64)
-    depth[on_cycle] = 0
-    for i in range(n):
-        if depth[i] >= 0:
-            continue
-        chain = []
-        x = i
-        while depth[x] < 0:
-            chain.append(x)
-            x = int(image[x])
-        d = int(depth[x])
-        for y in reversed(chain):
-            d += 1
-            depth[y] = d
-    return depth
-
-
-def _carrying_depth(f: PointMap, m1: np.ndarray, m2: np.ndarray) -> int:
-    """Longest tail below an atom with nonzero mass in either component."""
-    depths = _tail_depths(f.image, f._cycle_structure()[0])
-    carrying = (m1 != 0.0) | (m2 != 0.0)
-    return int(depths[carrying].max()) if carrying.any() else 0
-
-
 @dataclass(frozen=True)
 class CesaroTrace:
     """Trace of the averaged push-forward orbit.
@@ -330,7 +317,7 @@ class CesaroTrace:
     ``gaps[k]`` is the total atomwise D-modulus of the invariance
     defect of the running average over the first k+1 orbit terms, and
     ``limit`` the last of those averages, after ``len(gaps)`` terms.
-    ``burn_in`` records how many push-forwards were applied before
+    ``burn_in`` records how many push-forwards emptied the tails before
     averaging started.
     """
 
@@ -341,27 +328,17 @@ class CesaroTrace:
 
 
 def cesaro_invariant(
-    f: PointMap,
-    mu0: TMeasure,
-    max_iter: int,
-    tol: float,
-    burn_in: "int | str" = "auto",
+    f: PointMap, mu0: TMeasure, max_iter: int, tol: float
 ) -> CesaroTrace:
     """Average the push-forward orbit of mu0 until it is invariant.
 
-    Computes running averages mu_n = (1/n) * sum of the first n orbit
+    First pushes mu0 until no mass is left on the transient tails (the
+    literal recurrence started at mu0 has gap (1/n)*|f_*^n mu0 - mu0|,
+    which decays only like 1/n while mu0 holds transient mass). Then
+    computes running averages mu_n = (1/n) * sum of the first n orbit
     terms and stops once the invariance gap of mu_n falls strictly
-    below tol*(e1+e2).
-
-    The literal recurrence started at mu0 has gap
-    (1/n)*|f_*^n mu0 - mu0|, which decays like 1/n and cannot reach
-    tight tolerances while mu0 holds mass on transient atoms. The
-    default ``burn_in="auto"`` therefore first advances mu0 by the
-    longest transient-tail length among its support atoms, which puts
-    all mass on cycles; averaging then closes the gap exactly at the
-    period of the occupied cycles (up to float roundoff). Pass
-    ``burn_in=0`` for the literal recurrence, or any nonnegative
-    integer to choose the offset yourself.
+    below tol*(e1+e2); with all mass on cycles the gap closes exactly
+    at the period of the occupied cycles (up to float roundoff).
 
     Raises
     ------
@@ -376,17 +353,7 @@ def cesaro_invariant(
     probability_variant(mu0)
 
     n_atoms = f.space.size
-    if burn_in == "auto":
-        burn = _carrying_depth(f, mu0.e1.real, mu0.e2.real)
-    else:
-        burn = int(burn_in)
-        if burn < 0:
-            raise ValueError("burn_in must be >= 0 or 'auto'")
-
-    cur1 = mu0.e1.real.copy()
-    cur2 = mu0.e2.real.copy()
-    for _ in range(burn):
-        cur1, cur2 = _push_arrays(f.image, cur1, cur2, n_atoms)
+    cur1, cur2, burn = _settle(f, mu0.e1.real, mu0.e2.real, n_atoms)
 
     sum1 = np.zeros(n_atoms)
     sum2 = np.zeros(n_atoms)
@@ -422,14 +389,7 @@ def invariant_basis_bruteforce(f: PointMap) -> list[TMeasure]:
     These are the extremal invariant measures: every output passes
     is_invariant at tight tolerance, and Cesaro limits lie in their
     componentwise convex hull. Ordered by smallest cycle member.
-
-    Raises
-    ------
-    ValueError
-        If the space exceeds 2**16 atoms.
     """
-    if f.space.size > BASIS_CAP:
-        raise ValueError(f"space too large for cycle enumeration (> {BASIS_CAP})")
     basis = []
     for cycle in f._cycle_structure()[1]:
         mass = np.zeros(f.space.size)

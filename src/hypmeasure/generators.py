@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 DYADIC = 64
+# Chance that gen_d_measure zeroes a component mass.
+ZERO_PROB = 0.25
+# Longest cycle gen_map_with_small_cycles builds.
+MAX_CYCLE = 6
+# Label prefix of gen_interval_map_discretization's bins.
+BIN_PREFIX = "b"
 
 
 def make_space(n_atoms: int, prefix: str = "x") -> FiniteSpace:
@@ -83,22 +89,19 @@ def gen_signed_measure(
 
 
 def gen_d_measure(
-    rng: Generator,
-    space: FiniteSpace,
-    mode: str = "float",
-    zero_prob: float = 0.25,
+    rng: Generator, space: FiniteSpace, mode: str = "float"
 ) -> TMeasure:
     """A measure with masses in D+.
 
     Each component mass is zeroed independently with probability
-    ``zero_prob`` so that null atoms (the interesting case for
+    ``ZERO_PROB`` so that null atoms (the interesting case for
     absolute continuity) appear regularly.
     """
     n = space.size
     u = np.abs(_real_values(rng, n, mode, 5.0))
     v = np.abs(_real_values(rng, n, mode, 5.0))
-    u[rng.random(n) < zero_prob] = 0.0
-    v[rng.random(n) < zero_prob] = 0.0
+    u[rng.random(n) < ZERO_PROB] = 0.0
+    v[rng.random(n) < ZERO_PROB] = 0.0
     return TMeasure(space, u, v)
 
 
@@ -131,15 +134,9 @@ def gen_d_probability(
     return TMeasure(space, u, v)
 
 
-def gen_function(
-    rng: Generator, space: FiniteSpace, mode: str = "float", real: bool = False
-) -> TFunction:
-    """A function table with complex (or real) bicomplex values."""
+def gen_function(rng: Generator, space: FiniteSpace, mode: str = "float") -> TFunction:
+    """A function table with complex bicomplex values."""
     n = space.size
-    if real:
-        return TFunction(
-            space, _real_values(rng, n, mode, 3.0), _real_values(rng, n, mode, 3.0)
-        )
     return TFunction(
         space, _complex_values(rng, n, mode, 3.0), _complex_values(rng, n, mode, 3.0)
     )
@@ -150,10 +147,8 @@ def gen_map(rng: Generator, space: FiniteSpace) -> PointMap:
     return PointMap(space, rng.integers(0, space.size, size=space.size))
 
 
-def gen_map_with_small_cycles(
-    rng: Generator, space: FiniteSpace, max_cycle: int = 6
-) -> PointMap:
-    """A self-map whose cycles all have length <= max_cycle.
+def gen_map_with_small_cycles(rng: Generator, space: FiniteSpace) -> PointMap:
+    """A self-map whose cycles all have length <= MAX_CYCLE.
 
     The leading atoms are arranged into one to three short cycles and
     every later atom points to a strictly earlier one, so no further
@@ -170,7 +165,7 @@ def gen_map_with_small_cycles(
         remaining = n - used
         if remaining == 0:
             break
-        length = int(rng.integers(1, min(max_cycle, remaining) + 1))
+        length = int(rng.integers(1, min(MAX_CYCLE, remaining) + 1))
         lengths.append(length)
         used += length
     pos = 0
@@ -184,16 +179,15 @@ def gen_map_with_small_cycles(
 
 
 def gen_interval_map_discretization(
-    bins: int,
-    breakpoints: "list[tuple[float, float]] | None" = None,
-    prefix: str = "b",
+    bins: int, breakpoints: "list[tuple[float, float]] | None" = None
 ) -> tuple[FiniteSpace, PointMap]:
     """Discretize a piecewise-linear self-map of [0, 1] onto bins.
 
     The unit interval splits into ``bins`` equal cells; each cell is
     represented by its midpoint, the map value at the midpoint is
     linearly interpolated between the breakpoints, and the image cell
-    is the one containing that value. Defaults to the tent map.
+    is the one containing that value. Defaults to the tent map. Bin
+    labels start with ``BIN_PREFIX``.
 
     Raises
     ------
@@ -214,7 +208,7 @@ def gen_interval_map_discretization(
         raise ValueError("breakpoints must span [0, 1]")
     if np.any(ys < 0.0) or np.any(ys > 1.0):
         raise ValueError("breakpoint values must stay inside [0, 1]")
-    space = make_space(bins, prefix=prefix)
+    space = make_space(bins, prefix=BIN_PREFIX)
     centers = (np.arange(bins) + 0.5) / bins
     values = np.interp(centers, xs, ys)
     targets = np.clip(np.floor(values * bins).astype(np.int64), 0, bins - 1)

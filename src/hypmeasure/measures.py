@@ -134,14 +134,14 @@ class AtomTable:
         if other.space != self.space:
             return False
         return bool(
-            np.all(np.abs(self.e1 - other.e1) <= tol)
-            and np.all(np.abs(self.e2 - other.e2) <= tol)
+            (np.abs(self.e1 - other.e1) <= tol).all()
+            and (np.abs(self.e2 - other.e2) <= tol).all()
         )
 
     def equal_exact(self, other: "AtomTable") -> bool:
         if other.space != self.space:
             return False
-        return bool(np.all(self.e1 == other.e1) and np.all(self.e2 == other.e2))
+        return bool((self.e1 == other.e1).all() and (self.e2 == other.e2).all())
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -219,7 +219,8 @@ class TMeasure(AtomTable):
         else:
             u = self.e1.real
             v = self.e2.real
-            if (u < 0.0).any() or (v < 0.0).any():
+            # ">= 0 everywhere", not "no atom < 0": a NaN mass is not in D+.
+            if not ((u >= 0.0).all() and (v >= 0.0).all()):
                 kind = MeasureKind.SIGNED_D
             elif np.isfinite(u).all() and np.isfinite(v).all():
                 kind = MeasureKind.D_PLUS
@@ -378,7 +379,7 @@ def dominates(lambda_d: TMeasure, mu: TMeasure, tol: float = 1e-12) -> bool:
     for mu_comp, lam_comp in ((mu.e1, lambda_d.e1), (mu.e2, lambda_d.e2)):
         mu_sums = np.abs(subset_sums(mu_comp))
         lam_sums = subset_sums(lam_comp.real)
-        if not np.all(mu_sums <= lam_sums + tol):
+        if not (mu_sums <= lam_sums + tol).all():
             return False
     return True
 

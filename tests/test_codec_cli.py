@@ -874,6 +874,20 @@ class TestCliDynamics:
         assert doc["limit"]["c"] == {"e1": [0.0, 0.0], "e2": [0.0, 0.0]}
         assert len(doc["basis"]) == 1
 
+    def test_find_invariant_has_no_size_cap(self, tmp_path, capsys):
+        # One cycle through 2**16 + 1 atoms, one past the old basis cap.
+        n = (1 << 16) + 1
+        atoms = [f"x{i}" for i in range(n)]
+        doc_in = {
+            "space": {"atoms": atoms},
+            "map": {a: atoms[(i + 1) % n] for i, a in enumerate(atoms)},
+        }
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc_in))
+        doc = _run_json(["find-invariant", "--input", str(path)], capsys)
+        assert doc["converged"] is True and doc["burn_in"] == 0
+        assert len(doc["basis"]) == 1 and len(doc["basis"][0]) == n
+
 
 class TestCliKindHint:
     ONE_ATOM = {

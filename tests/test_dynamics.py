@@ -124,29 +124,47 @@ class TestPushforward:
         once = pushforward_iter(f, mu, 1)
         assert once.equal_exact(pushforward(f, mu))
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_long_iterates_match_single_pushes(self, seed):
-        # Random maps have tails, permutations none; counts past the atom
-        # count take the shortcut, which must give the bits of the literal
-        # loop.
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 30))
+    @pytest.mark.parametrize("case", [*range(8), "path", "identity", "on-cycles"])
+    def test_long_iterates_match_single_pushes(self, case):
+        # Random maps have tails, permutations none; counts past the
+        # longest carrying tail take the index-power shortcut, which must
+        # give the bits of the literal loop. "path" is a tail of depth
+        # n-1 into a fixed point, "identity" has no tails, and
+        # "on-cycles" holds mass on cycle atoms only, with -0.0 entries.
+        rng = np.random.default_rng(case if isinstance(case, int) else 8)
+        n = int(rng.integers(1, 30)) if isinstance(case, int) else 23
         space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
-        image = rng.permutation(n) if seed >= 6 else rng.integers(0, n, size=n)
+        if case == "path":
+            image = np.maximum(np.arange(n) - 1, 0)
+        elif case == "identity":
+            image = np.arange(n)
+        elif isinstance(case, int) and case >= 6:
+            image = rng.permutation(n)
+        else:
+            image = rng.integers(0, n, size=n)
         f = PointMap(space, image)
         mass = rng.random((2, n)) * (rng.random((2, n)) < 0.6)
-        mass[:, 0] += 0.25
+        if case == "on-cycles":
+            mass[:, ~f._cycle_structure()[0]] = 0.0
+            mass[:, np.flatnonzero(f._cycle_structure()[0])[0]] += 0.25
+        else:
+            mass[:, n - 1 if case == "path" else 0] += 0.25
         mass /= mass.sum(axis=1, keepdims=True)
-        if seed % 2:
+        if case in (1, 3, 5, 7):
             mass[1] = 0.0  # the e1 variant
         mass[mass == 0.0] = -0.0
         mu = TMeasure(space, mass[0], mass[1])
         step = mu
-        for i in range(1, 3 * n + 1):
+        for i in range(1, 3 * n + 8):
             step = pushforward(f, step)
             got = pushforward_iter(f, mu, i)
             assert got.e1.tobytes() == step.e1.tobytes(), i
             assert got.e2.tobytes() == step.e2.tobytes(), i
+
+    def test_single_push_skips_the_cycle_structure(self, cycle3, tail_map):
+        for space, f in (cycle3, tail_map):
+            pushforward_iter(f, _uniform(space), 1)
+            assert f._cycle_cache is None
 
     def test_huge_count_on_a_swap(self):
         space = FiniteSpace(("a", "b"))
@@ -259,21 +277,23 @@ class TestCesaro:
         assert trace.converged
         assert trace.limit.equal_exact(_delta(space, "a"))
         assert is_invariant(f, trace.limit, 1e-12)
-
-    def test_literal_mode_stalls_on_transients(self, tail_map):
-        space, f = tail_map
-        trace = cesaro_invariant(
-            f, _delta(space, "c"), max_iter=50, tol=1e-12, burn_in=0
-        )
-        assert not trace.converged
-        assert len(trace.gaps) == 50
-        # the defect decays like 1/n, far above the tolerance
-        assert trace.gaps[-1].e1 > 1e-3
-
-    def test_burn_in_validation(self, cycle3):
-        space, f = cycle3
-        with pytest.raises(ValueError, match="burn_in"):
-            cesaro_invariant(f, _uniform(space), max_iter=5, tol=1e-9, burn_in=-1)
+        # On random maps the burn-in is the longest tail below an atom
+        # with nonzero mass, walked here atom by atom.
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+            f = PointMap(space, rng.integers(0, n, size=n))
+            mass = rng.random((2, n)) * (rng.random((2, n)) < 0.3)
+            mass[:, int(rng.integers(n))] += 0.25
+            mass /= mass.sum(axis=1, keepdims=True)
+            mass[mass == 0.0] = -0.0
+            mu0 = TMeasure(space, mass[0], mass[1])
+            trace = cesaro_invariant(f, mu0, max_iter=1, tol=1e-12)
+            on_cycle, _ = _cycle_structure_reference(f.image)
+            carrying = np.flatnonzero((mass != 0.0).any(axis=0))
+            depths = [_tail_depth(f.image, on_cycle, x) for x in carrying]
+            assert trace.burn_in == max(depths)
 
     def test_limit_in_hull(self, cycle3):
         space, f = cycle3
@@ -386,6 +406,15 @@ def test_preimage_matches_pointwise_reference():
         a = space.subset_of_indices(np.flatnonzero(rng.random(n) < p).tolist())
         want = [i for i in range(n) if a.contains(int(f.image[i]))]
         assert list(f.preimage(a).indices()) == want
+
+
+def _tail_depth(image, on_cycle, x):
+    """Steps from x to the first atom that lies on a cycle."""
+    depth = 0
+    while not on_cycle[x]:
+        x = int(image[x])
+        depth += 1
+    return depth
 
 
 def _cycle_structure_reference(image):

@@ -12,6 +12,7 @@ from hypmeasure import (
     MeasureKind,
     TFunction,
     TMeasure,
+    abs_continuous,
     dominates,
     integrate,
     normalize_to_probability,
@@ -73,6 +74,19 @@ class TestKinds:
         inf_mu = TMeasure(space, np.array([np.inf, 0.0]), np.zeros(2))
         assert inf_mu.kind is MeasureKind.D
         assert not inf_mu.is_finite()
+
+    @pytest.mark.parametrize("where", ["e1", "e2", "both"])
+    def test_nan_mass_is_not_d(self, space, where):
+        # NaN < 0 is false, so a NaN mass must not read as a D+ value.
+        nan = np.array([np.nan, 1.0])
+        one = np.ones(2)
+        e1 = nan if where in ("e1", "both") else one
+        e2 = nan if where in ("e2", "both") else one
+        mu = TMeasure(space, e1, e2)
+        assert mu.kind is MeasureKind.SIGNED_D
+        assert not mu.is_d_measure() and mu.is_real()
+        with pytest.raises(ValueError, match="D-measure"):
+            abs_continuous(TMeasure(space, one, one), mu)
 
     def test_predicates(self, space):
         mu = TMeasure.from_atoms(space, {"a": Bicomplex(1, 2)})
