@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
@@ -89,8 +90,11 @@ GEN_KINDS = (
 
 def _check_flags(args: argparse.Namespace) -> None:
     """Reject out-of-range flag values of the flags a subcommand has."""
-    if getattr(args, "tol", 1.0) <= 0.0:
+    tol = getattr(args, "tol", 1.0)
+    if tol <= 0.0:
         raise SchemaError("tol", "must be positive")
+    if not math.isfinite(tol):
+        raise SchemaError("tol", "must be finite")
     if getattr(args, "cases", 1) <= 0:
         raise SchemaError("cases", "must be positive")
     if getattr(args, "seed", 0) < 0:
@@ -365,7 +369,7 @@ def _cmd_gen(args: argparse.Namespace) -> dict:
                 if (
                     not isinstance(pt, list)
                     or len(pt) != 2
-                    or not all(isinstance(c, (int, float)) for c in pt)
+                    or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in pt)
                 ):
                     raise SchemaError(
                         f"input.breakpoints[{i}]", "expected an [x, y] pair"

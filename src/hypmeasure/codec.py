@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from typing import Any
 
 from .errors import SchemaError
 from .integration import TFunction
-from .measures import AtomTable, MeasureKind, TMeasure
+from .measures import KIND_RANK, AtomTable, MeasureKind, TMeasure
 from .numbers import Bicomplex, Hyperbolic
 from .spaces import FiniteSpace, SetMask
 from .dynamics import PointMap
@@ -176,11 +177,14 @@ def _encode(o: Any, level: int, append, markers: dict) -> None:
 
 
 def _as_float(x: int | float, loc: str) -> float:
-    """``float(x)``; a JSON integer past the float range is a schema error."""
+    """``float(x)``; NaN, infinities and ints past the float range are refused."""
     try:
-        return float(x)
+        value = float(x)
     except OverflowError:
         raise SchemaError(loc, "number outside the float range") from None
+    if not math.isfinite(value):
+        raise SchemaError(loc, "expected a finite number")
+    return value
 
 
 def _require_number(x: Any, loc: str) -> float:
@@ -229,9 +233,10 @@ def _parse_complex_pair(obj: dict, key: str, loc: str) -> complex:
     try:
         return complex(float(re), float(im))
     except OverflowError:
-        # Name the part at fault; one of these two raises.
-        _as_float(re, f"{loc}.{key}[0]")
-        _as_float(im, f"{loc}.{key}[1]")
+        # Name the part at fault: only an int overflows, and no int is NaN.
+        for j, part in enumerate(x):
+            if isinstance(part, int):
+                _as_float(part, f"{loc}.{key}[{j}]")
         raise
 
 
@@ -302,12 +307,6 @@ def parse_mask(obj: Any, space: FiniteSpace, loc: str = "set") -> SetMask:
         raise SchemaError(loc, str(exc)) from None
 
 
-_KIND_ORDER = {
-    MeasureKind.T: 0,
-    MeasureKind.SIGNED_D: 1,
-    MeasureKind.D: 2,
-    MeasureKind.D_PLUS: 3,
-}
 _KIND_BY_HINT = {k.value: k for k in MeasureKind}
 
 
@@ -353,7 +352,7 @@ def parse_measure(
             raise SchemaError(
                 f"{loc}.kind_hint", "expected one of T, signedD, D, D+"
             )
-        if _KIND_ORDER[mu.kind] < _KIND_ORDER[_KIND_BY_HINT[hint]]:
+        if KIND_RANK[mu.kind] < KIND_RANK[_KIND_BY_HINT[hint]]:
             raise SchemaError(
                 f"{loc}.kind_hint",
                 f"data has kind {mu.kind.value}, looser than the declared {hint}",

@@ -79,11 +79,6 @@ class TFunction(AtomTable):
             self.space, unimodular_factor(self.e1), unimodular_factor(self.e2)
         )
 
-    def scaled(self, c: _MassLike) -> "TFunction":
-        """Pointwise scalar product with a bicomplex scalar."""
-        c1, c2 = _as_components(c)
-        return TFunction(self.space, c1 * self.e1, c2 * self.e2)
-
 
 def unimodular_factor(values: np.ndarray) -> np.ndarray:
     """w / |w| entrywise, with 1 substituted where w = 0.

@@ -40,7 +40,10 @@ SUBSET_CAP = 20
 
 
 class MeasureKind(Enum):
-    """Strictest value-range class a measure belongs to."""
+    """Strictest value-range class a measure belongs to.
+
+    Declared from loosest to strictest; ``KIND_RANK`` numbers them so.
+    """
 
     T = "T"
     SIGNED_D = "signedD"
@@ -48,13 +51,13 @@ class MeasureKind(Enum):
     D_PLUS = "D+"
 
 
+KIND_RANK = {kind: rank for rank, kind in enumerate(MeasureKind)}
+
+
 def _as_components(value: _MassLike) -> tuple[complex, complex]:
-    if isinstance(value, Bicomplex):
-        return value.e1, value.e2
-    if isinstance(value, Hyperbolic):
-        return complex(value.e1), complex(value.e2)
-    value = complex(value)
-    return value, value
+    # What the number core refuses (numpy integers, say) goes to complex().
+    b = Bicomplex._coerce(value) or Bicomplex(value, value)
+    return b.e1, b.e2
 
 
 class AtomTable:
@@ -121,6 +124,18 @@ class AtomTable:
 
     def __neg__(self):
         return type(self)(self.space, -self.e1, -self.e2)
+
+    def scaled(self, c: _MassLike):
+        """Scalar product c*table, componentwise in the idempotent basis.
+
+        Each role lists its scalars in ``_SCALARS``; a zero divisor such
+        as e1 annihilates the other component. Both roles multiply
+        scalar × array, so they agree bitwise.
+        """
+        if not isinstance(c, self._SCALARS):
+            raise TypeError(f"{self._PLURAL} take no {type(c).__name__} scalars")
+        c1, c2 = _as_components(c)
+        return type(self)(self.space, c1 * self.e1, c2 * self.e2)
 
     def __mul__(self, c):
         if isinstance(c, self._SCALARS):
@@ -260,18 +275,6 @@ class TMeasure(AtomTable):
         """Atoms carrying a nonzero mass in either component."""
         nonzero = (self.e1 != 0) | (self.e2 != 0)
         return self.space.subset_of_indices(np.flatnonzero(nonzero))
-
-    def scaled(self, c: "Hyperbolic | Bicomplex | float | int") -> "TMeasure":
-        """Scalar product c*mu, componentwise in the idempotent basis.
-
-        Hyperbolic scalars make the measures a module over D; scaling
-        by a zero divisor (e.g. e1) annihilates the other component.
-        """
-        if not isinstance(c, self._SCALARS):
-            raise TypeError("scalar must be hyperbolic, bicomplex or real")
-        if isinstance(c, (int, float)):
-            c = Hyperbolic.from_real(c)
-        return TMeasure(self.space, self.e1 * c.e1, self.e2 * c.e2)
 
 
 def _ascending_sum(values: np.ndarray) -> np.ndarray:
@@ -427,8 +430,7 @@ def probability_variant(mu: TMeasure, tol: float = 1e-12) -> Hyperbolic:
     """
     if not mu.is_d_measure():
         raise ValueError("a D-probability must be a D-measure")
-    total = mu.total()
-    t = Hyperbolic(total.e1.real, total.e2.real)
+    t = mu.total().as_hyperbolic()
     for variant in _VARIANTS:
         if t.isclose(variant, tol):
             return variant

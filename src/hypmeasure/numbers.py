@@ -4,7 +4,9 @@ The idempotent units e1 and e2 satisfy e1*e1 = e1, e2*e2 = e2,
 e1*e2 = 0 and e1 + e2 = 1, so addition and multiplication act
 componentwise on the pair of coefficients. A :class:`Hyperbolic`
 number has real coefficients, a :class:`Bicomplex` number has complex
-ones. The hyperbolic unit j equals e1 - e2.
+ones; both inherit that componentwise arithmetic, with moduli, zero
+tests, closeness and reprs, from one private core class. The
+hyperbolic unit j equals e1 - e2.
 
 All values are immutable and every function here is pure, so the whole
 module is safe for concurrent use.
@@ -37,8 +39,69 @@ __all__ = [
 _RealLike = Union[int, float]
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
+class _Idempotent:
+    """Componentwise arithmetic on the coefficient pair (e1, e2).
+
+    Subclasses are frozen dataclasses (init=False and repr=False keep
+    these methods) that set the coefficient type ``_FIELD`` and a
+    converter ``_coerce``, which returns None to refuse an operand; so
+    hyperbolic meets bicomplex on the bicomplex side.
+    """
+
+    _FIELD: type
+
+    def __init__(self, e1, e2) -> None:
+        object.__setattr__(self, "e1", self._FIELD(e1))
+        object.__setattr__(self, "e2", self._FIELD(e2))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return type(self)(self.e1 + other.e1, self.e2 + other.e2)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return type(self)(self.e1 - other.e1, self.e2 - other.e2)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return type(self)(self.e1 * other.e1, self.e2 * other.e2)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return type(self)(-self.e1, -self.e2)
+
+    def is_zero(self) -> bool:
+        return self.e1 == 0 and self.e2 == 0
+
+    def d_modulus(self) -> "Hyperbolic":
+        """Componentwise modulus |w1|*e1 + |w2|*e2; lands in D+."""
+        return Hyperbolic(abs(self.e1), abs(self.e2))
+
+    def isclose(self, other, tol: float = 1e-12) -> bool:
+        """Componentwise closeness within an absolute tolerance."""
+        return abs(self.e1 - other.e1) <= tol and abs(self.e2 - other.e2) <= tol
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.e1!r}, {self.e2!r})"
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class Hyperbolic(_Idempotent):
     """A number u*e1 + v*e2 with real coefficients.
 
     Attributes
@@ -50,56 +113,24 @@ class Hyperbolic:
     e1: float
     e2: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "e1", float(self.e1))
-        object.__setattr__(self, "e2", float(self.e2))
+    _FIELD = float
+
+    @staticmethod
+    def _coerce(x: "Hyperbolic | _RealLike") -> "Hyperbolic | None":
+        if isinstance(x, Hyperbolic):
+            return x
+        if hasattr(x, "__float__") and not isinstance(x, complex):
+            return Hyperbolic(x, x)
+        return None
 
     @staticmethod
     def from_real(x: _RealLike) -> "Hyperbolic":
         """Embed a real number as x*(e1 + e2)."""
-        return Hyperbolic(float(x), float(x))
-
-    def __add__(self, other: "Hyperbolic | _RealLike") -> "Hyperbolic":
-        other = _coerce_hyp(other)
-        if other is None:
-            return NotImplemented
-        return Hyperbolic(self.e1 + other.e1, self.e2 + other.e2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Hyperbolic | _RealLike") -> "Hyperbolic":
-        other = _coerce_hyp(other)
-        if other is None:
-            return NotImplemented
-        return Hyperbolic(self.e1 - other.e1, self.e2 - other.e2)
-
-    def __rsub__(self, other: "Hyperbolic | _RealLike") -> "Hyperbolic":
-        other = _coerce_hyp(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other: "Hyperbolic | _RealLike") -> "Hyperbolic":
-        other = _coerce_hyp(other)
-        if other is None:
-            return NotImplemented
-        return Hyperbolic(self.e1 * other.e1, self.e2 * other.e2)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Hyperbolic":
-        return Hyperbolic(-self.e1, -self.e2)
-
-    def d_modulus(self) -> "Hyperbolic":
-        """Componentwise absolute value |u|*e1 + |v|*e2; lands in D+."""
-        return Hyperbolic(abs(self.e1), abs(self.e2))
+        return Hyperbolic(x, x)
 
     def in_d_plus(self) -> bool:
         """True iff both coefficients are >= 0."""
         return self.e1 >= 0.0 and self.e2 >= 0.0
-
-    def is_zero(self) -> bool:
-        return self.e1 == 0.0 and self.e2 == 0.0
 
     def reciprocal(self) -> "Hyperbolic":
         """Componentwise reciprocal; the inverse for the ring product.
@@ -115,28 +146,11 @@ class Hyperbolic:
         return Hyperbolic(1.0 / self.e1, 1.0 / self.e2)
 
     def as_bicomplex(self) -> "Bicomplex":
-        return Bicomplex(complex(self.e1), complex(self.e2))
-
-    def isclose(self, other: "Hyperbolic", tol: float = 1e-12) -> bool:
-        """Componentwise closeness within an absolute tolerance."""
-        return abs(self.e1 - other.e1) <= tol and abs(self.e2 - other.e2) <= tol
-
-    def __repr__(self) -> str:
-        return f"Hyperbolic({self.e1!r}, {self.e2!r})"
+        return Bicomplex(self.e1, self.e2)
 
 
-def _coerce_hyp(x: "Hyperbolic | _RealLike") -> "Hyperbolic | None":
-    if isinstance(x, Hyperbolic):
-        return x
-    if isinstance(x, (int, float)) or (
-        hasattr(x, "__float__") and not isinstance(x, complex)
-    ):
-        return Hyperbolic.from_real(float(x))
-    return None
-
-
-@dataclass(frozen=True)
-class Bicomplex:
+@dataclass(frozen=True, init=False, repr=False)
+class Bicomplex(_Idempotent):
     """A number w1*e1 + w2*e2 with complex coefficients.
 
     The canonical form z1 + i2*z2 relates to the idempotent one by
@@ -147,15 +161,22 @@ class Bicomplex:
     e1: complex
     e2: complex
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "e1", complex(self.e1))
-        object.__setattr__(self, "e2", complex(self.e2))
+    _FIELD = complex
+
+    @staticmethod
+    def _coerce(x: "Bicomplex | complex | _RealLike") -> "Bicomplex | None":
+        if isinstance(x, Bicomplex):
+            return x
+        if isinstance(x, Hyperbolic):
+            return x.as_bicomplex()
+        if isinstance(x, (int, float, complex)) or hasattr(x, "__complex__"):
+            return Bicomplex(x, x)
+        return None
 
     @staticmethod
     def from_canonical(z1: complex, z2: complex) -> "Bicomplex":
         """Build from the canonical pair (z1, z2) of z1 + i2*z2."""
-        z1 = complex(z1)
-        z2 = complex(z2)
+        z1, z2 = complex(z1), complex(z2)
         return Bicomplex(z1 - 1j * z2, z1 + 1j * z2)
 
     def to_canonical(self) -> tuple[complex, complex]:
@@ -170,47 +191,13 @@ class Bicomplex:
     def one() -> "Bicomplex":
         return Bicomplex(1 + 0j, 1 + 0j)
 
-    def __add__(self, other: "Bicomplex | complex | _RealLike") -> "Bicomplex":
-        other = _coerce_bc(other)
-        if other is None:
-            return NotImplemented
-        return Bicomplex(self.e1 + other.e1, self.e2 + other.e2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Bicomplex | complex | _RealLike") -> "Bicomplex":
-        other = _coerce_bc(other)
-        if other is None:
-            return NotImplemented
-        return Bicomplex(self.e1 - other.e1, self.e2 - other.e2)
-
-    def __rsub__(self, other: "Bicomplex | complex | _RealLike") -> "Bicomplex":
-        other = _coerce_bc(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other: "Bicomplex | complex | _RealLike") -> "Bicomplex":
-        other = _coerce_bc(other)
-        if other is None:
-            return NotImplemented
-        return Bicomplex(self.e1 * other.e1, self.e2 * other.e2)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other: "Bicomplex | complex | _RealLike") -> "Bicomplex":
-        other = _coerce_bc(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         if other.e1 == 0 or other.e2 == 0:
             raise ValueError("not invertible")
         return Bicomplex(self.e1 / other.e1, self.e2 / other.e2)
-
-    def __neg__(self) -> "Bicomplex":
-        return Bicomplex(-self.e1, -self.e2)
-
-    def is_zero(self) -> bool:
-        return self.e1 == 0 and self.e2 == 0
 
     def is_zero_divisor(self) -> bool:
         """True iff the number is nonzero and one coefficient is zero.
@@ -219,10 +206,6 @@ class Bicomplex:
         canonical form.
         """
         return (not self.is_zero()) and (self.e1 == 0 or self.e2 == 0)
-
-    def d_modulus(self) -> Hyperbolic:
-        """Hyperbolic modulus |w1|*e1 + |w2|*e2."""
-        return Hyperbolic(abs(self.e1), abs(self.e2))
 
     def as_hyperbolic(self) -> Hyperbolic:
         """Narrow to a hyperbolic number.
@@ -235,23 +218,6 @@ class Bicomplex:
         if self.e1.imag != 0.0 or self.e2.imag != 0.0:
             raise ValueError("coefficients are not real")
         return Hyperbolic(self.e1.real, self.e2.real)
-
-    def isclose(self, other: "Bicomplex", tol: float = 1e-12) -> bool:
-        """Componentwise closeness within an absolute tolerance."""
-        return abs(self.e1 - other.e1) <= tol and abs(self.e2 - other.e2) <= tol
-
-    def __repr__(self) -> str:
-        return f"Bicomplex({self.e1!r}, {self.e2!r})"
-
-
-def _coerce_bc(x: "Bicomplex | complex | _RealLike") -> "Bicomplex | None":
-    if isinstance(x, Bicomplex):
-        return x
-    if isinstance(x, Hyperbolic):
-        return x.as_bicomplex()
-    if isinstance(x, (int, float, complex)) or hasattr(x, "__complex__"):
-        return Bicomplex(complex(x), complex(x))
-    return None
 
 
 E1 = Hyperbolic(1.0, 0.0)

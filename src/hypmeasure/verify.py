@@ -43,7 +43,7 @@ from .integration import (
     integrate,
 )
 from .measures import (
-    MeasureKind,
+    KIND_RANK,
     TMeasure,
     dominates,
     normalize_to_probability,
@@ -332,7 +332,7 @@ def _run_measure_ops(rng: Generator) -> Optional[dict]:
         return _fail("scaling-commutes", c=c)
 
     d = gen.gen_d_measure(rng, space)
-    nonneg = Hyperbolic(abs(c.e1), abs(c.e2))
+    nonneg = c.d_modulus()
     if not d.scaled(nonneg).is_d_measure():
         return _fail("d-closure-under-scaling", c=nonneg)
     if not (d + gen.gen_d_measure(rng, space)).is_d_measure():
@@ -340,8 +340,7 @@ def _run_measure_ops(rng: Generator) -> Optional[dict]:
 
     signed = gen.gen_signed_measure(rng, space)
     perturbed = TMeasure(space, signed.e1 + 1j, signed.e2)
-    order = {MeasureKind.T: 0, MeasureKind.SIGNED_D: 1, MeasureKind.D: 2, MeasureKind.D_PLUS: 3}
-    if order[perturbed.kind] > order[signed.kind]:
+    if KIND_RANK[perturbed.kind] > KIND_RANK[signed.kind]:
         return _fail("classification-monotonicity", kind=perturbed.kind)
 
     f = e.complement()

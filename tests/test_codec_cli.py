@@ -67,6 +67,13 @@ class TestScalarCodec:
             parse_bicomplex({"e1": [1, 0], "e2": [1, 10**400]})
         assert exc.value.location == "bicomplex.e2[1]"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_hyperbolic_is_refused(self, value):
+        with pytest.raises(SchemaError) as exc:
+            parse_hyperbolic({"e1": 0, "e2": value})
+        assert exc.value.location == "hyperbolic.e2"
+        assert exc.value.message == "expected a finite number"
+
     def test_missing_component(self):
         with pytest.raises(SchemaError):
             parse_bicomplex({"e1": [1, 0]})
@@ -805,6 +812,23 @@ class TestCliIntegrate:
         assert code == 2
         assert json.loads(err)["location"] == "input.tol"
 
+    @pytest.mark.parametrize("tol", ["NaN", "Infinity"])
+    def test_dct_tol_must_be_finite(self, tmp_path, capsys, tol):
+        # json.dumps cannot write these tokens, so the document is spelled out.
+        unit = json.dumps({"function": {"a": {"e1": [1, 0], "e2": [1, 0]}}})
+        path = tmp_path / "in.json"
+        path.write_text(
+            '{"space": {"atoms": ["a"]}, "measure": {"a": {"e1": [1, 0], "e2": [1, 0]}}, '
+            f'"sequence": [{unit}], "limit": {unit}, "dominator": {unit}, "tol": {tol}}}'
+        )
+        code, out, err = _run(["integrate", "--input", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "schema violation",
+            "location": "input.tol",
+            "message": "expected a finite number",
+        }
+
 
 class TestCliDynamics:
     def test_pushforward_iterations(self, tmp_path, capsys):
@@ -1168,6 +1192,40 @@ class TestCliGen:
         assert json.loads(err)["location"] == "input.breakpoints[1][1]"
 
 
+    @pytest.mark.parametrize(
+        "pairs, location",
+        [
+            ("[[0, 0], [0.5, NaN], [1, 0]]", "input.breakpoints[1][1]"),
+            ("[[0, 0], [Infinity, 1], [1, 0]]", "input.breakpoints[1][0]"),
+            ("[[0, 0], [0.5, -Infinity], [1, 0]]", "input.breakpoints[1][1]"),
+        ],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_breakpoint(self, tmp_path, capsys, pairs, location):
+        path = tmp_path / "bp.json"
+        path.write_text(f'{{"breakpoints": {pairs}}}')
+        argv = ["gen", "--kind", "interval-map-discretization", "--input", str(path)]
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "schema violation",
+            "location": location,
+            "message": "expected a finite number",
+        }
+
+    def test_boolean_breakpoint(self, tmp_path, capsys):
+        path = tmp_path / "bp.json"
+        path.write_text(json.dumps({"breakpoints": [[0, False], [0.5, True], [1, False]]}))
+        argv = ["gen", "--kind", "interval-map-discretization", "--input", str(path)]
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "schema violation",
+            "location": "input.breakpoints[0]",
+            "message": "expected an [x, y] pair",
+        }
+
+
 class TestCliParser:
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1209,3 +1267,14 @@ class TestCliParser:
         )
         assert code == 2
         assert json.loads(err)["error"] == "schema violation"
+
+    @pytest.mark.parametrize("command", ["decompose", "integrate", "find-invariant"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_is_schema_error(self, tmp_path, capsys, command, tol):
+        # A NaN or infinite floor would make every rounded check pass
+        # (or fail) whatever the data; the input is never read.
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(WORKED_EXAMPLE))
+        code, out, err = _run([command, "--input", str(path), f"--tol={tol}"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["location"] == "tol"

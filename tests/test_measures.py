@@ -121,6 +121,20 @@ class TestArithmetic:
         out = mu.scaled(Bicomplex(2j, -1))
         assert out.atom(0) == Bicomplex(-2 + 2j, -2)
 
+    def test_measure_and_function_scale_bitwise_alike(self):
+        # numpy's complex product need not commute in the last bit, so
+        # both roles must multiply in one order.
+        rng = np.random.default_rng(5)
+        n = 2000
+        space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+        e1 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        e2 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        c = Bicomplex(0.3 + 0.7j, -1.1 + 0.2j)
+        mu = TMeasure(space, e1, e2).scaled(c)
+        f = TFunction(space, e1, e2).scaled(c)
+        for got, want in ((mu.e1, f.e1), (mu.e2, f.e2)):
+            assert got.tobytes() == want.tobytes()
+
     def test_scalar_multiplication_operator(self, space):
         mu = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1)})
         assert (2 * mu).atom(0) == Bicomplex(2, 2)

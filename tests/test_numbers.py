@@ -143,6 +143,59 @@ class TestBicomplex:
         assert p2 == z1 * w2 + z2 * w1
 
 
+class TestMixedOperands:
+    """Hyperbolic operands meet bicomplex ones through the bicomplex side."""
+
+    h = Hyperbolic(2, -3)
+    b = Bicomplex(1 + 1j, 4 - 2j)
+
+    @pytest.mark.parametrize(
+        "op, want",
+        [
+            (lambda x, y: x + y, Bicomplex(3 + 1j, 1 - 2j)),
+            (lambda x, y: y + x, Bicomplex(3 + 1j, 1 - 2j)),
+            (lambda x, y: x - y, Bicomplex(1 - 1j, -7 + 2j)),
+            (lambda x, y: y - x, Bicomplex(-1 + 1j, 7 - 2j)),
+            (lambda x, y: x * y, Bicomplex(2 + 2j, -12 + 6j)),
+            (lambda x, y: y * x, Bicomplex(2 + 2j, -12 + 6j)),
+        ],
+        ids=["h+b", "b+h", "h-b", "b-h", "h*b", "b*h"],
+    )
+    def test_hyperbolic_with_bicomplex_is_bicomplex(self, op, want):
+        got = op(self.h, self.b)
+        assert type(got) is Bicomplex
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda h: h + 1j,
+            lambda h: 1j + h,
+            lambda h: h - 1j,
+            lambda h: 1j - h,
+            lambda h: h * 1j,
+            lambda h: 1j * h,
+        ],
+        ids=["h+c", "c+h", "h-c", "c-h", "h*c", "c*h"],
+    )
+    def test_hyperbolic_with_complex_is_refused(self, op):
+        with pytest.raises(TypeError):
+            op(self.h)
+
+    def test_results_keep_their_type(self):
+        assert type(self.h + 1) is Hyperbolic
+        assert type(-self.h) is Hyperbolic
+        assert type(self.b - 1j) is Bicomplex
+        assert type(self.b.d_modulus()) is Hyperbolic
+
+    def test_equality_across_types(self):
+        assert Hyperbolic(1, 2) != Bicomplex(1, 2)
+        assert Bicomplex(1, 2) != Hyperbolic(1, 2)
+        assert Hyperbolic(1, 2).as_bicomplex() == Bicomplex(1, 2)
+        assert repr(self.h + self.b) == "Bicomplex((3+1j), (1-2j))"
+        assert repr(self.h - 1) == "Hyperbolic(1.0, -4.0)"
+
+
 class TestOrder:
     def test_compare_cases(self):
         assert compare_d(Hyperbolic(1, 1), Hyperbolic(1, 1)) is Order.EQUAL
