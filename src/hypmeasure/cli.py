@@ -142,7 +142,7 @@ def _without_space(doc: dict) -> dict:
 
 def _has_nan(mu: TMeasure) -> bool:
     # A NaN mass is not in D+, but the CLI reports it as non-finite.
-    return bool(np.isnan(mu.e1).any() or np.isnan(mu.e2).any())
+    return bool(np.isnan(mu.c).any())
 
 
 def _cmd_decompose(args: argparse.Namespace) -> dict:

@@ -313,12 +313,12 @@ _KIND_BY_HINT = {k.value: k for k in MeasureKind}
 def table_to_obj(t: AtomTable) -> dict:
     """Label to bicomplex object for every atom of a measure or function.
 
-    Reads each component array once; the values are the Python floats
+    Reads the (2, n) table once; the values are the Python floats
     ``bicomplex_to_obj(t.atom(i))`` holds, ``-0.0`` included.
     """
     return {
         label: {"e1": [w1.real, w1.imag], "e2": [w2.real, w2.imag]}
-        for label, w1, w2 in zip(t.space.atoms, t.e1.tolist(), t.e2.tolist())
+        for label, w1, w2 in zip(t.space.atoms, *t.c.tolist())
     }
 
 
@@ -330,6 +330,22 @@ def measure_to_obj(mu: TMeasure) -> dict:
     }
 
 
+def _parse_document(
+    obj: Any, loc: str, space: FiniteSpace | None, key: str
+) -> tuple[dict, FiniteSpace, dict]:
+    """The document object, its space and its body object under ``key``.
+
+    The document's own ``space`` key wins; otherwise ``space`` must be
+    supplied.
+    """
+    obj = _require_dict(obj, loc)
+    if "space" in obj:
+        space = parse_space(obj["space"], f"{loc}.space")
+    if space is None:
+        raise SchemaError(f"{loc}.space", "missing space")
+    return obj, space, _require_dict(obj.get(key), f"{loc}.{key}")
+
+
 def parse_measure(
     obj: Any, loc: str = "measure", space: FiniteSpace | None = None
 ) -> TMeasure:
@@ -339,12 +355,7 @@ def parse_measure(
     supplied. A ``kind_hint``, when present, must be honoured by the
     data: entries may be stricter than the hint but never looser.
     """
-    obj = _require_dict(obj, loc)
-    if "space" in obj:
-        space = parse_space(obj["space"], f"{loc}.space")
-    if space is None:
-        raise SchemaError(f"{loc}.space", "missing space")
-    body = _require_dict(obj.get("measure"), f"{loc}.measure")
+    obj, space, body = _parse_document(obj, loc, space, "measure")
     mu = TMeasure(space, *_parse_table(body, space, f"{loc}.measure"))
     hint = obj.get("kind_hint")
     if hint is not None:
@@ -370,12 +381,7 @@ def function_to_obj(f: TFunction, with_space: bool = True) -> dict:
 def parse_function(
     obj: Any, loc: str = "function", space: FiniteSpace | None = None
 ) -> TFunction:
-    obj = _require_dict(obj, loc)
-    if "space" in obj:
-        space = parse_space(obj["space"], f"{loc}.space")
-    if space is None:
-        raise SchemaError(f"{loc}.space", "missing space")
-    body = _require_dict(obj.get("function"), f"{loc}.function")
+    _, space, body = _parse_document(obj, loc, space, "function")
     return TFunction(space, *_parse_table(body, space, f"{loc}.function"))
 
 
@@ -392,12 +398,7 @@ def map_to_obj(f: PointMap) -> dict:
 def parse_map(
     obj: Any, loc: str = "map", space: FiniteSpace | None = None
 ) -> PointMap:
-    obj = _require_dict(obj, loc)
-    if "space" in obj:
-        space = parse_space(obj["space"], f"{loc}.space")
-    if space is None:
-        raise SchemaError(f"{loc}.space", "missing space")
-    body = _require_dict(obj.get("map"), f"{loc}.map")
+    _, space, body = _parse_document(obj, loc, space, "map")
     index = space._index
     image = [-1] * space.size
     for src, dst in body.items():

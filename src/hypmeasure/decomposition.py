@@ -67,15 +67,11 @@ def _close(got, want, scale, tol: float) -> bool:
     return bool((np.abs(got - want) <= tol + _ROUNDING * scale).all())
 
 
-def _components(table: AtomTable) -> np.ndarray:
-    """The two component arrays as the columns of one (n, 2) array."""
-    return np.array((table.e1, table.e2)).T
-
-
-def _require_signed_d(mu: TMeasure) -> tuple[np.ndarray, np.ndarray]:
+def _require_signed_d(mu: TMeasure) -> np.ndarray:
+    """The real (2, n) masses of a signed D-measure."""
     if mu.kind is MeasureKind.T:
         raise ValueError("not a signed D-measure")
-    return mu.e1.real, mu.e2.real
+    return mu.c.real
 
 
 @dataclass(frozen=True)
@@ -101,9 +97,9 @@ def jordan(mu: TMeasure) -> JordanPair:
     ValueError
         If any atom mass has a nonzero imaginary part.
     """
-    u, v = _require_signed_d(mu)
-    plus = TMeasure(mu.space, np.maximum(u, 0.0), np.maximum(v, 0.0))
-    minus = TMeasure(mu.space, np.maximum(-u, 0.0), np.maximum(-v, 0.0))
+    x = _require_signed_d(mu)
+    plus = TMeasure(mu.space, *np.maximum(x, 0.0))
+    minus = TMeasure(mu.space, *np.maximum(-x, 0.0))
     return JordanPair(mu_plus=plus, mu_minus=minus)
 
 
@@ -127,7 +123,7 @@ def polar_density(mu: TMeasure) -> TFunction:
     masses the values are exactly +1 or -1. It is the polar factor of
     the masses read as a function.
     """
-    return TFunction(mu.space, mu.e1, mu.e2).polar_factor()
+    return TFunction(mu.space, *mu.c).polar_factor()
 
 
 def certify_polar(
@@ -138,7 +134,7 @@ def certify_polar(
     function and its polar factor. Each atom is compared within ``tol``
     plus a rounding bound scaled by its modulus."""
     table._check_space(h)
-    x, hx = _components(table), _components(h)
+    x, hx = table.c, h.c
     return {
         "polar_unimodular": _close(np.abs(hx), 1.0, 1.0, tol),
         "polar_reconstruction": _close(hx * np.abs(x), x, np.abs(x), tol),
@@ -175,13 +171,13 @@ def hahn(mu: TMeasure) -> HahnPartition:
         which is impossible for signed-D input.
     """
     _require_signed_d(mu)
-    h = _components(polar_density(mu))
+    h = polar_density(mu).c
     if not ((h == 1.0) | (h == -1.0)).all():
         raise InternalInvariantError(
             "polar density is not of the (+-1, +-1) form",
-            payload={"h_e1": h[:, 0].tolist(), "h_e2": h[:, 1].tolist()},
+            payload={"h_e1": h[0].tolist(), "h_e2": h[1].tolist()},
         )
-    pos1, pos2 = (h.real > 0).T
+    pos1, pos2 = h.real > 0
     cells = (pos1 & pos2, ~pos1 & ~pos2, pos1 & ~pos2, ~pos1 & pos2)  # A, B, C, D
     return HahnPartition(
         *(mu.space.subset_of_indices(np.flatnonzero(flags)) for flags in cells)
@@ -206,7 +202,7 @@ def certify_hahn(
     ValueError
         If the measure is not signed-D or a cell is of another space.
     """
-    u, v = _require_signed_d(mu)
+    x = _require_signed_d(mu)
     cells = (partition.A, partition.B, partition.C, partition.D)
     for cell in cells:
         mu._check_mask(cell)
@@ -218,12 +214,13 @@ def certify_hahn(
         row[list(cell.indices())] = 1.0
     jp = jordan(mu)
     plus_ok = minus_ok = True
-    # Component e1 takes its modulus on C, component e2 on D.
-    for x, p, m, mixed_cell in (
-        (u, jp.mu_plus.e1.real, jp.mu_minus.e1.real, 2),
-        (v, jp.mu_plus.e2.real, jp.mu_minus.e2.real, 3),
+    # Component e1 takes its modulus on C, component e2 on D. One
+    # component and one 2**n array per cell at a time: at 20 atoms, one
+    # (2, 4, 2**n) or (4, 2**n) block of sums raises the peak RSS.
+    for x_i, p, m, mixed_cell in zip(
+        x, jp.mu_plus.c.real, jp.mu_minus.c.real, (2, 3)
     ):
-        a, b, c, d = sums = [subset_sums(x * flags) for flags in inside]
+        a, b, c, d = sums = [subset_sums(x_i * flags) for flags in inside]
         mixed = np.abs(sums[mixed_cell])
         plus, minus = subset_sums(p), subset_sums(m)
         scale = n * (plus + minus)
@@ -246,9 +243,7 @@ def mutually_singular(a: TMeasure, b: TMeasure) -> bool:
     of X is then the support of ``a`` against its complement.
     """
     a._check_space(b)
-    clash1 = (a.e1 != 0) & (b.e1 != 0)
-    clash2 = (a.e2 != 0) & (b.e2 != 0)
-    return not bool(clash1.any() or clash2.any())
+    return not ((a.c != 0) & (b.c != 0)).any()
 
 
 def abs_continuous(lam: TMeasure, mu: TMeasure) -> bool:
@@ -264,9 +259,7 @@ def abs_continuous(lam: TMeasure, mu: TMeasure) -> bool:
     lam._check_space(mu)
     if not mu.is_d_measure():
         raise ValueError("reference measure must be a D-measure")
-    null1 = mu.e1.real == 0.0
-    null2 = mu.e2.real == 0.0
-    return bool((lam.e1[null1] == 0).all() and (lam.e2[null2] == 0).all())
+    return bool((lam.c[mu.c.real == 0.0] == 0).all())
 
 
 @dataclass(frozen=True)
@@ -353,7 +346,7 @@ def check_lattice_properties(
     )
     g_ok = _implies(
         abs_continuous(lam, mu) and mutually_singular(lam, mu),
-        bool((lam.e1 == 0).all() and (lam.e2 == 0).all()),
+        bool((lam.c == 0).all()),
     )
     return LatticeReport(
         concentration_to_modulus=bool(a_ok),
@@ -398,17 +391,17 @@ def lebesgue_radon_nikodym(lam: TMeasure, mu: TMeasure) -> LRNResult:
     if not mu.is_d_measure():
         raise ValueError("reference measure must be a D-measure")
 
-    x = _components(lam)
-    m = _components(mu).real
+    x = lam.c
+    m = mu.c.real
     supp = m > 0.0
     # Off the support the quotient is discarded; on it, a tiny reference
     # mass can overflow it to inf, which the density then reports.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         h = np.where(supp, x / np.where(supp, m, 1.0), 0.0)
     return LRNResult(
-        lambda_ac=TMeasure(lam.space, *np.where(supp, x, 0.0).T),
-        lambda_sing=TMeasure(lam.space, *np.where(supp, 0.0, x).T),
-        density=TFunction(lam.space, *h.T),
+        lambda_ac=TMeasure(lam.space, *np.where(supp, x, 0.0)),
+        lambda_sing=TMeasure(lam.space, *np.where(supp, 0.0, x)),
+        density=TFunction(lam.space, *h),
     )
 
 
@@ -431,12 +424,11 @@ def certify_lrn(
     ac, sing, density = result.lambda_ac, result.lambda_sing, result.density
     for other in (mu, ac, density):
         lam._check_space(other)
-    got = _components(density) * _components(mu).real
     return {
         "lrn_sum": (ac + sing).equal_exact(lam),
         "lrn_abs_continuous": abs_continuous(ac, mu),
         "lrn_singular": mutually_singular(sing, mu),
-        "lrn_density": _close(got, _components(ac), np.abs(_components(lam)), tol),
+        "lrn_density": _close(density.c * mu.c.real, ac.c, np.abs(lam.c), tol),
     }
 
 
@@ -471,12 +463,11 @@ def epsilon_delta_witness(
         return None
 
     deltas = []
-    for lam_comp, mu_comp, eps_i in (
-        (lam.e1, mu.e1.real, epsilon.e1),
-        (lam.e2, mu.e2.real, epsilon.e2),
+    for lam_sums, mu_sums, eps_i in zip(
+        np.abs(subset_sums(lam.c)),
+        subset_sums(mu.c.real),
+        (epsilon.e1, epsilon.e2),
     ):
-        lam_sums = np.abs(subset_sums(lam_comp))
-        mu_sums = subset_sums(mu_comp)
         offending = mu_sums[lam_sums >= eps_i]
         if offending.size == 0:
             deltas.append(1.0)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .integration import TFunction, integrate
 from .measures import TMeasure, probability_variant
-from .numbers import Bicomplex, Hyperbolic, lt_d
+from .numbers import Bicomplex, Hyperbolic, _lt_d_rows, lt_d
 from .spaces import FiniteSpace, SetMask
 
 __all__ = [
@@ -92,7 +92,7 @@ class PointMap:
         """The composition phi after this map."""
         if phi.space != self.space:
             raise ValueError("function lives on a different space")
-        return TFunction(self.space, phi.e1[self.image], phi.e2[self.image])
+        return TFunction(self.space, *phi.c[:, self.image])
 
     def _cycle_structure(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """On-cycle flags and the cycles, computed once per map.
@@ -120,14 +120,20 @@ class PointMap:
         return f"PointMap({pairs})"
 
 
-def _push_arrays(
-    image: np.ndarray, m1: np.ndarray, m2: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    # bincount accumulates in ascending source index order, which keeps
-    # push-forward values bit-reproducible.
-    out1 = np.bincount(image, weights=m1, minlength=n)
-    out2 = np.bincount(image, weights=m2, minlength=n)
-    return out1, out2
+def _pusher(image: np.ndarray):
+    """The push of real (2, n) masses along the map, as a function.
+
+    One bincount over both rows, the e2 row's targets offset by n. It
+    adds each atom's incoming masses in ascending source index order,
+    which keeps push-forward values bit-reproducible.
+    """
+    n = len(image)
+    targets = np.concatenate((image, image + n))
+
+    def push(m: np.ndarray) -> np.ndarray:
+        return np.bincount(targets, weights=m.ravel(), minlength=2 * n).reshape(2, n)
+
+    return push
 
 
 def _require_same_space(f: PointMap, mu: TMeasure) -> None:
@@ -148,8 +154,7 @@ def pushforward(f: PointMap, mu: TMeasure) -> TMeasure:
     """
     _require_same_space(f, mu)
     probability_variant(mu)
-    out1, out2 = _push_arrays(f.image, mu.e1.real, mu.e2.real, f.space.size)
-    return TMeasure(f.space, out1, out2)
+    return TMeasure(f.space, *_pusher(f.image)(mu.c.real))
 
 
 def pushforward_iter(f: PointMap, mu: TMeasure, i: int) -> TMeasure:
@@ -162,41 +167,35 @@ def pushforward_iter(f: PointMap, mu: TMeasure, i: int) -> TMeasure:
         raise ValueError("iteration count must be >= 1")
     _require_same_space(f, mu)
     probability_variant(mu)
-    n = f.space.size
-    m1, m2 = _push_arrays(f.image, mu.e1.real, mu.e2.real, n)
-    m1, m2, pushes = _settle(f, m1, m2, i - 1)
+    push = _pusher(f.image)
+    m, pushes = _settle(f, push(mu.c.real), i - 1, push)
     rest = i - 1 - pushes
     if rest:
         # No atom holds -0.0 after a push (a bincount sum starts at
         # +0.0) and every tail atom now holds +0.0, so each further push
         # moves the cycle atoms' values to their images unchanged.
         src = np.flatnonzero(f._cycle_structure()[0])
-        dst = _power(f.image, rest)[src]
-        out1 = np.zeros(n)
-        out2 = np.zeros(n)
-        out1[dst] = m1[src]
-        out2[dst] = m2[src]
-        m1, m2 = out1, out2
-    return TMeasure(f.space, m1, m2)
+        out = np.zeros_like(m)
+        out[:, _power(f.image, rest)[src]] = m[:, src]
+        m = out
+    return TMeasure(f.space, *m)
 
 
-def _settle(
-    f: PointMap, m1: np.ndarray, m2: np.ndarray, limit: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _settle(f: PointMap, m: np.ndarray, limit: int, push) -> tuple[np.ndarray, int]:
     """Push while an off-cycle atom holds nonzero mass, at most limit times.
 
-    Returns the arrays and the number of pushes. On non-negative masses
-    that number is the longest tail below an atom with nonzero mass;
-    -0.0 reads as zero.
+    Returns the (2, n) masses and the number of pushes. On non-negative
+    masses that number is the longest tail below an atom with nonzero
+    mass; -0.0 reads as zero.
     """
     pushes = 0
     if limit < 1:
-        return m1, m2, pushes
+        return m, pushes
     tail = np.flatnonzero(~f._cycle_structure()[0])
-    while pushes < limit and (m1[tail].any() or m2[tail].any()):
-        m1, m2 = _push_arrays(f.image, m1, m2, f.space.size)
+    while pushes < limit and m[:, tail].any():
+        m = push(m)
         pushes += 1
-    return m1, m2, pushes
+    return m, pushes
 
 
 def _power(image: np.ndarray, r: int) -> np.ndarray:
@@ -225,10 +224,7 @@ def is_invariant(f: PointMap, mu: TMeasure, tol: float) -> bool:
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     nu = pushforward(f, mu)
-    g1 = np.abs(nu.e1 - mu.e1)
-    g2 = np.abs(nu.e2 - mu.e2)
-    ok = (g1 <= tol) & (g2 <= tol) & ~((g1 == tol) & (g2 == tol))
-    return bool(ok.all())
+    return bool(_lt_d_rows(np.abs(nu.c - mu.c), tol).all())
 
 
 @dataclass(frozen=True)
@@ -276,11 +272,7 @@ def convex_combine(a: TMeasure, b: TMeasure, t: float) -> TMeasure:
     vb = probability_variant(b)
     if va != vb:
         raise ValueError("mismatched total-mass variants")
-    return TMeasure(
-        a.space,
-        t * a.e1.real + (1.0 - t) * b.e1.real,
-        t * a.e2.real + (1.0 - t) * b.e2.real,
-    )
+    return TMeasure(a.space, *(t * a.c.real + (1.0 - t) * b.c.real))
 
 
 def _cycle_flags(image: np.ndarray) -> np.ndarray:
@@ -352,31 +344,25 @@ def cesaro_invariant(
     _require_same_space(f, mu0)
     probability_variant(mu0)
 
-    n_atoms = f.space.size
-    cur1, cur2, burn = _settle(f, mu0.e1.real, mu0.e2.real, n_atoms)
+    push = _pusher(f.image)
+    cur, burn = _settle(f, mu0.c.real, f.space.size, push)
 
-    sum1 = np.zeros(n_atoms)
-    sum2 = np.zeros(n_atoms)
+    total = np.zeros_like(cur)
     bound = Hyperbolic(tol, tol)
     gaps: list[Hyperbolic] = []
     converged = False
     for n in range(1, max_iter + 1):
-        sum1 += cur1
-        sum2 += cur2
-        avg1 = sum1 / n
-        avg2 = sum2 / n
-        push1, push2 = _push_arrays(f.image, avg1, avg2, n_atoms)
-        gap = Hyperbolic(
-            float(np.sum(np.abs(push1 - avg1))),
-            float(np.sum(np.abs(push2 - avg2))),
-        )
+        total += cur
+        avg = total / n
+        # np.sum of each row, as one reduction along the atom axis.
+        gap = Hyperbolic(*np.abs(push(avg) - avg).sum(axis=1).tolist())
         gaps.append(gap)
         if lt_d(gap, bound):
             converged = True
             break
-        cur1, cur2 = _push_arrays(f.image, cur1, cur2, n_atoms)
+        cur = push(cur)
     return CesaroTrace(
-        limit=TMeasure(f.space, avg1, avg2),
+        limit=TMeasure(f.space, *avg),
         gaps=tuple(gaps),
         converged=converged,
         burn_in=burn,
@@ -409,7 +395,7 @@ def in_invariant_hull(f: PointMap, mu: TMeasure, tol: float = 1e-9) -> bool:
     """
     _require_same_space(f, mu)
     on_cycle, cycles = f._cycle_structure()
-    for comp in (mu.e1.real, mu.e2.real):
+    for comp in mu.c.real:
         off = comp[~on_cycle]
         if off.size and float(np.max(np.abs(off))) > tol:
             return False

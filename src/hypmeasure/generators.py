@@ -229,22 +229,18 @@ def gen_dct_instance(
     """
     n = space.size
     f = gen_function(rng, space)
-    g1 = rng.uniform(0.5, 2.0, size=n)
-    g2 = rng.uniform(0.5, 2.0, size=n)
-    g = TFunction(space, g1, g2)
-    dominator = TFunction(space, np.abs(f.e1) + g1, np.abs(f.e2) + g2)
-    mu = TMeasure(space, rng.uniform(0.1, 1.0, size=n), rng.uniform(0.1, 1.0, size=n))
+    # Each draw of two rows of n is the stream of two draws of n, e1 first.
+    g_rows = rng.uniform(0.5, 2.0, size=(2, n))
+    g = TFunction(space, *g_rows)
+    dominator = TFunction(space, *(np.abs(f.c) + g_rows))
+    mu = TMeasure(space, *rng.uniform(0.1, 1.0, size=(2, n)))
 
     # One draw of the stream that n_terms * 2 draws of n angles would
     # consume, in that order: term by term, e1 before e2.
     theta = rng.uniform(0.0, 2.0 * np.pi, size=(n_terms, 2, n))
     noise = 0.9 * np.exp(1j * theta)
     seq = [
-        TFunction(
-            space,
-            f.e1 + (g1 / k) * noise[k - 1, 0],
-            f.e2 + (g2 / k) * noise[k - 1, 1],
-        )
+        TFunction(space, *(f.c + (g_rows / k) * noise[k - 1]))
         for k in range(1, n_terms + 1)
     ]
     return seq, f, g, dominator, mu

@@ -9,7 +9,6 @@ bit-reproducible across runs and threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +23,7 @@ from .measures import (
     _as_components,
     _ascending_sum,
     _from_atoms,
+    _masked_sum,
 )
 from .spaces import FiniteSpace, SetMask
 
@@ -62,11 +62,11 @@ class TFunction(AtomTable):
         bits = np.zeros(mask.space.size, dtype=np.complex128)
         for i in mask.indices():
             bits[i] = 1.0
-        return cls(mask.space, bits, bits.copy())
+        return cls(mask.space, bits, bits)
 
     def d_modulus(self) -> "TFunction":
         """Atomwise D-modulus; the result is D+-valued."""
-        return TFunction(self.space, np.abs(self.e1), np.abs(self.e2))
+        return TFunction(self.space, *np.abs(self.c))
 
     def polar_factor(self) -> "TFunction":
         """The unimodular factor alpha with alpha * |f| = f.
@@ -75,9 +75,7 @@ class TFunction(AtomTable):
         component of f vanishes the factor is set to 1, the canonical
         unimodular choice.
         """
-        return TFunction(
-            self.space, unimodular_factor(self.e1), unimodular_factor(self.e2)
-        )
+        return TFunction(self.space, *unimodular_factor(self.c))
 
 
 def unimodular_factor(values: np.ndarray) -> np.ndarray:
@@ -107,27 +105,17 @@ def _check_integrand(f: TFunction, mu: TMeasure) -> None:
         raise ValueError("integration needs a D-measure")
 
 
-def _l1_sums(f1: np.ndarray, f2: np.ndarray, m1: np.ndarray, m2: np.ndarray):
-    """Per row of (f1, f2): the ascending sums of |f_i| * m_i.
-
-    These are the component integrals of |f|_D. A non-finite value or a
-    product that overflows makes a sum non-finite, and that is the
-    answer, so callers silence numpy's overflow and inf*0 warnings.
-    Ascending order gives a batch of rows the sums each row gets alone.
-    """
-    return _ascending_sum(np.abs(f1) * m1), _ascending_sum(np.abs(f2) * m2)
-
-
 def in_l1(f: TFunction, mu: TMeasure) -> bool:
     """Whether both component integrals of |f| are finite.
 
-    It fails when non-finite values were ingested or when finite
-    values overflow in a product.
+    They are the ascending sums of |f_i| * mu_i. It fails when
+    non-finite values were ingested or when finite values overflow in a
+    product; that is the answer, so numpy's overflow and inf*0 warnings
+    are silenced.
     """
     _check_integrand(f, mu)
     with np.errstate(over="ignore", invalid="ignore"):
-        s1, s2 = _l1_sums(f.e1, f.e2, mu.e1.real, mu.e2.real)
-    return math.isfinite(s1) and math.isfinite(s2)
+        return bool(np.isfinite(_ascending_sum(np.abs(f.c) * mu.c.real)).all())
 
 
 def integrate(f: TFunction, mu: TMeasure, e: SetMask | None = None) -> Bicomplex:
@@ -144,21 +132,11 @@ def integrate(f: TFunction, mu: TMeasure, e: SetMask | None = None) -> Bicomplex
     _check_integrand(f, mu)
     if e is not None and e.space != f.space:
         raise ValueError("mask does not belong to the integrand's space")
-    m1 = mu.e1.real
-    m2 = mu.e2.real
-    with np.errstate(over="ignore", invalid="ignore"):
-        s1, s2 = _l1_sums(f.e1, f.e2, m1, m2)
-        if not (math.isfinite(s1) and math.isfinite(s2)):
-            raise ValueError("function is not integrable against this measure")
-        # The array product can differ from the scalar one only in the sign
-        # of a zero part, which the ascending sum does not keep.
-        p1 = f.e1 * m1
-        p2 = f.e2 * m2
-        if e is not None:
-            idx = list(e.indices())
-            p1 = p1[idx]
-            p2 = p2[idx]
-        return Bicomplex(complex(_ascending_sum(p1)), complex(_ascending_sum(p2)))
+    if not in_l1(f, mu):
+        raise ValueError("function is not integrable against this measure")
+    # The array product can differ from the scalar one only in the sign of
+    # a zero part, which the ascending sum does not keep.
+    return Bicomplex(*_masked_sum(f.c * mu.c.real, e).tolist())
 
 
 def check_linearity(
@@ -245,7 +223,7 @@ def dct_run(
     heading to zero and the integrals of f_n heading to the integral
     of f.
 
-    The terms are stacked into (K, n) arrays, so each trace is one
+    The terms are stacked into one (K, 2, n) array, so each trace is one
     array expression; every integral is still an ascending sum per row,
     with the bits of :func:`integrate` on that term.
 
@@ -272,37 +250,27 @@ def dct_run(
     if not in_l1(g, mu):
         raise ValueError("dominator is not integrable")
 
-    # Row k < K is the term f_k, row K the limit.
+    # Table k < K is the term f_k, table K the limit.
     n_terms = len(fn_seq)
-    rows1 = np.array([*(fn.e1 for fn in fn_seq), f_limit.e1])
-    rows2 = np.array([*(fn.e2 for fn in fn_seq), f_limit.e2])
-    m1 = mu.e1.real
-    m2 = mu.e2.real
-    slack = 1e-12
+    rows = np.array([*(fn.c for fn in fn_seq), f_limit.c])
+    m = mu.c.real
     with np.errstate(over="ignore", invalid="ignore"):
-        domination_ok = bool(
-            (np.abs(rows1[:-1]) <= g.e1.real + slack).all()
-            and (np.abs(rows2[:-1]) <= g.e2.real + slack).all()
-        )
-        gap1 = np.abs(rows1[:-1] - rows1[-1])
-        gap2 = np.abs(rows2[:-1] - rows2[-1])
-        term_l1 = _l1_sums(rows1, rows2, m1, m2)
-        gap_l1 = _l1_sums(gap1, gap2, m1, m2)
+        domination_ok = bool((np.abs(rows[:-1]) <= g.c.real + 1e-12).all())
+        # The component integrals of |f_k|_D and |f_k - f|_D, per table.
+        term_l1 = _ascending_sum(np.abs(rows) * m)
+        gap_l1 = _ascending_sum(np.abs(rows[:-1] - rows[-1]) * m)
         bad = [
             k
-            for u, v in (term_l1, gap_l1)
-            for k in np.flatnonzero(~(np.isfinite(u) & np.isfinite(v))).tolist()
+            for sums in (term_l1, gap_l1)
+            for k in np.flatnonzero(~np.isfinite(sums).all(axis=-1)).tolist()
         ]
         if bad:
             raise NotIntegrableError(None if bad[0] == n_terms else bad[0])
         # |f_n - f|_D is real, so the l1 sums of the gaps are their
         # integrals: a real product is the real part of the complex one
         # integrate would form.
-        gaps = zip(gap_l1[0].tolist(), gap_l1[1].tolist())
-        ints = zip(
-            _ascending_sum(rows1 * m1).tolist(), _ascending_sum(rows2 * m2).tolist()
-        )
-    l1_trace = tuple(Hyperbolic(u, v) for u, v in gaps)
+        ints = _ascending_sum(rows * m).tolist()
+    l1_trace = tuple(Hyperbolic(u, v) for u, v in gap_l1.tolist())
     *integral_trace, limit_int = (Bicomplex(w1, w2) for w1, w2 in ints)
 
     final_gap = l1_trace[-1]
@@ -331,4 +299,4 @@ def indefinite_integral(g: TFunction, mu: TMeasure) -> TMeasure:
     """
     if not in_l1(g, mu):
         raise ValueError("function is not integrable against this measure")
-    return TMeasure(mu.space, g.e1 * mu.e1.real, g.e2 * mu.e2.real)
+    return TMeasure(mu.space, *(g.c * mu.c.real))

@@ -1,8 +1,11 @@
 """T-valued measures on finite atomic spaces.
 
-A measure is an atom-indexed table of bicomplex masses, stored as two
-complex component arrays in the idempotent basis. Set values are
-finite sums of atom masses, so sigma-additivity holds by construction.
+A measure is an atom-indexed table of bicomplex masses, stored as one
+(2, n) complex array: row 0 holds the e1 components and row 1 the e2
+components of the idempotent basis, so every componentwise operation is
+one array operation over that axis. Set values and total variations are
+ascending running sums over the set's atoms, so sigma-additivity holds
+by construction and every value is bit-reproducible.
 Kinds form a chain: DPlus (masses in D+, finite totals) inside D
 (masses in D+) inside SignedD (real components) inside T (anything).
 
@@ -63,9 +66,11 @@ def _as_components(value: _MassLike) -> tuple[complex, complex]:
 class AtomTable:
     """An atom-indexed table of bicomplex values, immutable once built.
 
-    The shared core of :class:`TMeasure` and ``TFunction``: both are
-    two complex component arrays in the idempotent basis. The roles
-    differ only in the scalars they accept and the operations they add.
+    The shared core of :class:`TMeasure` and ``TFunction``: both are one
+    read-only complex array ``c`` of shape (2, n), the two components in
+    the idempotent basis, with ``e1`` and ``e2`` its row views. The
+    roles differ only in the scalars they accept and the operations
+    they add.
 
     Parameters
     ----------
@@ -76,20 +81,25 @@ class AtomTable:
 
     # ``_kind`` caches TMeasure.kind; the slot lives here so both roles
     # share one constructor.
-    __slots__ = ("space", "e1", "e2", "_kind")
+    __slots__ = ("space", "c", "e1", "e2", "_kind")
     _PLURAL = "tables"
     _SCALARS: tuple = ()
 
     def __init__(self, space: FiniteSpace, e1, e2) -> None:
-        a1 = np.array(e1, dtype=np.complex128)
-        a2 = np.array(e2, dtype=np.complex128)
-        if a1.shape != (space.size,) or a2.shape != (space.size,):
+        try:
+            c = np.array((e1, e2), dtype=np.complex128)
+        except ValueError:
+            # Components of different shapes fail only as a pair; a value
+            # that is not a number fails alone too, with its own message.
+            np.array(e1, dtype=np.complex128), np.array(e2, dtype=np.complex128)
+            c = None
+        if c is None or c.shape != (2, space.size):
             raise ValueError("component arrays must have one entry per atom")
-        a1.setflags(write=False)
-        a2.setflags(write=False)
+        c.setflags(write=False)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "e1", a1)
-        object.__setattr__(self, "e2", a2)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "e1", c[0])
+        object.__setattr__(self, "e2", c[1])
         object.__setattr__(self, "_kind", None)
 
     def __setattr__(self, name, value):
@@ -102,7 +112,7 @@ class AtomTable:
     def is_finite(self) -> bool:
         """True iff both components of every atom value are finite."""
         # A complex entry is finite iff both of its parts are.
-        return bool(np.isfinite(self.e1).all() and np.isfinite(self.e2).all())
+        return bool(np.isfinite(self.c).all())
 
     def _check_space(self, other: "AtomTable") -> None:
         if other.space != self.space:
@@ -114,23 +124,24 @@ class AtomTable:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_space(other)
-        return type(self)(self.space, self.e1 + other.e1, self.e2 + other.e2)
+        return type(self)(self.space, *(self.c + other.c))
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_space(other)
-        return type(self)(self.space, self.e1 - other.e1, self.e2 - other.e2)
+        return type(self)(self.space, *(self.c - other.c))
 
     def __neg__(self):
-        return type(self)(self.space, -self.e1, -self.e2)
+        return type(self)(self.space, *(-self.c))
 
     def scaled(self, c: _MassLike):
         """Scalar product c*table, componentwise in the idempotent basis.
 
         Each role lists its scalars in ``_SCALARS``; a zero divisor such
         as e1 annihilates the other component. Both roles multiply
-        scalar × array, so they agree bitwise.
+        scalar × row, so they agree bitwise (numpy's complex product is
+        not bitwise commutative).
         """
         if not isinstance(c, self._SCALARS):
             raise TypeError(f"{self._PLURAL} take no {type(c).__name__} scalars")
@@ -148,15 +159,12 @@ class AtomTable:
         """Atomwise closeness of both components within ``tol``."""
         if other.space != self.space:
             return False
-        return bool(
-            (np.abs(self.e1 - other.e1) <= tol).all()
-            and (np.abs(self.e2 - other.e2) <= tol).all()
-        )
+        return bool((np.abs(self.c - other.c) <= tol).all())
 
     def equal_exact(self, other: "AtomTable") -> bool:
         if other.space != self.space:
             return False
-        return bool((self.e1 == other.e1).all() and (self.e2 == other.e2).all())
+        return bool((self.c == other.c).all())
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -168,12 +176,10 @@ class AtomTable:
 
 def _from_atoms(cls, space: FiniteSpace, values: Mapping[str, _MassLike]):
     """Build from a label-to-value mapping; omitted atoms get 0."""
-    e1 = np.zeros(space.size, dtype=np.complex128)
-    e2 = np.zeros(space.size, dtype=np.complex128)
+    c = np.zeros((2, space.size), dtype=np.complex128)
     for label, value in values.items():
-        i = space.index_of(label)
-        e1[i], e2[i] = _as_components(value)
-    return cls(space, e1, e2)
+        c[:, space.index_of(label)] = _as_components(value)
+    return cls(space, *c)
 
 
 class TMeasure(AtomTable):
@@ -190,7 +196,7 @@ class TMeasure(AtomTable):
 
     @classmethod
     def zero(cls, space: FiniteSpace) -> "TMeasure":
-        return cls(space, np.zeros(space.size), np.zeros(space.size))
+        return cls(space, *np.zeros((2, space.size)))
 
     def _check_mask(self, e: SetMask) -> None:
         if e.space != self.space:
@@ -203,23 +209,11 @@ class TMeasure(AtomTable):
         evaluation is bit-reproducible.
         """
         self._check_mask(e)
-        # Python scalars add with the same IEEE bits as numpy scalars,
-        # at a fraction of the per-element cost.
-        m1 = self.e1.tolist()
-        m2 = self.e2.tolist()
-        s1 = 0j
-        s2 = 0j
-        for i in e.indices():
-            s1 += m1[i]
-            s2 += m2[i]
-        return Bicomplex(s1, s2)
+        return Bicomplex(*_masked_sum(self.c, e).tolist())
 
     def total(self) -> Bicomplex:
         """Measure of the whole space, summed in ascending atom index order."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return Bicomplex(
-                complex(_ascending_sum(self.e1)), complex(_ascending_sum(self.e2))
-            )
+        return Bicomplex(*_masked_sum(self.c).tolist())
 
     @property
     def kind(self) -> MeasureKind:
@@ -228,19 +222,18 @@ class TMeasure(AtomTable):
         if cached is not None:
             return cached
         # The ndarray methods, not np.any / np.all: the module functions
-        # add a Python wrapper to every call on this hot path.
-        if (self.e1.imag != 0.0).any() or (self.e2.imag != 0.0).any():
+        # add a Python wrapper to every call on this hot path. Each test
+        # reads both components in one pass.
+        x = self.c.real
+        if (self.c.imag != 0.0).any():
             kind = MeasureKind.T
+        # ">= 0 everywhere", not "no atom < 0": a NaN mass is not in D+.
+        elif not (x >= 0.0).all():
+            kind = MeasureKind.SIGNED_D
+        elif np.isfinite(x).all():
+            kind = MeasureKind.D_PLUS
         else:
-            u = self.e1.real
-            v = self.e2.real
-            # ">= 0 everywhere", not "no atom < 0": a NaN mass is not in D+.
-            if not ((u >= 0.0).all() and (v >= 0.0).all()):
-                kind = MeasureKind.SIGNED_D
-            elif np.isfinite(u).all() and np.isfinite(v).all():
-                kind = MeasureKind.D_PLUS
-            else:
-                kind = MeasureKind.D
+            kind = MeasureKind.D
         object.__setattr__(self, "_kind", kind)
         return kind
 
@@ -262,18 +255,11 @@ class TMeasure(AtomTable):
         self._check_mask(e)
         # The ufunc modulus, not builtin abs: the two can differ by an
         # ulp, and this value must match variation_measure exactly.
-        abs1 = np.abs(self.e1).tolist()
-        abs2 = np.abs(self.e2).tolist()
-        u = 0.0
-        v = 0.0
-        for i in e.indices():
-            u += abs1[i]
-            v += abs2[i]
-        return Hyperbolic(u, v)
+        return Hyperbolic(*_masked_sum(np.abs(self.c), e).tolist())
 
     def support_mask(self) -> SetMask:
         """Atoms carrying a nonzero mass in either component."""
-        nonzero = (self.e1 != 0) | (self.e2 != 0)
+        nonzero = (self.c != 0).any(axis=0)
         return self.space.subset_of_indices(np.flatnonzero(nonzero))
 
 
@@ -295,18 +281,32 @@ def _ascending_sum(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(values, axis=-1)[..., -1] + 0.0
 
 
-def subset_sums(values: np.ndarray) -> np.ndarray:
-    """Sums of ``values`` over every subset of its index set.
+def _masked_sum(values: np.ndarray, e: SetMask | None = None) -> np.ndarray:
+    """Ascending sums along the last axis over the atoms of ``e`` (all by default).
 
-    Entry m of the result sums values[k] over the set bits k of m, so
-    the output has length 2**len(values) and entry 0 is zero.
+    Bitwise the scalar loop over the mask's indices, which set values,
+    total variations, totals and integrals share. Like that loop, a sum
+    that overflows is inf (and inf - inf is NaN), without a warning.
     """
-    sums = np.zeros(1 << len(values), dtype=values.dtype)
+    if e is not None:
+        values = values.take(list(e.indices()), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _ascending_sum(values)
+
+
+def subset_sums(values: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` over every subset of its index set, per row.
+
+    Entry m along the last axis sums values[..., k] over the set bits k
+    of m, so that axis has length 2**n for n values and entry 0 is zero.
+    """
+    n = values.shape[-1]
+    sums = np.zeros(values.shape[:-1] + (1 << n,), dtype=values.dtype)
     size = 1
-    for v in values:
-        # Entry size + j is entry j plus v, so each sum still adds its
-        # values in ascending index order.
-        np.add(sums[:size], v, out=sums[size : 2 * size])
+    for k in range(n):
+        # Entry size + j is entry j plus values[k], so each sum still adds
+        # its values in ascending index order.
+        np.add(sums[..., :size], values[..., k, None], out=sums[..., size : 2 * size])
         size *= 2
     return sums
 
@@ -355,7 +355,7 @@ def variation_measure(mu: TMeasure) -> TMeasure:
     The result is a D-measure and is additive over disjoint sets; its
     value on E equals ``mu.total_variation(e)``.
     """
-    return TMeasure(mu.space, np.abs(mu.e1), np.abs(mu.e2))
+    return TMeasure(mu.space, *np.abs(mu.c))
 
 
 def dominates(lambda_d: TMeasure, mu: TMeasure, tol: float = 1e-12) -> bool:
@@ -379,12 +379,9 @@ def dominates(lambda_d: TMeasure, mu: TMeasure, tol: float = 1e-12) -> bool:
     n = mu.space.size
     if n > SUBSET_CAP:
         raise ValueError(f"space too large for subset enumeration (> {SUBSET_CAP})")
-    for mu_comp, lam_comp in ((mu.e1, lambda_d.e1), (mu.e2, lambda_d.e2)):
-        mu_sums = np.abs(subset_sums(mu_comp))
-        lam_sums = subset_sums(lam_comp.real)
-        if not (mu_sums <= lam_sums + tol).all():
-            return False
-    return True
+    mu_sums = np.abs(subset_sums(mu.c))
+    lam_sums = subset_sums(lambda_d.c.real)
+    return bool((mu_sums <= lam_sums + tol).all())
 
 
 def normalize_to_probability(mu_hat: TMeasure) -> TMeasure:
@@ -403,14 +400,12 @@ def normalize_to_probability(mu_hat: TMeasure) -> TMeasure:
         raise ValueError("normalization needs a D-measure")
     if not mu_hat.is_finite():
         raise ValueError("normalization needs finite totals")
-    total = mu_hat.total()
-    tu = total.e1.real
-    tv = total.e2.real
-    if tu == 0.0 and tv == 0.0:
+    totals = _masked_sum(mu_hat.c.real).tolist()
+    if totals == [0.0, 0.0]:
         raise ValueError("cannot normalize zero measure")
-    e1 = mu_hat.e1 / tu if tu != 0.0 else mu_hat.e1
-    e2 = mu_hat.e2 / tv if tv != 0.0 else mu_hat.e2
-    return TMeasure(mu_hat.space, e1, e2)
+    # A zero component total leaves its row as it is.
+    rows = (row / t if t != 0.0 else row for row, t in zip(mu_hat.c, totals))
+    return TMeasure(mu_hat.space, *rows)
 
 
 _VARIANTS = (Hyperbolic(1.0, 1.0), Hyperbolic(1.0, 0.0), Hyperbolic(0.0, 1.0))

@@ -268,6 +268,15 @@ def lt_d(a: Hyperbolic, b: Hyperbolic) -> bool:
     return leq_d(a, b) and (a.e1 != b.e1 or a.e2 != b.e2)
 
 
+def _lt_d_rows(u, bound):
+    """:func:`lt_d` per column of (e1, e2) rows, comparing the sides directly.
+
+    ``bound`` broadcasts against ``u``: a scalar t for t*(e1 + e2), or a
+    (2, 1) column.
+    """
+    return (u <= bound).all(axis=0) & (u != bound).any(axis=0)
+
+
 def sup_d(items: Iterable[Hyperbolic]) -> Hyperbolic:
     """Componentwise maxima of a nonempty collection.
 

@@ -58,6 +58,7 @@ from .numbers import (
     Order,
     check_convergence,
     check_series,
+    _lt_d_rows,
     compare_d,
     leq_d,
     lt_d,
@@ -528,7 +529,7 @@ def _run_polar_measure(rng: Generator) -> Optional[dict]:
         return failed
     zero = TMeasure.zero(space)
     hz = dec.polar_density(zero)
-    if not (np.all(hz.e1 == 1.0) and np.all(hz.e2 == 1.0)):
+    if not (hz.c == 1.0).all():
         return _fail("zero-mass-convention")
     return None
 
@@ -578,10 +579,6 @@ def _run_indefinite_tv(rng: Generator) -> Optional[dict]:
 # ---------------------------------------------------------- epsilon-delta
 
 
-def _lenient_lt_arrays(u1, u2, b1, b2):
-    return (u1 <= b1) & (u2 <= b2) & ~((u1 == b1) & (u2 == b2))
-
-
 @_suite("epsilon-delta")
 def _run_epsilon_delta(rng: Generator) -> Optional[dict]:
     space = gen.make_space(int(rng.integers(1, 11)))
@@ -592,10 +589,8 @@ def _run_epsilon_delta(rng: Generator) -> Optional[dict]:
     else:
         lam = gen.gen_t_measure(rng, space)
 
-    lam1 = np.abs(subset_sums(lam.e1))
-    lam2 = np.abs(subset_sums(lam.e2))
-    m1 = float(lam1.max())
-    m2 = float(lam2.max())
+    lam_sums = np.abs(subset_sums(lam.c))
+    m1, m2 = lam_sums.max(axis=1).tolist()
     eps = Hyperbolic(
         m1 * rng.uniform(0.3, 1.2) if m1 > 0 else 1.0,
         m2 * rng.uniform(0.3, 1.2) if m2 > 0 else 1.0,
@@ -609,11 +604,9 @@ def _run_epsilon_delta(rng: Generator) -> Optional[dict]:
         return None
     if not (delta.e1 > 0 and delta.e2 > 0):
         return _fail("delta-not-positive", delta=delta)
-    mu1 = subset_sums(mu.e1.real)
-    mu2 = subset_sums(mu.e2.real)
-    hyp = _lenient_lt_arrays(mu1, mu2, delta.e1, delta.e2)
-    concl = _lenient_lt_arrays(lam1, lam2, eps.e1, eps.e2)
-    if not np.all(~hyp | concl):
+    hyp = _lt_d_rows(subset_sums(mu.c.real), np.array([[delta.e1], [delta.e2]]))
+    concl = _lt_d_rows(lam_sums, np.array([[eps.e1], [eps.e2]]))
+    if not (~hyp | concl).all():
         bad = int(np.flatnonzero(hyp & ~concl)[0])
         return _fail("delta-fails-subset", subset_bits=bad, delta=delta, eps=eps)
     return None

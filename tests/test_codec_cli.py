@@ -199,6 +199,29 @@ class TestStructureCodec:
             parse_map({"space": space, "map": {"z": "a", "a": 3}})
         assert exc.value.location == "map.map.z"
 
+    @pytest.mark.parametrize(
+        "parse, key", [(parse_measure, "measure"), (parse_function, "function"), (parse_map, "map")]
+    )
+    def test_document_header_errors(self, parse, key):
+        # Every document kind resolves its space and body the same way.
+        space = FiniteSpace(("a",))
+        cases = [
+            ([1], {}, "doc", "expected an object"),
+            ({key: {}}, {}, "doc.space", "missing space"),
+            ({"space": {"atoms": []}, key: {}}, {"space": space}, "doc.space.atoms",
+             "expected a nonempty list of labels"),
+            ({"space": {"atoms": ["a"]}}, {}, f"doc.{key}", "expected an object"),
+            ({key: 3}, {"space": space}, f"doc.{key}", "expected an object"),
+        ]
+        for obj, kwargs, location, message in cases:
+            with pytest.raises(SchemaError) as exc:
+                parse(obj, "doc", **kwargs)
+            assert (exc.value.location, exc.value.message) == (location, message)
+        # A supplied space is used when the document has none; its own wins.
+        assert parse({key: {}} if key != "map" else {key: {"a": "a"}}, "doc", space).space is space
+        own = parse({"space": {"atoms": ["b"]}, key: {} if key != "map" else {"b": "b"}}, "doc", space)
+        assert own.space.atoms == ("b",)
+
     def test_canonical_dump_is_key_order_insensitive(self):
         a = dumps_canonical({"b": 1, "a": [1.5, {"y": 2, "x": 3}]})
         b = dumps_canonical({"a": [1.5, {"x": 3, "y": 2}], "b": 1})

@@ -194,6 +194,20 @@ class TestInvariance:
         with pytest.raises(ValueError, match="positive"):
             is_invariant(f, _uniform(space), 0.0)
 
+    def test_component_lenient_edge(self):
+        # On the swap map each atom's mass moves by exactly 0.25 in the
+        # unbalanced components (dyadic values, so the gaps are exact).
+        space = FiniteSpace(("x", "y"))
+        f = PointMap(space, [1, 0])
+        one = TMeasure(space, [0.5, 0.5], [0.625, 0.375])
+        both = TMeasure(space, [0.625, 0.375], [0.375, 0.625])
+        # A gap equal to tol in one component, strictly below in the other.
+        assert is_invariant(f, one, 0.25)
+        assert not is_invariant(f, one, 0.125)
+        # Equal to tol in both components is not strictly below it.
+        assert not is_invariant(f, both, 0.25)
+        assert is_invariant(f, both, 0.5)
+
 
 class TestChangeOfVariables:
     def test_exact_on_dyadic(self, cycle3):
@@ -294,6 +308,36 @@ class TestCesaro:
             carrying = np.flatnonzero((mass != 0.0).any(axis=0))
             depths = [_tail_depth(f.image, on_cycle, x) for x in carrying]
             assert trace.burn_in == max(depths)
+
+    @pytest.mark.parametrize("n", [1, 5, 40, 9000, 20000])
+    def test_gaps_equal_the_per_component_reference_bitwise(self, n):
+        # The orbit replayed one component at a time: single bincount
+        # pushes, and each gap an np.sum over one component's atoms.
+        rng = np.random.default_rng(n)
+        space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+        image = rng.integers(0, n, size=n)
+        f = PointMap(space, image)
+        mass = rng.random((2, n))
+        mass /= mass.sum(axis=1, keepdims=True)
+        trace = cesaro_invariant(f, TMeasure(space, *mass), max_iter=12, tol=1e-12)
+
+        def push(m):
+            return np.bincount(image, weights=m, minlength=n)
+
+        want = []
+        for m in mass:
+            for _ in range(trace.burn_in):
+                m = push(m)
+            total = np.zeros(n)
+            comp = []
+            for k in range(1, len(trace.gaps) + 1):
+                total += m
+                avg = total / k
+                comp.append(float(np.sum(np.abs(push(avg) - avg))).hex())
+                m = push(m)
+            want.append(comp)
+        got = [[g.e1.hex() for g in trace.gaps], [g.e2.hex() for g in trace.gaps]]
+        assert got == want
 
     def test_limit_in_hull(self, cycle3):
         space, f = cycle3

@@ -44,8 +44,29 @@ class TestConstruction:
         assert mu.atom(1) == Bicomplex(2.5, 2.5)
 
     def test_shape_validation(self, space):
-        with pytest.raises(ValueError):
-            TMeasure(space, np.zeros(3), np.zeros(2))
+        cases = [
+            (np.zeros(3), np.zeros(2)),  # wrong length
+            (np.zeros(3), np.zeros(3)),
+            ([1.0, 2.0], [1.0]),  # ragged
+            ([1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]]),
+            (1.0, 2.0),  # scalars
+            (np.zeros((2, 1)), np.zeros((2, 1))),  # 2-D components
+            (np.zeros((1, 2)), np.zeros((1, 2))),
+        ]
+        for e1, e2 in cases:
+            with pytest.raises(ValueError, match="^component arrays must have one entry per atom$"):
+                TMeasure(space, e1, e2)
+        # A value that is not a number keeps numpy's own message.
+        with pytest.raises(ValueError, match="malformed string"):
+            TMeasure(space, ["x", "y"], [1.0, 2.0])
+
+    def test_components_are_rows_of_one_read_only_table(self, space):
+        mu = TMeasure(space, [1, 2j], [3, 4])
+        assert mu.c.shape == (2, 2) and mu.c.dtype == np.complex128
+        assert mu.e1.base is mu.c and mu.e2.base is mu.c
+        assert mu.e1.tolist() == [1, 2j] and mu.e2.tolist() == [3, 4]
+        for arr in (mu.c, mu.e1, mu.e2):
+            assert not arr.flags.writeable
 
     def test_immutability(self, space):
         mu = TMeasure.zero(space)
@@ -317,6 +338,28 @@ def test_set_sums_equal_the_ascending_scalar_sum_bitwise(n):
         terms2 = [f.e2[i] * d.e2.real[i] for i in range(n)]
         assert _exact(val.e1) == _exact(_ascending_sum(terms1, members))
         assert _exact(val.e2) == _exact(_ascending_sum(terms2, members))
+
+
+def test_overflowing_sums_are_inf_without_a_warning():
+    # Finite masses near the top of the float range: their sums overflow
+    # to inf, as the scalar loop's do, and pyproject.toml turns any
+    # RuntimeWarning into an error.
+    space = FiniteSpace(("a", "b", "c"))
+    big = np.array([1e308, 1e308, -1e308])
+    mu = TMeasure(space, big, big * 1j)
+    e = space.subset_of_indices([0, 1])
+    assert mu.of(e) == Bicomplex(np.inf, complex(0, np.inf))
+    assert mu.total() == Bicomplex(complex(np.inf, 0), complex(0, np.inf))
+    assert mu.total_variation(e) == Hyperbolic(np.inf, np.inf)
+    assert mu.total_variation(space.full()) == Hyperbolic(np.inf, np.inf)
+    # A masked integral is bounded by the integral of |f|, which must be
+    # finite: near the top of the range the masked sum stays finite, and
+    # an overflowing one makes f non-integrable. Neither warns.
+    d = TMeasure(space, [1e308, 7e307, 1e308], np.ones(3))
+    f = TFunction(space, [1.0, 1.0, 0.0], [1.0, 1.0, 1.0])
+    assert integrate(f, d, e) == Bicomplex(1.7e308, 2.0)
+    with pytest.raises(ValueError, match="not integrable"):
+        integrate(TFunction.constant(space, 1.0), d, e)
 
 
 def test_all_negative_zero_masses_sum_to_positive_zero():
