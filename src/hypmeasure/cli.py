@@ -4,8 +4,8 @@ Subcommands map one-to-one onto the library's operation families:
 
 - ``decompose``: Jordan, Hahn, polar and Lebesgue decompositions of a
   hyperbolic measure at any size, with every identity re-checked. The
-  two Hahn formula checks enumerate all subsets and run up to 20 atoms;
-  above that they are written as ``null`` (not run).
+  two Hahn formula checks enumerate all subsets, a block at a time, and
+  run up to 20 atoms; above that they are written as ``null`` (not run).
 - ``integrate``: a single integral (with modulus inequality report) or
   a dominated-convergence run when the document has a ``sequence``.
 - ``pushforward``: image of a D-probability under a self-map.
@@ -28,6 +28,7 @@ wall times; everything else in it is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -410,7 +411,14 @@ def _cmd_gen(args: argparse.Namespace) -> dict:
 # ------------------------------------------------------------------ driver
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call.
+
+    Parsing keeps no state between calls, and argparse looks up
+    ``sys.stdout`` and ``sys.stderr`` when it prints, so help and usage
+    errors go to the streams of the current call.
+    """
     parser = argparse.ArgumentParser(
         prog="hypmeasure",
         description="Hyperbolic-measure toolbox: decompose, integrate, "

@@ -24,6 +24,7 @@ from .measures import (
     AtomTable,
     MeasureKind,
     TMeasure,
+    subset_sum_blocks,
     subset_sums,
     variation_measure,
 )
@@ -197,6 +198,12 @@ def certify_hahn(
     within ``tol`` plus a rounding bound scaled by |mu|_D(E). Above the
     20-atom subset cap both verdicts are None (not run).
 
+    The subsets are walked in blocks (``subset_sum_blocks``) of six
+    rows, mu on A, B, C and D, mu_plus and mu_minus, both components at
+    once, so memory is O(n * 2**_BLOCK_BITS) rather than O(2**n). Every
+    block is checked, with no early exit, so an overflow anywhere raises
+    under ``np.errstate(over="raise")``.
+
     Raises
     ------
     ValueError
@@ -213,19 +220,17 @@ def certify_hahn(
     for row, cell in zip(inside, cells):
         row[list(cell.indices())] = 1.0
     jp = jordan(mu)
+    # Six (2, n) rows: mu on A, B, C and D, then mu_plus and mu_minus.
+    rows = np.concatenate(
+        (inside[:, None] * x, jp.mu_plus.c.real[None], jp.mu_minus.c.real[None])
+    )
     plus_ok = minus_ok = True
-    # Component e1 takes its modulus on C, component e2 on D. One
-    # component and one 2**n array per cell at a time: at 20 atoms, one
-    # (2, 4, 2**n) or (4, 2**n) block of sums raises the peak RSS.
-    for x_i, p, m, mixed_cell in zip(
-        x, jp.mu_plus.c.real, jp.mu_minus.c.real, (2, 3)
-    ):
-        a, b, c, d = sums = [subset_sums(x_i * flags) for flags in inside]
-        mixed = np.abs(sums[mixed_cell])
-        plus, minus = subset_sums(p), subset_sums(m)
+    for _, (a, b, c, d, plus, minus) in subset_sum_blocks(rows):
+        # Component e1 takes its modulus on C, component e2 on D.
+        mixed = np.abs(np.stack((c[0], d[1])))
         scale = n * (plus + minus)
-        plus_ok = plus_ok and _close(a + mixed, plus, scale, tol)
-        minus_ok = minus_ok and _close(-b - c - d + mixed, minus, scale, tol)
+        plus_ok &= _close(a + mixed, plus, scale, tol)
+        minus_ok &= _close(-b - c - d + mixed, minus, scale, tol)
     return {"hahn_mu_plus": plus_ok, "hahn_mu_minus": minus_ok}
 
 

@@ -16,7 +16,7 @@ pure, so concurrent reads are safe.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "normalize_to_probability",
     "probability_variant",
     "subset_sums",
+    "subset_sum_blocks",
 ]
 
 _MassLike = Union[Bicomplex, Hyperbolic, complex, float, int]
@@ -40,6 +41,10 @@ _MassLike = Union[Bicomplex, Hyperbolic, complex, float, int]
 # refuses to run rather than silently sampling.
 PARTITION_CAP = 12
 SUBSET_CAP = 20
+# Entries per subset-sum block, as a power of two: the Hahn certificate's
+# six (2, 2**13) rows of float64 sums take 768 KiB, so a block and its
+# temporaries stay in cache.
+_BLOCK_BITS = 13
 
 
 class MeasureKind(Enum):
@@ -156,10 +161,15 @@ class AtomTable:
     __rmul__ = __mul__
 
     def isclose(self, other: "AtomTable", tol: float = 1e-12) -> bool:
-        """Atomwise closeness of both components within ``tol``."""
+        """Atomwise closeness of both components within ``tol``.
+
+        A non-finite entry is close to nothing (inf - inf is NaN), and
+        computing that difference does not warn.
+        """
         if other.space != self.space:
             return False
-        return bool((np.abs(self.c - other.c) <= tol).all())
+        with np.errstate(invalid="ignore", over="ignore"):
+            return bool((np.abs(self.c - other.c) <= tol).all())
 
     def equal_exact(self, other: "AtomTable") -> bool:
         if other.space != self.space:
@@ -299,6 +309,10 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
 
     Entry m along the last axis sums values[..., k] over the set bits k
     of m, so that axis has length 2**n for n values and entry 0 is zero.
+    Each sum is the ascending left fold ``0.0 + v[k1] + v[k2] + ...``
+    over k1 < k2 < ..., so every entry has the bits of that scalar loop.
+    The whole array is O(2**n) memory; :func:`subset_sum_blocks` yields
+    the same entries a block at a time.
     """
     n = values.shape[-1]
     sums = np.zeros(values.shape[:-1] + (1 << n,), dtype=values.dtype)
@@ -309,6 +323,36 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
         np.add(sums[..., :size], values[..., k, None], out=sums[..., size : 2 * size])
         size *= 2
     return sums
+
+
+def subset_sum_blocks(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The entries of ``subset_sums(values)`` in blocks, with their offsets.
+
+    Yields ``(start, block)`` pairs, where ``block`` equals
+    ``subset_sums(values)[..., start : start + len]`` bit for bit. The
+    low block is the subset sums of the first ``_BLOCK_BITS`` values;
+    every other block is its parent plus one value of a higher index
+    than the parent's atoms, so each entry is still the ascending left
+    fold from 0.0. Blocks come depth first over the higher atoms and
+    share one buffer per atom, so memory is O(n * 2**_BLOCK_BITS) per
+    row instead of O(2**n). A block is read-only, and valid only until
+    the next one is requested: copy it to keep it.
+    """
+    n = values.shape[-1]
+    low = min(n, _BLOCK_BITS)
+    root = subset_sums(values[..., :low])
+    # The block whose highest atom is j lives in buffers[j - low]. It is
+    # rewritten only after every block derived from it has been yielded.
+    buffers = np.empty((n - low,) + root.shape, dtype=root.dtype)
+
+    def walk(block: np.ndarray, start: int, first: int):
+        block.flags.writeable = False
+        yield start, block
+        for j in range(first, n):
+            child = np.add(block, values[..., j, None], out=buffers[j - low])
+            yield from walk(child, start + (1 << j), j + 1)
+
+    yield from walk(root, 0, low)
 
 
 def total_variation_bruteforce(mu: TMeasure, e: SetMask) -> Hyperbolic:
@@ -362,10 +406,10 @@ def dominates(lambda_d: TMeasure, mu: TMeasure, tol: float = 1e-12) -> bool:
     """Whether |mu_i(E)| <= lambda_i(E) for every subset and component.
 
     ``lambda_d`` must be a D-measure on the same space. All 2**|X|
-    subsets are enumerated, so the space is capped at 20 atoms. The
-    comparison allows an additive slack ``tol`` because the two sides
-    are computed by different float summation orders and can tie
-    mathematically (e.g. |mu|_D against mu).
+    subsets are enumerated, a block of subset sums at a time, so the
+    space is capped at 20 atoms. The comparison allows an additive
+    slack ``tol`` because the two sides are computed by different float
+    summation orders and can tie mathematically (e.g. |mu|_D against mu).
 
     Raises
     ------
@@ -379,9 +423,13 @@ def dominates(lambda_d: TMeasure, mu: TMeasure, tol: float = 1e-12) -> bool:
     n = mu.space.size
     if n > SUBSET_CAP:
         raise ValueError(f"space too large for subset enumeration (> {SUBSET_CAP})")
-    mu_sums = np.abs(subset_sums(mu.c))
-    lam_sums = subset_sums(lambda_d.c.real)
-    return bool((mu_sums <= lam_sums + tol).all())
+    ok = True
+    # Both walks visit the same subsets in the same order.
+    for (_, mu_sums), (_, lam_sums) in zip(
+        subset_sum_blocks(mu.c), subset_sum_blocks(lambda_d.c.real)
+    ):
+        ok &= bool((np.abs(mu_sums) <= lam_sums + tol).all())
+    return ok
 
 
 def normalize_to_probability(mu_hat: TMeasure) -> TMeasure:

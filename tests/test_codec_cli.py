@@ -40,7 +40,7 @@ from hypmeasure import (
     space_to_obj,
 )
 from hypmeasure import generators as gen_mod
-from hypmeasure.cli import GEN_KINDS, main
+from hypmeasure.cli import GEN_KINDS, build_parser, main
 from hypmeasure.codec import table_to_obj
 import hypmeasure.verify as verify_mod
 
@@ -606,6 +606,21 @@ class TestCliDecompose:
         assert out == ""
         # One JSON document on stderr and nothing else: no numpy warning.
         assert json.loads(err)["location"] == location
+
+    def test_overflow_past_the_first_block_is_a_schema_error(self, capsys, monkeypatch):
+        # At 20 atoms only subsets holding atom 18 or 19 overflow, so the
+        # error comes from the walk's later blocks.
+        space = FiniteSpace(tuple(f"x{i}" for i in range(20)))
+        u = np.array([1.0] * 18 + [1e308, 1e308])
+        doc_in = measure_to_obj(TMeasure(space, u, -np.ones(20)))
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc_in)))
+        code, out, err = _run(["decompose"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "schema violation",
+            "location": "input.measure",
+            "message": "mass sums overflow the float range",
+        }
 
     @pytest.mark.parametrize("n, hahn_ok", [(20, True), (21, None), (200, None)])
     def test_subset_cap(self, n, hahn_ok, capsys, monkeypatch):
@@ -1250,6 +1265,37 @@ class TestCliGen:
 
 
 class TestCliParser:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # Help, a usage error and a schema error leave no trace in the
+        # shared parser: a second round gives the first round's bytes.
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(WORKED_EXAMPLE))
+        calls = [
+            ["--help"],
+            ["decompose", "--seed", "3"],
+            ["decompose", "--input", str(path), "--tol", "-1"],
+            ["decompose", "--input", str(path)],
+            ["gen", "--kind", "map", "--atoms", "3"],
+        ]
+
+        def round_():
+            results = []
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                results.append((code, *capsys.readouterr()))
+            return results
+
+        build_parser.cache_clear()
+        first = round_()
+        assert [r[0] for r in first] == [("exit", 0), ("exit", 2), 2, 0, 0]
+        assert "usage: hypmeasure" in first[0][1]
+        assert "unrecognized arguments" in first[1][2]
+        assert round_() == first
+        assert build_parser() is build_parser()
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -166,6 +166,25 @@ class TestHahn:
         swapped = HahnPartition(A=p.A, B=p.B, C=p.D, D=p.C)
         assert certify_hahn(mu, swapped) == {"hahn_mu_plus": False, "hahn_mu_minus": False}
 
+    @pytest.mark.parametrize("n", [14, 20])
+    def test_certifier_rejects_an_error_at_the_highest_atom(self, n):
+        # Only subsets holding the last atom see the error, and their
+        # sums come from blocks past the first: a walk that stops early,
+        # or never reaches the blocks holding that atom, passes this
+        # partition.
+        rng = np.random.default_rng(n)
+        space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+        u = rng.normal(size=n)
+        v = rng.normal(size=n)
+        u[-1], v[-1] = 3.0, 2.0
+        mu = TMeasure(space, u, v)
+        p = hahn(mu)
+        assert p.A.contains(n - 1)
+        assert certify_hahn(mu, p) == {"hahn_mu_plus": True, "hahn_mu_minus": True}
+        top = space.singleton(n - 1)
+        moved = HahnPartition(A=p.A.difference(top), B=p.B | top, C=p.C, D=p.D)
+        assert certify_hahn(mu, moved) == {"hahn_mu_plus": False, "hahn_mu_minus": False}
+
     def test_certifier_rejects_cells_of_another_space(self, space):
         mu = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1)})
         other = FiniteSpace(("a", "c"))

@@ -1,10 +1,13 @@
 """Measure tables: set values, kinds, variation, domination, normalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypmeasure.measures as measures_mod
 from hypmeasure import (
     Bicomplex,
     FiniteSpace,
@@ -17,6 +20,7 @@ from hypmeasure import (
     integrate,
     normalize_to_probability,
     probability_variant,
+    subset_sum_blocks,
     subset_sums,
     total_variation_bruteforce,
     variation_measure,
@@ -238,6 +242,31 @@ class TestDomination:
         with pytest.raises(ValueError, match="subset"):
             dominates(zero, zero)
 
+    @pytest.mark.parametrize("block_bits", [None, 2])
+    def test_verdicts_match_the_full_array_form(self, block_bits, monkeypatch):
+        # The verdict of the one-shot form over the whole 2**n array,
+        # on ties (|mu|_D against mu), near misses and clear failures.
+        if block_bits is not None:
+            monkeypatch.setattr(measures_mod, "_BLOCK_BITS", block_bits)
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for case in range(300):
+            n = int(rng.integers(1, 11))
+            space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+            mu = TMeasure(
+                space,
+                rng.normal(size=n) + 1j * rng.normal(size=n) * (case % 2),
+                rng.normal(size=n),
+            )
+            lam = variation_measure(mu).scaled(float(rng.choice([0.5, 0.999, 1.0, 1.5])))
+            tol = float(rng.choice([0.0, 1e-12, 0.1]))
+            full = bool(
+                (np.abs(subset_sums(mu.c)) <= subset_sums(lam.c.real) + tol).all()
+            )
+            assert dominates(lam, mu, tol) is full
+            verdicts.add(full)
+        assert verdicts == {True, False}
+
 
 class TestNormalization:
     def test_full_variant(self, space):
@@ -271,6 +300,39 @@ def test_subset_sums_oracle():
     for m in range(8):
         want = sum(values[k] for k in range(3) if m >> k & 1)
         assert sums[m] == want
+
+
+_AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, 1.5, -2.25, 0.1, 1e308]
+
+
+@pytest.mark.parametrize("block_bits", [None, 2])
+@pytest.mark.parametrize("n", range(17))
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_subset_sum_blocks_reassemble_subset_sums_bitwise(n, dtype, block_bits, monkeypatch):
+    # Signed zeros, subnormals, infinities (so NaNs) and overflowing sums;
+    # with 2-bit blocks the walk goes up to 14 atoms deep.
+    if block_bits is not None:
+        monkeypatch.setattr(measures_mod, "_BLOCK_BITS", block_bits)
+    rng = np.random.default_rng(n)
+    values = rng.choice(_AWKWARD, size=(2, n)).astype(dtype)
+    if dtype is np.complex128:
+        values.imag = rng.choice(_AWKWARD, size=(2, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = subset_sums(values)
+        got = np.full_like(want, np.nan)
+        covered = 0
+        for start, block in subset_sum_blocks(values):
+            assert not block.flags.writeable
+            got[..., start : start + block.shape[-1]] = block
+            covered += block.shape[-1]
+    assert covered == 1 << n
+    assert got.tobytes() == want.tobytes()
+
+
+def test_blocks_stay_small_at_the_subset_cap():
+    values = np.ones((2, 6, 20))
+    sizes = {block.shape for _, block in subset_sum_blocks(values)}
+    assert sizes == {(2, 6, 1 << measures_mod._BLOCK_BITS)}
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
@@ -360,6 +422,21 @@ def test_overflowing_sums_are_inf_without_a_warning():
     assert integrate(f, d, e) == Bicomplex(1.7e308, 2.0)
     with pytest.raises(ValueError, match="not integrable"):
         integrate(TFunction.constant(space, 1.0), d, e)
+
+
+def test_isclose_on_non_finite_entries_answers_without_a_warning():
+    # inf - inf is NaN and 1e308 - (-1e308) overflows; neither is close,
+    # and neither may warn.
+    space = FiniteSpace(("a", "b"))
+    m = TMeasure(space, [np.inf, 1.0], [1.0, 1.0])
+    big = TMeasure(space, [1e308, 1.0], [1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not m.isclose(m)
+        assert not m.isclose(big)
+        assert not big.isclose(-big)
+        assert big.isclose(big)
+        assert TFunction(space, [np.nan, 0], [0, 0]).isclose(TFunction(space, [0, 0], [0, 0])) is False
 
 
 def test_all_negative_zero_masses_sum_to_positive_zero():
