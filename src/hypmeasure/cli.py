@@ -182,9 +182,9 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         with np.errstate(over="raise", invalid="raise"):
             checks = {
                 **certify_jordan(mu, pair),
-                **certify_hahn(mu, cells, args.tol),
-                **certify_polar(mu, h, args.tol),
-                **certify_lrn(mu, ref, lrn, args.tol),
+                **certify_hahn(mu, cells),
+                **certify_polar(mu, h),
+                **certify_lrn(mu, ref, lrn),
             }
     except FloatingPointError:
         raise SchemaError("input.measure", "mass sums overflow the float range") from None
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output JSON path (default stdout)")
         if name in ("verify", "gen"):
             p.add_argument("--seed", type=int, default=42)
-        if name in ("decompose", "integrate", "find-invariant"):
+        if name in ("integrate", "find-invariant"):
             p.add_argument("--tol", type=float, default=1e-9)
         if name == "verify":
             p.add_argument("--cases", type=int, default=1000)

@@ -9,6 +9,8 @@ existence proofs constructive and exact.
 Constructions are O(n) at any size. Each has one certifier, ``certify_*``,
 with named verdicts (True, False, or None when not run): Jordan, polar
 and LRN atomwise, the Hahn formulas on every subset up to 20 atoms.
+Rounded identities are compared within a bound worked out from the
+inputs (``_close``), with no tolerance to set, so they fail at any scale.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .measures import (
     AtomTable,
     MeasureKind,
     TMeasure,
+    _masked_sum,
     subset_sum_blocks,
-    subset_sums,
     variation_measure,
 )
 from .numbers import Hyperbolic
@@ -58,14 +60,19 @@ __all__ = [
 # u = eps/2. A checked identity compares two such sums, with at most
 # three more roundings on one side (the Hahn cell combination; atomwise,
 # a division and a product): (2n + 1)*u*sum|x| in all. So c = 4 in the
-# bound tol + c*n*eps*sum|x| covers every n >= 1, with room for
-# second-order terms and for the rounding of sum|x| itself.
+# bound c*n*eps*sum|x| covers every n >= 1, with room for second-order
+# terms and for the rounding of sum|x| itself.
 _ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
+# Below the normal range a product or quotient is off by up to half the
+# subnormal spacing 2**-1074 (sums there are exact): 16 spacings per term,
+# and m more for a factor rounded there and then multiplied by a mass m.
+_FLOOR = 16.0 * float(np.finfo(np.float64).smallest_subnormal)
 
 
-def _close(got, want, scale, tol: float) -> bool:
-    """Whether |got - want| <= tol + 4*eps*scale, with scale = n*sum|x|."""
-    return bool((np.abs(got - want) <= tol + _ROUNDING * scale).all())
+def _close(got, want, scale, floors) -> bool:
+    """Whether |got - want| <= 4*eps*scale + _FLOOR*floors, with scale =
+    n*sum|x| and floors = n (see _FLOOR) over the n terms of a side."""
+    return bool((np.abs(got - want) <= _ROUNDING * scale + _FLOOR * floors).all())
 
 
 def _require_signed_d(mu: TMeasure) -> np.ndarray:
@@ -127,18 +134,16 @@ def polar_density(mu: TMeasure) -> TFunction:
     return TFunction(mu.space, *mu.c).polar_factor()
 
 
-def certify_polar(
-    table: AtomTable, h: TFunction, tol: float = 1e-12
-) -> dict[str, bool]:
+def certify_polar(table: AtomTable, h: TFunction) -> dict[str, bool]:
     """Verdicts ``polar_unimodular`` (|h|_D = 1) and ``polar_reconstruction``
     (h * |x|_D = x), atomwise, for a measure and its polar density or a
-    function and its polar factor. Each atom is compared within ``tol``
-    plus a rounding bound scaled by its modulus."""
+    function and its polar factor. Each atom is compared within a
+    rounding bound scaled by its modulus, plus the subnormal floor."""
     table._check_space(h)
     x, hx = table.c, h.c
     return {
-        "polar_unimodular": _close(np.abs(hx), 1.0, 1.0, tol),
-        "polar_reconstruction": _close(hx * np.abs(x), x, np.abs(x), tol),
+        "polar_unimodular": _close(np.abs(hx), 1.0, 1.0, 1),
+        "polar_reconstruction": _close(hx * np.abs(x), x, np.abs(x), 1),
     }
 
 
@@ -185,9 +190,7 @@ def hahn(mu: TMeasure) -> HahnPartition:
     )
 
 
-def certify_hahn(
-    mu: TMeasure, partition: HahnPartition, tol: float = 1e-12
-) -> dict[str, bool | None]:
+def certify_hahn(mu: TMeasure, partition: HahnPartition) -> dict[str, bool | None]:
     """Verdicts ``hahn_mu_plus`` and ``hahn_mu_minus``: the Hahn formulas
     against the Jordan parts on every subset E,
 
@@ -195,8 +198,8 @@ def certify_hahn(
         mu_minus(E) = -mu(E & B) - mu(E & C) - mu(E & D)
                       + e1*|mu(E & C)|_D + e2*|mu(E & D)|_D
 
-    within ``tol`` plus a rounding bound scaled by |mu|_D(E). Above the
-    20-atom subset cap both verdicts are None (not run).
+    within a rounding bound scaled by n * |mu|_D(E), plus the subnormal
+    floor. Above the 20-atom subset cap both verdicts are None (not run).
 
     The subsets are walked in blocks (``subset_sum_blocks``) of six
     rows, mu on A, B, C and D, mu_plus and mu_minus, both components at
@@ -229,8 +232,8 @@ def certify_hahn(
         # Component e1 takes its modulus on C, component e2 on D.
         mixed = np.abs(np.stack((c[0], d[1])))
         scale = n * (plus + minus)
-        plus_ok &= _close(a + mixed, plus, scale, tol)
-        minus_ok &= _close(-b - c - d + mixed, minus, scale, tol)
+        plus_ok &= _close(a + mixed, plus, scale, n)
+        minus_ok &= _close(-b - c - d + mixed, minus, scale, n)
     return {"hahn_mu_plus": plus_ok, "hahn_mu_minus": minus_ok}
 
 
@@ -410,16 +413,15 @@ def lebesgue_radon_nikodym(lam: TMeasure, mu: TMeasure) -> LRNResult:
     )
 
 
-def certify_lrn(
-    lam: TMeasure, mu: TMeasure, result: LRNResult, tol: float = 1e-12
-) -> dict[str, bool]:
+def certify_lrn(lam: TMeasure, mu: TMeasure, result: LRNResult) -> dict[str, bool]:
     """Verdicts ``lrn_sum``, ``lrn_abs_continuous``, ``lrn_singular`` and
     ``lrn_density`` for a Lebesgue decomposition of lam against mu.
 
     The first three are exact and together make the pair the (atomwise
     unique) decomposition: ac + sing = lam, ac absolutely continuous and
     sing singular with respect to mu. The last compares density * mu with
-    ac atomwise, within ``tol`` plus a rounding bound scaled by |lam|_D.
+    ac atomwise, within a rounding bound scaled by |lam|_D and a floor
+    of 1 + mu: the density is rounded before it is multiplied by mu.
 
     Raises
     ------
@@ -433,7 +435,7 @@ def certify_lrn(
         "lrn_sum": (ac + sing).equal_exact(lam),
         "lrn_abs_continuous": abs_continuous(ac, mu),
         "lrn_singular": mutually_singular(sing, mu),
-        "lrn_density": _close(density.c * mu.c.real, ac.c, np.abs(lam.c), tol),
+        "lrn_density": _close(density.c * mu.c.real, ac.c, np.abs(lam.c), 1 + mu.c.real),
     }
 
 
@@ -451,7 +453,8 @@ def epsilon_delta_witness(
     The constructive choice takes, per component, half the smallest
     mu_i(E) among subsets with |lam_i(E)| >= epsilon_i; halving keeps
     the guarantee strict under the component-lenient order. Components
-    with no offending subset get delta_i = 1.
+    with no offending subset get delta_i = 1. Subsets are walked a block
+    at a time (``subset_sum_blocks``), in O(n * 2**_BLOCK_BITS) memory.
 
     Raises
     ------
@@ -467,26 +470,21 @@ def epsilon_delta_witness(
     if not abs_continuous(lam, mu):
         return None
 
-    deltas = []
-    for lam_sums, mu_sums, eps_i in zip(
-        np.abs(subset_sums(lam.c)),
-        subset_sums(mu.c.real),
-        (epsilon.e1, epsilon.e2),
-    ):
-        offending = mu_sums[lam_sums >= eps_i]
-        if offending.size == 0:
-            deltas.append(1.0)
-            continue
-        smallest = float(np.min(offending))
-        if smallest <= 0.0:
-            # An offending subset with zero mu-mass contradicts
-            # absolute continuity on a finite space.
-            raise InternalInvariantError(
-                "offending subset with zero reference mass",
-                payload={"epsilon": [epsilon.e1, epsilon.e2]},
-            )
-        deltas.append(smallest / 2.0)
-    return Hyperbolic(deltas[0], deltas[1])
+    eps = np.array([[epsilon.e1], [epsilon.e2]])
+    # NaN means no offending subset (fmin skips it; mu-sums are never NaN).
+    # mu's complex sums keep its real sums' bits; block minima compose.
+    smallest = np.full(2, np.nan)
+    for _, (lam_sums, mu_sums) in subset_sum_blocks(np.array((lam.c, mu.c))):
+        offending = np.where(np.abs(lam_sums) >= eps, mu_sums.real, np.nan)
+        np.fmin(smallest, np.fmin.reduce(offending, axis=1), out=smallest)
+    if (smallest <= 0.0).any():
+        # An offending subset with zero mu-mass contradicts absolute
+        # continuity on a finite space.
+        raise InternalInvariantError(
+            "offending subset with zero reference mass",
+            payload={"epsilon": [epsilon.e1, epsilon.e2]},
+        )
+    return Hyperbolic(*np.where(np.isnan(smallest), 1.0, smallest / 2.0).tolist())
 
 
 @dataclass(frozen=True)
@@ -499,19 +497,20 @@ class TvOfIndefinite:
     equal: bool
 
 
-def tv_of_indefinite_integral(
-    g: TFunction, mu: TMeasure, e: SetMask, tol: float = 1e-12
-) -> TvOfIndefinite:
+def tv_of_indefinite_integral(g: TFunction, mu: TMeasure, e: SetMask) -> TvOfIndefinite:
     """Check |lambda|_D(E) = integral of |g|_D over E, for lambda the
     indefinite integral of g against mu.
 
     Both sides are computed independently (total variation of the
     product measure against the integral of the modulus) and compared
-    within ``tol``.
+    within the certifiers' bound (``_close``), whose floor counts mu(E)
+    more: |g|_D is rounded before it is multiplied by the masses.
     """
     lam = indefinite_integral(g, mu)
     tv = lam.total_variation(e)
     iom_bc = integrate(g.d_modulus(), mu, e)
     iom = Hyperbolic(iom_bc.e1.real, iom_bc.e2.real)
-    equal = abs(tv.e1 - iom.e1) <= tol and abs(tv.e2 - iom.e2) <= tol
+    got, want = np.array([[tv.e1, tv.e2], [iom.e1, iom.e2]])
+    n = mu.space.size
+    equal = _close(got, want, n * want, n + _masked_sum(mu.c.real, e))
     return TvOfIndefinite(tv=tv, integral_of_modulus=iom, equal=equal)

@@ -565,7 +565,7 @@ def _run_indefinite_tv(rng: Generator) -> Optional[dict]:
     mu = gen.gen_d_measure(rng, space)
     g = gen.gen_function(rng, space)
     e = _random_mask(rng, space)
-    res = dec.tv_of_indefinite_integral(g, mu, e, tol=1e-12 * max(1, space.size))
+    res = dec.tv_of_indefinite_integral(g, mu, e)
     if not res.equal:
         return _fail("tv-vs-integral-of-modulus", tv=res.tv, iom=res.integral_of_modulus)
     ones = TFunction.constant(space, 1.0)

@@ -582,6 +582,17 @@ class TestCliDecompose:
             doc = _run_json(["decompose"], capsys)
             assert all(doc["checks"].values())
 
+    def test_tiny_masses_pass_their_checks(self, capsys, monkeypatch):
+        # The certifiers' bound scales down with the masses too, to a floor
+        # of a few subnormal spacings, so correct checks still pass.
+        doc_in = _run_json(["gen", "--kind", "signed-measure", "--atoms", "12"], capsys)
+        for mass in doc_in["measure"].values():
+            for pair in mass.values():
+                pair[:] = [v * 1e-300 for v in pair]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc_in)))
+        doc = _run_json(["decompose"], capsys)
+        assert len(doc["checks"]) == 10 and all(doc["checks"].values())
+
     @pytest.mark.parametrize(
         "masses, reference, location",
         [
@@ -1273,7 +1284,7 @@ class TestCliParser:
         calls = [
             ["--help"],
             ["decompose", "--seed", "3"],
-            ["decompose", "--input", str(path), "--tol", "-1"],
+            ["integrate", "--input", str(path), "--tol", "-1"],
             ["decompose", "--input", str(path)],
             ["gen", "--kind", "map", "--atoms", "3"],
         ]
@@ -1314,6 +1325,7 @@ class TestCliParser:
             pytest.param(["gen", "--kind", "map", "--tol", "5"], id="gen-tol"),
             pytest.param(["gen", "--kind", "map", "--cases", "9"], id="gen-cases"),
             pytest.param(["verify", "--tol", "1e-6"], id="verify-tol"),
+            pytest.param(["decompose", "--tol", "1e-9"], id="decompose-tol"),
             pytest.param(["decompose", "--seed", "3"], id="decompose-seed"),
             pytest.param(["decompose", "--cases", "3"], id="decompose-cases"),
             pytest.param(["pushforward", "--tol", "1e-6"], id="pushforward-tol"),
@@ -1331,17 +1343,21 @@ class TestCliParser:
     def test_bad_tol_is_schema_error(self, tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(WORKED_EXAMPLE))
-        code, _, err = _run(
-            ["decompose", "--input", str(path), "--tol", "-1"], capsys
-        )
-        assert code == 2
-        assert json.loads(err)["error"] == "schema violation"
+        for command in ("integrate", "find-invariant"):
+            code, _, err = _run([command, "--input", str(path), "--tol", "-1"], capsys)
+            assert code == 2
+            assert json.loads(err) == {
+                "error": "schema violation",
+                "location": "tol",
+                "message": "must be positive",
+            }
 
-    @pytest.mark.parametrize("command", ["decompose", "integrate", "find-invariant"])
+    @pytest.mark.parametrize("command", ["integrate", "find-invariant"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_tol_is_schema_error(self, tmp_path, capsys, command, tol):
-        # A NaN or infinite floor would make every rounded check pass
-        # (or fail) whatever the data; the input is never read.
+        # A NaN or infinite threshold would make every convergence or
+        # invariance check pass (or fail) whatever the data; the input is
+        # never read.
         path = tmp_path / "in.json"
         path.write_text(json.dumps(WORKED_EXAMPLE))
         code, out, err = _run([command, "--input", str(path), f"--tol={tol}"], capsys)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hypmeasure.measures as measures_mod
 from hypmeasure import (
     Bicomplex,
     FiniteSpace,
@@ -27,6 +28,7 @@ from hypmeasure import (
     lebesgue_radon_nikodym,
     mutually_singular,
     polar_density,
+    subset_sums,
     tv_of_indefinite_integral,
     variation_measure,
 )
@@ -417,6 +419,42 @@ class TestEpsilonDelta:
             )
             assert concl or not hyp
 
+    @staticmethod
+    def _full_array_delta(lam, mu, epsilon):
+        # The one-shot form over whole 2**n arrays of subset sums.
+        if not abs_continuous(lam, mu):
+            return None
+        deltas = []
+        for lam_sums, mu_sums, eps_i in zip(
+            np.abs(subset_sums(lam.c)), subset_sums(mu.c.real), (epsilon.e1, epsilon.e2)
+        ):
+            offending = mu_sums[lam_sums >= eps_i]
+            deltas.append(1.0 if offending.size == 0 else float(np.min(offending)) / 2.0)
+        return Hyperbolic(*deltas)
+
+    @pytest.mark.parametrize("block_bits", [None, 2])
+    def test_delta_matches_the_full_array_form(self, block_bits, monkeypatch):
+        # Bit for bit, on deltas from offending subsets, unit deltas and
+        # no witness; sizes past the default block cover several blocks.
+        if block_bits is not None:
+            monkeypatch.setattr(measures_mod, "_BLOCK_BITS", block_bits)
+        rng = np.random.default_rng(12)
+        outcomes = set()
+        for case in range(200):
+            n = int(rng.integers(1, 11)) if case % 25 else int(rng.integers(14, 16))
+            space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+            mu = TMeasure(space, *np.abs(rng.normal(size=(2, n))) * (rng.random((2, n)) < 0.8))
+            lam = TMeasure(space, *(rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))))
+            if case % 3:
+                lam = TMeasure(space, *np.where(mu.c != 0, lam.c, 0))
+            top = np.abs(subset_sums(lam.c)).max(axis=1)
+            eps = Hyperbolic(*(top * rng.uniform(0.3, 1.2, 2) + (top == 0)))
+            want = self._full_array_delta(lam, mu, eps)
+            got = epsilon_delta_witness(lam, mu, eps)
+            assert got == want
+            outcomes.add("none" if want is None else (want.e1 == 1.0) + (want.e2 == 1.0))
+        assert outcomes == {"none", 0, 1, 2}
+
 
 class TestLattice:
     def test_constructed_instances_hold(self, space):
@@ -548,36 +586,94 @@ def test_every_verdict_can_fail(verdict):
     assert broken[verdict] is False
 
 
+def _scaled_measures(sigma, count=100, n=8, ref_sigma=1.0):
+    """Random signed measures of mass scale ``sigma`` with D-references."""
+    rng = np.random.default_rng(2024)
+    space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+    for _ in range(count):
+        mu = TMeasure(space, rng.normal(0, sigma, n), rng.normal(0, sigma, n))
+        ref = TMeasure(space, *np.abs(rng.normal(0, 3, (2, n))) * ref_sigma)
+        yield mu, ref
+
+
+def _check_hahn_holds_and_a_cell_swap_fails(sigma):
+    swapped_cases = 0
+    for mu, _ in _scaled_measures(sigma):
+        cells = hahn(mu)
+        assert certify_hahn(mu, cells) == {"hahn_mu_plus": True, "hahn_mu_minus": True}
+        if cells.C.is_empty() and cells.D.is_empty():
+            continue  # swapping two empty cells changes nothing
+        swapped = HahnPartition(A=cells.A, B=cells.B, C=cells.D, D=cells.C)
+        assert certify_hahn(mu, swapped) == {"hahn_mu_plus": False, "hahn_mu_minus": False}
+        swapped_cases += 1
+    assert swapped_cases >= 90
+
+
+def _check_density_perturbed_by_one_part_in_1e9_fails(sigma):
+    for mu, ref in _scaled_measures(sigma):
+        res = lebesgue_radon_nikodym(mu, ref)
+        assert all(certify_lrn(mu, ref, res).values())
+        atom = 3
+        bump = res.density.e1[atom] * 1e-9
+        wrong = LRNResult(res.lambda_ac, res.lambda_sing, _bumped(res.density, atom, bump))
+        assert certify_lrn(mu, ref, wrong)["lrn_density"] is False
+
+
 class TestLargeMasses:
     """Rounding grows with the masses; the certifiers' bound grows with it."""
 
     SIGMA = 1e9
 
-    def measures(self, count=100, n=8):
-        rng = np.random.default_rng(2024)
-        space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
-        for _ in range(count):
-            mu = TMeasure(space, rng.normal(0, self.SIGMA, n), rng.normal(0, self.SIGMA, n))
-            ref = TMeasure(space, np.abs(rng.normal(0, 3, n)), np.abs(rng.normal(0, 3, n)))
-            yield mu, ref
-
     def test_hahn_holds_and_a_cell_swap_fails(self):
-        swapped_cases = 0
-        for mu, _ in self.measures():
-            cells = hahn(mu)
-            assert certify_hahn(mu, cells) == {"hahn_mu_plus": True, "hahn_mu_minus": True}
-            if cells.C.is_empty() and cells.D.is_empty():
-                continue  # swapping two empty cells changes nothing
-            swapped = HahnPartition(A=cells.A, B=cells.B, C=cells.D, D=cells.C)
-            assert certify_hahn(mu, swapped) == {"hahn_mu_plus": False, "hahn_mu_minus": False}
-            swapped_cases += 1
-        assert swapped_cases >= 90
+        _check_hahn_holds_and_a_cell_swap_fails(self.SIGMA)
 
     def test_density_perturbed_by_one_part_in_1e9_fails(self):
-        for mu, ref in self.measures():
-            res = lebesgue_radon_nikodym(mu, ref)
-            assert all(certify_lrn(mu, ref, res).values())
-            atom = 3
-            bump = res.density.e1[atom] * 1e-9
-            wrong = LRNResult(res.lambda_ac, res.lambda_sing, _bumped(res.density, atom, bump))
-            assert certify_lrn(mu, ref, wrong)["lrn_density"] is False
+        _check_density_perturbed_by_one_part_in_1e9_fails(self.SIGMA)
+
+
+class TestEveryScale:
+    """The bound is worked out from the masses, with no absolute tolerance,
+    so a wrong certificate fails and a right one passes at every scale."""
+
+    @pytest.mark.parametrize("sigma", [1e-318, 1e-300, 1e150], ids=["subnormal", "1e-300", "1e150"])
+    def test_hahn_holds_and_a_cell_swap_fails(self, sigma):
+        _check_hahn_holds_and_a_cell_swap_fails(sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e150])
+    def test_density_perturbed_by_one_part_in_1e9_fails(self, sigma):
+        _check_density_perturbed_by_one_part_in_1e9_fails(sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e150])
+    def test_polar_holds_and_a_rotated_factor_fails(self, sigma):
+        for mu, _ in _scaled_measures(sigma, count=30):
+            t = TMeasure(mu.space, mu.e1 + 1j * mu.e2[::-1], mu.e2 - 1j * mu.e1[::-1])
+            h = polar_density(t)
+            assert certify_polar(t, h) == {"polar_unimodular": True, "polar_reconstruction": True}
+            rotated = TFunction(t.space, h.e1 * np.exp(1e-9j), h.e2)
+            assert certify_polar(t, rotated)["polar_reconstruction"] is False
+
+    @pytest.mark.parametrize("lam_sigma, ref_sigma", [(1e-300, 1e30), (1e-318, 1e3)])
+    def test_density_floor_follows_the_reference_mass(self, lam_sigma, ref_sigma):
+        # A density that rounds below the normal range is multiplied back
+        # by the reference mass, and so is its rounding.
+        for mu, ref in _scaled_measures(lam_sigma, count=30, ref_sigma=ref_sigma):
+            assert all(certify_lrn(mu, ref, lebesgue_radon_nikodym(mu, ref)).values())
+
+    @pytest.mark.parametrize("mass", [1e6, 1e150])
+    def test_tv_of_indefinite_integral_holds(self, mass):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+            mu = TMeasure(space, *np.abs(rng.normal(0, mass, (2, n))))
+            g = TFunction(space, *(rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))))
+            assert tv_of_indefinite_integral(g, mu, space.full()).equal
+
+    def test_tv_floor_follows_the_measure(self):
+        # |g|_D of a subnormal g is rounded before it meets the masses.
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            space = FiniteSpace(tuple(f"x{i}" for i in range(6)))
+            mu = TMeasure(space, *np.abs(rng.normal(0, 1e10, (2, 6))))
+            g = TFunction(space, *(rng.normal(0, 1e-318, (2, 6)) * (1 + 1j)))
+            assert tv_of_indefinite_integral(g, mu, space.full()).equal
