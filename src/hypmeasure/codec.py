@@ -15,11 +15,13 @@ Encodings:
 Serialization sorts object keys and floats round-trip exactly through
 the shortest-repr encoding, so identical values yield byte-identical
 documents. Parsing raises :class:`SchemaError` with the dotted path of
-the offending node.
+the offending node. Numbers are finite both ways: a NaN or infinite part
+is refused on parsing, and writing one raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -55,8 +57,9 @@ __all__ = [
 def dumps_canonical(obj: Any) -> str:
     """Serialize with sorted keys and a trailing newline.
 
-    The text is exactly ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``,
-    and the same inputs raise the same errors. The stdlib drops its C
+    The text is exactly ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``, and the same inputs raise the same errors
+    (``ValueError`` for a NaN or an infinity). The stdlib drops its C
     encoder when ``indent`` is set; this writer appends the chunks to one
     list and joins them once, and writes each bicomplex node (the one
     node per atom) from one template.
@@ -68,7 +71,6 @@ def dumps_canonical(obj: Any) -> str:
 
 
 _escape = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 
 
 @functools.cache
@@ -80,12 +82,9 @@ def _node_template(level: int) -> str:
 
 
 def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
+    if not math.isfinite(x):
+        # The stdlib's indent encoder raises its own error for it.
+        json.dumps(x, indent=2, allow_nan=False)
     return float.__repr__(x)
 
 
@@ -231,13 +230,14 @@ def _parse_complex_pair(obj: dict, key: str, loc: str) -> complex:
     if isinstance(im, bool) or not isinstance(im, (int, float)):
         raise SchemaError(f"{loc}.{key}[1]", "expected a number")
     try:
-        return complex(float(re), float(im))
+        z = complex(float(re), float(im))
     except OverflowError:
-        # Name the part at fault: only an int overflows, and no int is NaN.
+        z = None
+    if z is None or not cmath.isfinite(z):
+        # Name the first part past the float range, NaN or infinite.
         for j, part in enumerate(x):
-            if isinstance(part, int):
-                _as_float(part, f"{loc}.{key}[{j}]")
-        raise
+            _as_float(part, f"{loc}.{key}[{j}]")
+    return z
 
 
 def _parse_components(obj: Any, loc: str) -> tuple[complex, complex]:

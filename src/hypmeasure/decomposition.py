@@ -402,10 +402,14 @@ def lebesgue_radon_nikodym(lam: TMeasure, mu: TMeasure) -> LRNResult:
     x = lam.c
     m = mu.c.real
     supp = m > 0.0
-    # Off the support the quotient is discarded; on it, a tiny reference
-    # mass can overflow it to inf, which the density then reports.
+    # Off the support the quotient is discarded. numpy divides through 1 / m,
+    # which overflows for a subnormal m: redo such entries part by part (the
+    # rest keep numpy's bits); a quotient past the float range stays inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         h = np.where(supp, x / np.where(supp, m, 1.0), 0.0)
+        redo = ~np.isfinite(h)
+        h.real[redo] = x.real[redo] / m[redo]
+        h.imag[redo] = x.imag[redo] / m[redo]
     return LRNResult(
         lambda_ac=TMeasure(lam.space, *np.where(supp, x, 0.0)),
         lambda_sing=TMeasure(lam.space, *np.where(supp, 0.0, x)),

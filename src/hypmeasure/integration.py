@@ -94,7 +94,12 @@ def unimodular_factor(values: np.ndarray) -> np.ndarray:
     out[real_nz] = np.sign(re[real_nz])
     out[imag_nz] = 1j * np.sign(im[imag_nz])
     mixed = (re != 0.0) & (im != 0.0)
-    out[mixed] = values[mixed] / np.abs(values[mixed])
+    w = values[mixed]
+    # Below the smallest normal float |w| is rounded to a subnormal spacing,
+    # and numpy divides through 1 / |w|, which can overflow: scale such
+    # entries up first, exactly, by a power of two.
+    w[np.abs(w) < 2.0**-1022] *= 2.0**1022
+    out[mixed] = w / np.abs(w)
     return out
 
 

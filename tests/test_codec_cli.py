@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypmeasure import (
@@ -79,6 +79,75 @@ class TestScalarCodec:
             parse_bicomplex({"e1": [1, 0]})
         with pytest.raises(SchemaError):
             parse_bicomplex({"e1": [1, 0], "e2": [1]})
+
+
+_NON_FINITE_TOKENS = ["NaN", "Infinity", "-Infinity", "1e400"]
+_PARTS = [("e1", 0), ("e1", 1), ("e2", 0), ("e2", 1)]
+
+
+def _node_text(bad):
+    """A bicomplex node's JSON text with ``bad[(component, j)]`` tokens in place."""
+    parts = {"e1": ["1.5", "0"], "e2": ["-2", "3"]}
+    for (component, j), token in bad.items():
+        parts[component][j] = token
+    return "{" + ", ".join(f'"{c}": [{p[0]}, {p[1]}]' for c, p in parts.items()) + "}"
+
+
+def _parse_node_in_each_document(node):
+    """Parse ``node`` as a bicomplex number, as a measure's and a function's atom b."""
+    space = '{"atoms": ["a", "b"]}'
+    good = _node_text({})
+    return [
+        (lambda: parse_bicomplex(json.loads(node)), "bicomplex"),
+        (lambda: parse_measure(json.loads(
+            f'{{"space": {space}, "measure": {{"a": {good}, "b": {node}}}}}')), "measure.measure.b"),
+        (lambda: parse_function(json.loads(
+            f'{{"space": {space}, "function": {{"a": {good}, "b": {node}}}}}')), "function.function.b"),
+    ]
+
+
+class TestFiniteBoundary:
+    """The codec reads and writes finite numbers only; the library takes any."""
+
+    @pytest.mark.parametrize("token", _NON_FINITE_TOKENS)
+    @pytest.mark.parametrize("part", _PARTS, ids=lambda p: f"{p[0]}[{p[1]}]")
+    def test_non_finite_part_is_refused_at_its_path(self, part, token):
+        for parse, where in _parse_node_in_each_document(_node_text({part: token})):
+            with pytest.raises(SchemaError) as exc:
+                parse()
+            assert (exc.value.location, exc.value.message) == (
+                f"{where}.{part[0]}[{part[1]}]", "expected a finite number"
+            )
+
+    def test_first_bad_part_in_document_order_is_named(self):
+        for i, first in enumerate(_PARTS):
+            for later in _PARTS[i + 1:]:
+                node = _node_text({later: "NaN", first: "-Infinity"})
+                for parse, where in _parse_node_in_each_document(node):
+                    with pytest.raises(SchemaError) as exc:
+                        parse()
+                    assert exc.value.location == f"{where}.{first[0]}[{first[1]}]"
+        # Atoms are read in document order, not in the space's order.
+        text = (
+            '{"space": {"atoms": ["a", "b"]}, '
+            f'"measure": {{"b": {_node_text({("e2", 1): "NaN"})}, '
+            f'"a": {_node_text({("e1", 0): "NaN"})}}}}}'
+        )
+        with pytest.raises(SchemaError) as exc:
+            parse_measure(json.loads(text))
+        assert exc.value.location == "measure.measure.b.e2[1]"
+
+    def test_library_tables_still_hold_non_finite_values(self):
+        space = FiniteSpace(("a", "b"))
+        e1 = np.array([math.nan, 1.0 + 1j * math.inf])
+        e2 = np.array([-math.inf, 2.0])
+        for table in (TMeasure(space, e1, e2), TFunction(space, e1, e2)):
+            assert not table.is_finite()
+            assert np.isnan(table.e1[0]) and table.e1[1].imag == math.inf
+            assert table.e2[0] == -math.inf
+            # The writer refuses them, as the stdlib does with allow_nan=False.
+            with pytest.raises(ValueError):
+                dumps_canonical(table_to_obj(table))
 
 
 class TestStructureCodec:
@@ -307,12 +376,22 @@ def test_table_encoder_matches_per_atom_reference(n):
             label: bicomplex_to_obj(table.atom(i))
             for i, label in enumerate(space.atoms)
         }
-        assert dumps_canonical(table_to_obj(table)) == dumps_canonical(reference)
-        assert dumps_canonical(doc) == dumps_canonical(reference)
+        # The tables hold NaN, which the writer refuses and which compares
+        # unequal to itself; repr tells -0.0, NaN and the float type apart.
+        assert repr(table_to_obj(table)) == repr(reference)
+        assert repr(doc) == repr(reference)
 
 
 def _stdlib_canonical(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _outcome(write, obj):
+    """The text ``write(obj)`` returns, or the type and message it raises."""
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 _CHARS = st.one_of(
@@ -378,14 +457,9 @@ class TestCanonicalWriter:
     @settings(max_examples=400, deadline=None)
     @given(obj=_JSON_TREES)
     def test_bytes_match_stdlib(self, obj):
-        try:
-            want = _stdlib_canonical(obj)
-        except TypeError:
-            # e.g. None and int keys in one dict cannot be sorted
-            with pytest.raises(TypeError):
-                dumps_canonical(obj)
-            return
-        assert dumps_canonical(obj) == want
+        # Errors too: a NaN or infinity raises the stdlib's ValueError, and
+        # e.g. None and int keys in one dict cannot be sorted (TypeError).
+        assert _outcome(dumps_canonical, obj) == _outcome(_stdlib_canonical, obj)
 
     def test_fixed_cases(self):
         node = {"e1": [0.5, -0.0], "e2": [1e16, 5e-324]}
@@ -399,9 +473,12 @@ class TestCanonicalWriter:
             {"e1": [0.5, 0.25, 1.0], "e2": [0.0, 1.0]},
             {"e1": [0.5, 2], "e2": [0.0, 1.0]},
             node,
+            # Non-finite floats raise; the first in sorted-key order is named.
+            {math.inf: 1}, np.float64(math.nan),
+            {"b": [math.nan], "a": {"e1": [1.0, -math.inf], "e2": [0.0, 0.0]}},
         ]
         for obj in cases:
-            assert dumps_canonical(obj) == _stdlib_canonical(obj)
+            assert _outcome(dumps_canonical, obj) == _outcome(_stdlib_canonical, obj)
 
     @pytest.mark.parametrize(
         "obj",
@@ -467,6 +544,14 @@ def _run_json(argv, capsys):
 
 # A JSON integer with 400 digits: valid JSON, too large for a float.
 BIG_INT = "1" + "0" * 399
+
+
+def _first_non_finite(path, pair):
+    """``path[j]`` for the first NaN or infinite part of an ``[re, im]`` text, else None."""
+    for j, token in enumerate(pair.strip("[]").split(",")):
+        if not math.isfinite(float(token)):
+            return f"{path}[{j}]"
+    return None
 
 WORKED_EXAMPLE = {
     "space": {"atoms": ["a", "b"]},
@@ -593,6 +678,27 @@ class TestCliDecompose:
         doc = _run_json(["decompose"], capsys)
         assert len(doc["checks"]) == 10 and all(doc["checks"].values())
 
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_subnormal_masses_decompose(self, with_reference, capsys, monkeypatch):
+        # A density against a subnormal reference mass is in range although
+        # numpy's 1 / m is not; it must not read as an overflow.
+        for seed in range(5):
+            argv = ["gen", "--kind", "signed-measure", "--atoms", "12", "--seed", str(seed)]
+            doc_in = _run_json(argv, capsys)
+            for mass in doc_in["measure"].values():
+                for pair in mass.values():
+                    pair[:] = [v * 1e-318 for v in pair]
+            if with_reference:
+                doc_in["reference"] = {
+                    label: {c: [abs(v) for v in pair] for c, pair in mass.items()}
+                    for label, mass in doc_in["measure"].items()
+                }
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc_in)))
+            doc = _run_json(["decompose"], capsys)
+            assert len(doc["checks"]) == 10 and all(doc["checks"].values())
+            for value in doc["lrn"]["density"]["function"].values():
+                assert value["e1"][0] in (-1.0, 0.0, 1.0) and value["e2"][0] in (-1.0, 0.0, 1.0)
+
     @pytest.mark.parametrize(
         "masses, reference, location",
         [
@@ -671,10 +777,12 @@ class TestCliDecompose:
         code, out, err = _run(["decompose", "--input", str(path)], capsys)
         assert code == 2
         assert out == ""
+        # The reference is parsed as the body of a measure document, so its
+        # locations carry that document's "measure" key.
         assert json.loads(err) == {
             "error": "schema violation",
-            "location": "input.reference",
-            "message": "decompose needs finite masses",
+            "location": "input.reference.measure.a.e1[0]",
+            "message": "expected a finite number",
         }
 
 
@@ -770,6 +878,12 @@ class TestCliIntegrate:
         ],
     )
     def test_non_integrable_value(self, tmp_path, capsys, mass, value, location, message):
+        # A non-finite token never reaches the command: the codec refuses
+        # it at its own path, the measure (parsed first) before the function.
+        refused = _first_non_finite("input.measure.b.e1", f"[{mass}, 0]") or \
+            _first_non_finite("input.function.b.e1", value)
+        if refused is not None:
+            location, message = refused, "expected a finite number"
         path = tmp_path / "in.json"
         path.write_text(
             '{"space": {"atoms": ["a", "b"]}, '
@@ -801,6 +915,13 @@ class TestCliIntegrate:
         ],
     )
     def test_dct_names_the_non_integrable_term(self, tmp_path, capsys, bad, location):
+        # A non-finite value is refused by the codec at its own path in the
+        # named function; a finite one that overflows, by the run.
+        message = "function is not integrable against this measure"
+        refused = _first_non_finite(f"{location}.a.e1", f"[{bad['value']}, 0]")
+        if refused is not None:
+            location, message = refused, "expected a finite number"
+
         def fn(value="1"):
             return f'{{"function": {{"a": {{"e1": [{value}, 0], "e2": [1, 0]}}}}}}'
 
@@ -821,7 +942,7 @@ class TestCliIntegrate:
         assert json.loads(err) == {
             "error": "schema violation",
             "location": location,
-            "message": "function is not integrable against this measure",
+            "message": message,
         }
 
     @pytest.mark.parametrize("mass", ["NaN", "Infinity"])
@@ -841,8 +962,8 @@ class TestCliIntegrate:
         assert out == ""
         assert json.loads(err) == {
             "error": "schema violation",
-            "location": "input.measure",
-            "message": "integration needs finite masses",
+            "location": "input.measure.a.e1[0]",
+            "message": "expected a finite number",
         }
 
     def test_dct_tol_past_float_range(self, tmp_path, capsys):
@@ -1079,16 +1200,85 @@ class TestCliExitContract:
             path = data.draw(st.sampled_from(list(_nodes(doc))), label="node")
             value = data.draw(st.sampled_from(_SUBSTITUTES + [_DELETE]), label="value")
             doc = _mutate(doc, path, value)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
-            code = main([command])
-        assert code in (0, 2, 3)
-        if code == 0:
-            json.loads(out.getvalue())
-            assert err.getvalue() == ""
-        else:
-            assert isinstance(json.loads(err.getvalue()), dict)
+        _assert_exit_contract(*_main_on_stdin([command], json.dumps(doc)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=st.sampled_from(["decompose", "integrate", "pushforward", "find-invariant"]),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        token=st.sampled_from(_NON_FINITE_TOKENS),
+        data=st.data(),
+    )
+    def test_non_finite_number_exits_2_at_its_path(self, command, n, seed, token, data):
+        # A valid document with one mass or function value spelled as a
+        # token that is not a finite float.
+        doc = _fuzz_document(command, np.random.default_rng(seed), n)
+        slots = [p for p in _nodes(doc) if len(p) > 1 and p[-2] in ("e1", "e2")]
+        assume(slots)  # a find-invariant document may hold no measure
+        path = data.draw(st.sampled_from(slots), label="slot")
+        text = json.dumps(_mutate(doc, path, "<token>")).replace('"<token>"', token)
+        # The reference is parsed as the body of a measure document.
+        if path[0] == "reference":
+            path = ("reference", "measure", *path[1:])
+        location = "input" + "".join(
+            f"[{key}]" if isinstance(key, int) else f".{key}" for key in path
+        )
+        code, out, err = _main_on_stdin([command], text)
+        assert (code, out) == (2, ""), err
+        assert json.loads(err) == {
+            "error": "schema violation",
+            "location": location,
+            "message": "expected a finite number",
+        }
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(GEN_KINDS),
+        atoms=st.integers(-2, 40),
+        seed=st.integers(-2, 2**64),
+        mode=st.sampled_from(["float", "integer", "dyadic"]),
+    )
+    def test_gen_flags(self, kind, atoms, seed, mode):
+        argv = ["gen", "--kind", kind, "--atoms", str(atoms), "--seed", str(seed), "--mode", mode]
+        _assert_exit_contract(*_main_on_stdin(argv, ""))
+
+    def test_non_finite_result_exits_3(self, monkeypatch):
+        # Inputs are finite and overflow is checked at the result, so a NaN
+        # that still reaches the writer is the program's fault.
+        import hypmeasure.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "integrate", lambda f, mu, e=None: Bicomplex(math.nan, 0))
+        doc = {**TestCliKindHint.ONE_ATOM, **TestCliKindHint.EXTRA["integrate"]}
+        code, out, err = _main_on_stdin(["integrate"], json.dumps(doc))
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "internal invariant violation"
+        assert "JSON compliant" in payload["payload"]["reason"]
+
+
+def _main_on_stdin(argv, text):
+    """``main(argv)`` reading ``text``: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(text)):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _assert_exit_contract(code, out, err):
+    assert code in (0, 2, 3)
+    if code == 0:
+        # Strict JSON: no NaN or Infinity tokens.
+        json.loads(out, parse_constant=_refuse_constant)
+        assert err == ""
+    else:
+        assert out == ""
+        assert isinstance(json.loads(err), dict)
 
 
 class TestCliVerify:

@@ -1,5 +1,7 @@
 """Jordan, Hahn, polar and Lebesgue decompositions with subset oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -651,6 +653,29 @@ class TestEveryScale:
             assert certify_polar(t, h) == {"polar_unimodular": True, "polar_reconstruction": True}
             rotated = TFunction(t.space, h.e1 * np.exp(1e-9j), h.e2)
             assert certify_polar(t, rotated)["polar_reconstruction"] is False
+
+    @pytest.mark.parametrize("sigma", [1e-310, 1e-318])
+    def test_polar_of_subnormal_complex_masses(self, sigma):
+        # numpy divides w by |w| through 1 / |w|, which overflows here, and
+        # |w| itself is rounded to a subnormal spacing.
+        for mu, _ in _scaled_measures(sigma, count=30):
+            t = TMeasure(mu.space, mu.e1 + 1j * mu.e2[::-1], mu.e2 - 1j * mu.e1[::-1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                h = polar_density(t)
+            assert certify_polar(t, h) == {"polar_unimodular": True, "polar_reconstruction": True}
+
+    def test_density_against_subnormal_reference_masses(self):
+        # Atoms x0-x3 carry subnormal reference masses, where numpy's 1 / m
+        # overflows; x4-x7 keep the bits of numpy's division.
+        for mu, ref in _scaled_measures(1e-318, count=30):
+            m = ref.c.real.copy()
+            m[:, :4] *= 1e-318
+            ref = TMeasure(ref.space, *m)
+            res = lebesgue_radon_nikodym(mu, ref)
+            assert res.density.is_finite()
+            assert all(certify_lrn(mu, ref, res).values())
+            assert res.density.c[:, 4:].tobytes() == (mu.c[:, 4:] / m[:, 4:]).tobytes()
 
     @pytest.mark.parametrize("lam_sigma, ref_sigma", [(1e-300, 1e30), (1e-318, 1e3)])
     def test_density_floor_follows_the_reference_mass(self, lam_sigma, ref_sigma):
