@@ -40,6 +40,7 @@ from numpy.random import default_rng
 from . import generators as gen_mod
 from .codec import (
     _as_float,
+    _parse_table,
     bicomplex_to_obj,
     dumps_canonical,
     function_to_obj,
@@ -52,7 +53,6 @@ from .codec import (
     parse_mask,
     parse_measure,
     space_to_obj,
-    table_to_obj,
 )
 from .decomposition import (
     certify_hahn,
@@ -154,9 +154,7 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         )
     space = mu.space
     if isinstance(doc, dict) and "reference" in doc:
-        ref = parse_measure(
-            {"measure": doc["reference"]}, "input.reference", space
-        )
+        ref = TMeasure(space, *_parse_table(doc["reference"], space, "input.reference"))
         if not ref.is_d_measure():
             raise SchemaError("input.reference", "reference must be a D-measure")
     else:
@@ -183,24 +181,22 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
             }
     except FloatingPointError:
         raise SchemaError("input.measure", "mass sums overflow the float range") from None
+    # Atom tables stay as they are: dumps_canonical writes each one in a join.
     result = {
         "space": space_to_obj(space),
-        "jordan": {
-            "mu_plus": table_to_obj(pair.mu_plus),
-            "mu_minus": table_to_obj(pair.mu_minus),
-        },
+        "jordan": {"mu_plus": pair.mu_plus, "mu_minus": pair.mu_minus},
         "hahn": {
             "A": mask_to_obj(cells.A),
             "B": mask_to_obj(cells.B),
             "C": mask_to_obj(cells.C),
             "D": mask_to_obj(cells.D),
         },
-        "polar_h": function_to_obj(h, with_space=False),
+        "polar_h": function_to_obj(h, with_space=False, expand=False),
         "lrn": {
-            "reference": table_to_obj(ref),
-            "absolutely_continuous": table_to_obj(lrn.lambda_ac),
-            "singular": table_to_obj(lrn.lambda_sing),
-            "density": function_to_obj(lrn.density, with_space=False),
+            "reference": ref,
+            "absolutely_continuous": lrn.lambda_ac,
+            "singular": lrn.lambda_sing,
+            "density": function_to_obj(lrn.density, with_space=False, expand=False),
         },
         "checks": checks,
     }
@@ -288,7 +284,7 @@ def _cmd_pushforward(args: argparse.Namespace) -> dict:
         out = pushforward_iter(f, mu, iterations)
     except ValueError as exc:
         raise SchemaError("input.measure", str(exc)) from None
-    return measure_to_obj(out)
+    return measure_to_obj(out, expand=False)
 
 
 def _cmd_find_invariant(args: argparse.Namespace) -> dict:
@@ -317,10 +313,10 @@ def _cmd_find_invariant(args: argparse.Namespace) -> dict:
         "converged": trace.converged,
         "iterations": len(trace.gaps),
         "gaps": [hyperbolic_to_obj(g) for g in trace.gaps],
-        "limit": table_to_obj(limit),
+        "limit": limit,
         "limit_is_invariant": is_invariant(f, limit, args.tol),
         "limit_in_hull": in_invariant_hull(f, limit),
-        "basis": [table_to_obj(m) for m in basis],
+        "basis": basis,
     }
 
 
@@ -378,24 +374,20 @@ def _cmd_gen(args: argparse.Namespace) -> dict:
 
     space = gen_mod.make_space(args.atoms)
     if kind == "t-measure":
-        return measure_to_obj(gen_mod.gen_t_measure(rng, space, args.mode))
-    if kind == "d-measure":
-        return measure_to_obj(gen_mod.gen_d_measure(rng, space, args.mode))
-    if kind == "signed-measure":
-        return measure_to_obj(
-            gen_mod.gen_signed_measure(rng, space, args.mode)
-        )
-    if kind == "d-probability":
-        return measure_to_obj(
-            gen_mod.gen_d_probability(
-                rng, space, dyadic=(args.mode == "dyadic")
-            )
-        )
-    if kind == "function":
-        return function_to_obj(gen_mod.gen_function(rng, space, args.mode))
-    if kind == "map":
+        mu = gen_mod.gen_t_measure(rng, space, args.mode)
+    elif kind == "d-measure":
+        mu = gen_mod.gen_d_measure(rng, space, args.mode)
+    elif kind == "signed-measure":
+        mu = gen_mod.gen_signed_measure(rng, space, args.mode)
+    elif kind == "d-probability":
+        mu = gen_mod.gen_d_probability(rng, space, dyadic=(args.mode == "dyadic"))
+    elif kind == "function":
+        return function_to_obj(gen_mod.gen_function(rng, space, args.mode), expand=False)
+    elif kind == "map":
         return map_to_obj(gen_mod.gen_map(rng, space))
-    raise SchemaError("kind", f"unknown kind {kind!r}")
+    else:
+        raise SchemaError("kind", f"unknown kind {kind!r}")
+    return measure_to_obj(mu, expand=False)
 
 
 # ------------------------------------------------------------------ driver

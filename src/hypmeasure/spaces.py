@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 import operator
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = ["FiniteSpace", "SetMask", "all_subsets", "set_partitions"]
 
@@ -47,6 +50,16 @@ class FiniteSpace:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.atoms)}
+
+    @cached_property
+    def _json_keys(self) -> tuple[np.ndarray, list[str]]:
+        """Atom indices in sorted label order, and each one's ``"label": `` text.
+
+        The canonical JSON writer reads them once per space, not per table.
+        """
+        order = sorted(range(self.size), key=self.atoms.__getitem__)
+        keys = [encode_basestring_ascii(self.atoms[i]) + ": " for i in order]
+        return np.array(order, dtype=np.intp), keys
 
     def index_of(self, label: str) -> int:
         try:

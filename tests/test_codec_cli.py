@@ -7,6 +7,7 @@ import json
 import math
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -41,7 +42,8 @@ from hypmeasure import (
 )
 from hypmeasure import generators as gen_mod
 from hypmeasure.cli import GEN_KINDS, build_parser, main
-from hypmeasure.codec import table_to_obj
+from hypmeasure.codec import _SMALL_TABLE, table_to_obj
+from hypmeasure.measures import AtomTable
 import hypmeasure.verify as verify_mod
 
 
@@ -451,6 +453,67 @@ def _containers(children):
 _JSON_TREES = st.recursive(_LEAVES, _containers, max_leaves=12)
 
 
+def _expand(obj):
+    """``obj`` with every atom table replaced by its ``table_to_obj`` tree."""
+    if isinstance(obj, AtomTable):
+        return table_to_obj(obj)
+    if isinstance(obj, dict):
+        return {key: _expand(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(_expand, obj))
+    return obj
+
+
+_SUBNORMAL = st.floats(min_value=5e-324, max_value=2.2250738585072009e-308)
+_TABLE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    _SUBNORMAL,
+    _SUBNORMAL.map(lambda x: -x),
+    st.floats(min_value=1e307, max_value=sys.float_info.max),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -sys.float_info.max, 0.1]),
+)
+# Four +0.0 parts (the shared zero node), signed zeros only, or drawn parts.
+_ROW = st.one_of(
+    st.just((0.0, 0.0, 0.0, 0.0)),
+    st.tuples(*[st.sampled_from([0.0, -0.0])] * 4),
+    st.tuples(*[_TABLE_FLOATS] * 4),
+)
+
+
+@st.composite
+def _tables(draw):
+    """A measure or function on escaped labels in unsorted index order.
+
+    Sizes fall on both sides of the writer's small-table cutoff. In about a
+    quarter of the draws one part of one atom is NaN or ±inf.
+    """
+    n = draw(st.integers(1, 2 * _SMALL_TABLE))
+    labels = draw(st.lists(_TEXT, min_size=n, max_size=n, unique=True))
+    rows = np.array(draw(st.lists(_ROW, min_size=len(labels), max_size=len(labels))))
+    if draw(st.integers(0, 3)) == 0:
+        atom = draw(st.integers(0, len(labels) - 1))
+        part = draw(st.integers(0, 3))
+        rows[atom, part] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    # Each row is e1.re, e1.im, e2.re, e2.im: two complex numbers, bits kept.
+    c = rows.view(np.complex128)
+    role = draw(st.sampled_from([TMeasure, TFunction]))
+    return role(FiniteSpace(tuple(labels)), c[:, 0], c[:, 1])
+
+
+@st.composite
+def _nested(draw, node):
+    """``node`` inside 0-3 levels of dicts and lists, with JSON siblings."""
+    for _ in range(draw(st.integers(0, 3))):
+        siblings = draw(st.lists(_LEAVES, max_size=2))
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(siblings)))
+            node = siblings[:at] + [node] + siblings[at:]
+        else:
+            keys = draw(st.lists(_TEXT, min_size=len(siblings) + 1, max_size=len(siblings) + 1, unique=True))
+            node = dict(zip(keys, [node, *siblings]))
+    return node
+
+
 class TestCanonicalWriter:
     """``dumps_canonical`` gives the stdlib's indent=2, sort_keys bytes."""
 
@@ -503,6 +566,30 @@ class TestCanonicalWriter:
             dumps_canonical(obj)
         assert str(got.value) == str(want.value)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_table_node_writes_its_tree(self, data):
+        # A table prints the bytes of its table_to_obj tree, nested or not,
+        # and a NaN or infinity in it raises the tree's error.
+        table = data.draw(_tables(), label="table")
+        nested = data.draw(_nested(table), label="document")
+        want = _outcome(dumps_canonical, _expand(nested))
+        assert _outcome(dumps_canonical, nested) == want
+        assert _outcome(_stdlib_canonical, _expand(nested)) == want
+        if not table.is_finite():
+            assert want[0] is ValueError
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_string_containers_match_stdlib(self, data):
+        # The space's atoms and a map print in one join each.
+        node = data.draw(
+            st.one_of(st.lists(_TEXT, max_size=8), st.dictionaries(_TEXT, _TEXT, max_size=8)),
+            label="strings",
+        )
+        nested = data.draw(_nested(node), label="document")
+        assert _outcome(dumps_canonical, nested) == _outcome(_stdlib_canonical, nested)
+
     def test_circular_reference(self):
         loop = {"a": []}
         loop["a"].append(loop)
@@ -526,8 +613,9 @@ class TestCanonicalWriter:
         code, out, err = _run(["find-invariant"], capsys)
         assert code == 0, err
         (obj,) = written
-        assert len(obj["limit"]) == 10_000 and obj["basis"]
-        assert out == _stdlib_canonical(obj)
+        # The writer is handed the atom tables themselves.
+        assert obj["limit"].space.size == 10_000 and obj["basis"]
+        assert out == _stdlib_canonical(_expand(obj))
 
 
 def _run(argv, capsys):
@@ -777,13 +865,29 @@ class TestCliDecompose:
         code, out, err = _run(["decompose", "--input", str(path)], capsys)
         assert code == 2
         assert out == ""
-        # The reference is parsed as the body of a measure document, so its
-        # locations carry that document's "measure" key.
+        # The reference is a label-to-mass object; locations are its paths.
         assert json.loads(err) == {
             "error": "schema violation",
-            "location": "input.reference.measure.a.e1[0]",
+            "location": "input.reference.a.e1[0]",
             "message": "expected a finite number",
         }
+
+    @pytest.mark.parametrize(
+        "reference, location, message",
+        [
+            ('{"z": {"e1": [1, 0], "e2": [1, 0]}}', "input.reference.z", "unknown atom label"),
+            ('[["a", 1]]', "input.reference", "expected an object"),
+        ],
+    )
+    def test_reference_error_locations(self, capsys, monkeypatch, reference, location, message):
+        text = (
+            '{"space": {"atoms": ["a", "b"]}, '
+            f'"measure": {{"a": {{"e1": [1, 0], "e2": [-1, 0]}}}}, "reference": {reference}}}'
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = _run(["decompose"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "schema violation", "location": location, "message": message}
 
 
 class TestCliIntegrate:
@@ -1082,6 +1186,25 @@ class TestCliDynamics:
         assert doc["converged"] is True and doc["burn_in"] == 0
         assert len(doc["basis"]) == 1 and len(doc["basis"][0]) == n
 
+    def test_find_invariant_memory_is_bounded_by_its_output(self, tmp_path):
+        # An identity map has one basis measure per atom, so the output
+        # holds n^2 atom nodes, nearly all of them zero. The writer must not
+        # hold a JSON tree of them beside the text.
+        n = 500
+        atoms = [f"x{i}" for i in range(n)]
+        src, dst = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps({"space": {"atoms": atoms}, "map": {a: a for a in atoms}}))
+        tracemalloc.start()
+        try:
+            code = main(["find-invariant", "--input", str(src), "--output", str(dst)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        size = dst.stat().st_size
+        assert len(json.loads(dst.read_text())["basis"]) == n
+        assert peak <= 3 * size, (peak, size)
+
 
 class TestCliKindHint:
     ONE_ATOM = {
@@ -1218,9 +1341,6 @@ class TestCliExitContract:
         assume(slots)  # a find-invariant document may hold no measure
         path = data.draw(st.sampled_from(slots), label="slot")
         text = json.dumps(_mutate(doc, path, "<token>")).replace('"<token>"', token)
-        # The reference is parsed as the body of a measure document.
-        if path[0] == "reference":
-            path = ("reference", "measure", *path[1:])
         location = "input" + "".join(
             f"[{key}]" if isinstance(key, int) else f".{key}" for key in path
         )
