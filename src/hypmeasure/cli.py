@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -111,12 +112,20 @@ def _read_doc(args: argparse.Namespace) -> Any:
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError("input", str(exc)) from None
+    # A parsed JSON document holds no reference cycles, so the cyclic
+    # collector has nothing to find while the parser builds its tree.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack allows.
         raise SchemaError("input", f"invalid JSON: {exc}") from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _write_doc(args: argparse.Namespace, obj: Any) -> None:

@@ -30,11 +30,13 @@ import cmath
 import functools
 import json
 import math
+import operator
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import InternalInvariantError, SchemaError
 from .integration import TFunction
 from .measures import KIND_RANK, AtomTable, MeasureKind, TMeasure
 from .numbers import Bicomplex, Hyperbolic
@@ -335,24 +337,68 @@ def mask_to_obj(mask: SetMask) -> list[str]:
     return sorted(mask.labels())
 
 
-def _parse_table(
-    body: Any, space: FiniteSpace, loc: str
-) -> tuple[list[complex], list[complex]]:
-    """Component lists of a label-to-bicomplex object at ``loc``; omitted atoms get 0.
+def _parse_table(body: Any, space: FiniteSpace, loc: str) -> np.ndarray:
+    """The (2, n) complex table of a label-to-bicomplex object at ``loc``.
 
-    One pass in document order, with labels looked up in the space's
-    index dict.
+    Omitted atoms are ``0j``. The body is checked by whole columns, one
+    pass per check over C-level iterators: labels against the space's
+    index, then the types and lengths of the values, of their ``e1`` and
+    ``e2`` pairs and of the parts, then one float array and its
+    finiteness. If any check fails, a per-atom walk in document order
+    names the first bad node; it never builds a table.
     """
     body = _require_dict(body, loc)
-    index = space._index
-    e1 = [0j] * space.size
-    e2 = [0j] * space.size
-    for label, value in body.items():
-        i = index.get(label)
-        if i is None:
-            raise SchemaError(f"{loc}.{label}", "unknown atom label")
-        e1[i], e2[i] = _parse_components(value, f"{loc}.{label}")
-    return e1, e2
+    c = _table_columns(body, space)
+    if c is None:
+        for label, value in body.items():
+            if label not in space._index:
+                raise SchemaError(f"{loc}.{label}", "unknown atom label")
+            _parse_components(value, f"{loc}.{label}")
+        raise InternalInvariantError(f"{loc}: a valid table failed its column check")
+    return c
+
+
+_E1 = operator.itemgetter("e1")
+_E2 = operator.itemgetter("e2")
+
+
+def _all_of(items, cls) -> bool:
+    """``isinstance(x, cls)`` for every item, with one ``type()`` call per item."""
+    return all(issubclass(t, cls) for t in set(map(type, items)))
+
+
+def _table_columns(body: dict, space: FiniteSpace) -> np.ndarray | None:
+    """The table of ``body`` if every column check passes, else None."""
+    c = np.zeros((2, space.size), dtype=np.complex128)
+    if not body:
+        return c
+    idx = list(map(space._index.get, body))
+    values = list(body.values())
+    if None in idx or not _all_of(values, dict) or set(map(len, values)) != {2}:
+        return None
+    try:
+        pairs = list(map(_E1, values)) + list(map(_E2, values))
+    except KeyError:
+        return None
+    if not _all_of(pairs, list) or set(map(len, pairs)) != {2}:
+        return None
+    parts = list(chain.from_iterable(pairs))
+    # Numbers are int or float but not bool, as in _require_number.
+    for t in set(map(type, parts)):
+        if not issubclass(t, (int, float)) or issubclass(t, bool):
+            return None
+    try:
+        # numpy rounds an int to float64 as float() does.
+        z = np.array(parts, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(z).all():
+        return None
+    # [re, im, re, im, ...]: the e1 values of the body's atoms, then e2.
+    z = z.view(np.complex128)
+    c[0].put(idx, z[: len(idx)])
+    c[1].put(idx, z[len(idx) :])
+    return c
 
 
 def parse_mask(obj: Any, space: FiniteSpace, loc: str = "set") -> SetMask:
@@ -462,21 +508,31 @@ def map_to_obj(f: PointMap) -> dict:
 def parse_map(
     obj: Any, loc: str = "map", space: FiniteSpace | None = None
 ) -> PointMap:
+    """Parse a map document; every atom needs one target label.
+
+    Sources and targets are looked up in the space's index by whole
+    columns; if any lookup fails, a walk in document order names the
+    first bad entry.
+    """
     _, space, body = _parse_document(obj, loc, space, "map")
-    body = _require_dict(body, f"{loc}.map")
+    loc = f"{loc}.map"
+    body = _require_dict(body, loc)
     index = space._index
-    image = [-1] * space.size
-    for src, dst in body.items():
-        if not isinstance(dst, str):
-            raise SchemaError(f"{loc}.map.{src}", "expected a string label")
-        i = index.get(src)
-        if i is None:
-            raise SchemaError(f"{loc}.map.{src}", "unknown atom label")
-        j = index.get(dst)
-        if j is None:
-            raise SchemaError(f"{loc}.map.{src}", f"unknown target label {dst!r}")
-        image[i] = j
-    missing = [label for label, j in zip(space.atoms, image) if j < 0]
-    if missing:
-        raise SchemaError(f"{loc}.map", f"map is not total; missing {missing}")
+    targets = body.values()
+    src = list(map(index.get, body))
+    dst = list(map(index.get, targets)) if _all_of(targets, str) else [None]
+    if None in src or None in dst:
+        for key, target in body.items():
+            if not isinstance(target, str):
+                raise SchemaError(f"{loc}.{key}", "expected a string label")
+            if key not in index:
+                raise SchemaError(f"{loc}.{key}", "unknown atom label")
+            if target not in index:
+                raise SchemaError(f"{loc}.{key}", f"unknown target label {target!r}")
+        raise InternalInvariantError(f"{loc}: a valid map failed its column check")
+    image = np.full(space.size, -1, dtype=np.int64)
+    image.put(src, dst)
+    if len(src) < space.size:
+        missing = [space.atoms[i] for i in np.flatnonzero(image < 0).tolist()]
+        raise SchemaError(loc, f"map is not total; missing {missing}")
     return PointMap(space, image)

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
@@ -352,6 +353,228 @@ class TestCodecAtScale:
         again = parse_mask(json.loads(json.dumps(mask_to_obj(mask))), space)
         assert again == mask
         assert list(again.indices()) == members
+
+
+# Largest int that float() rounds into the float range: 2**1024 - 2**970
+# and above round up to 2**1024 and overflow.
+_MAX_FLOAT_INT = 2**1024 - 2**970 - 1
+_PART_POOL = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 1.7976931348623155e308, 2**53 + 1, -(2**63), 2**63, 2**64 + 1,
+    _MAX_FLOAT_INT, -_MAX_FLOAT_INT, 0, 1, -7,
+]
+
+
+def _random_part(rng):
+    """A finite JSON number: a float over the exponent range, an int, or an edge value."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-320, 308))
+    if kind == 1:
+        return _PART_POOL[rng.integers(len(_PART_POOL))]
+    if kind == 2:
+        # Ints past 2**53, where float() rounds, up to about 2**1000.
+        big = int(rng.integers(1, 2**62)) << int(rng.integers(0, 940))
+        return big if rng.random() < 0.5 else -big
+    return int(rng.integers(-(2**31), 2**31))
+
+
+def _random_body(rng, space):
+    """A valid table body: a shuffled subset of the atoms (possibly none)."""
+    labels = list(space.atoms)
+    rng.shuffle(labels)
+    labels = labels[: rng.integers(0, len(labels) + 1)] if rng.random() < 0.5 else labels
+    return {
+        label: {key: [_random_part(rng), _random_part(rng)] for key in ("e1", "e2")}
+        for label in labels
+    }
+
+
+def _per_atom_table(body, space, loc):
+    """``body`` read one atom at a time: its (2, n) table, or its first error.
+
+    The reference for the codec's column parse; the first error in
+    document order comes back as ``(location, message)``.
+    """
+    position = {label: i for i, label in enumerate(space.atoms)}
+    c = [[0j] * space.size, [0j] * space.size]
+    for label, value in body.items():
+        at = f"{loc}.{label}"
+        if label not in position:
+            return at, "unknown atom label"
+        if not isinstance(value, dict):
+            return at, "expected an object"
+        if len(value) != 2 or "e1" not in value or "e2" not in value:
+            return at, "expected exactly the keys e1 and e2"
+        for row, key in enumerate(("e1", "e2")):
+            pair = value[key]
+            if not isinstance(pair, list) or len(pair) != 2:
+                return f"{at}.{key}", "expected [re, im]"
+            for j, part in enumerate(pair):
+                if isinstance(part, bool) or not isinstance(part, (int, float)):
+                    return f"{at}.{key}[{j}]", "expected a number"
+            for j, part in enumerate(pair):
+                try:
+                    x = float(part)
+                except OverflowError:
+                    return f"{at}.{key}[{j}]", "number outside the float range"
+                if not math.isfinite(x):
+                    return f"{at}.{key}[{j}]", "expected a finite number"
+            c[row][position[label]] = complex(float(pair[0]), float(pair[1]))
+    return np.array(c, dtype=np.complex128)
+
+
+# One malformation of one atom: (its value) -> the replacement value.
+_ATOM_MUTATIONS = {
+    "bool part": lambda v: {**v, "e1": [v["e1"][0], True]},
+    "string part": lambda v: {**v, "e2": ["1.0", v["e2"][1]]},
+    "three parts": lambda v: {**v, "e2": v["e2"] + [0.0]},
+    "one part": lambda v: {**v, "e1": v["e1"][:1]},
+    "pair not a list": lambda v: {**v, "e1": {"re": 1.0, "im": 0.0}},
+    "missing key": lambda v: {"e1": v["e1"]},
+    "extra key": lambda v: {**v, "e3": [0.0, 0.0]},
+    "renamed key": lambda v: {"e1": v["e1"], "E2": v["e2"]},
+    "list value": lambda v: [v["e1"], v["e2"]],
+    "string value": lambda v: "1+2j",
+    "null value": lambda v: None,
+    "NaN part": lambda v: {**v, "e2": [v["e2"][0], math.nan]},
+    "Infinity part": lambda v: {**v, "e1": [-math.inf, v["e1"][1]]},
+    "int past the float range": lambda v: {**v, "e1": [v["e1"][0], 10**400]},
+    "int rounding past the float range": lambda v: {**v, "e2": [2**1024 - 2**970, 0]},
+}
+
+
+def _parse_outcome(parse):
+    """``parse()``'s result, or its SchemaError as ``(location, message)``."""
+    try:
+        return parse()
+    except SchemaError as exc:
+        return exc.location, exc.message
+
+
+def _parse_function_body(body, space):
+    return _parse_outcome(lambda: parse_function({"function": body}, "f", space).c)
+
+
+def _same_table(got, want):
+    """Equal bits (so -0.0 and +0.0 differ), or the same error."""
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        return got == want
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestColumnParse:
+    """The column parse of atom tables and maps gives the per-atom results.
+
+    Valid bodies give the same bits as ``complex(float(re), float(im))``
+    per pair; a malformed body raises the SchemaError of the first bad
+    node in document order, at its location and with its message.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from([1, 23, 24, 200]), seed=st.integers(0, 2**32 - 1))
+    def test_valid_bodies_give_per_atom_bits(self, n, seed):
+        rng = np.random.default_rng(seed)
+        space = gen_mod.make_space(n)
+        body = json.loads(json.dumps(_random_body(rng, space)))
+        want = _per_atom_table(body, space, "f.function")
+        assert _same_table(_parse_function_body(body, space), want)
+        mu = parse_measure({"measure": body}, "m", space)
+        assert mu.c.tobytes() == want.tobytes()
+
+    def test_empty_body_is_all_zero(self):
+        space = gen_mod.make_space(3)
+        got = parse_measure({"measure": {}}, "m", space).c
+        assert got.tobytes() == np.zeros((2, 3), dtype=np.complex128).tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.sampled_from([1, 23, 24, 200]),
+        seed=st.integers(0, 2**32 - 1),
+        mutation=st.sampled_from(sorted(_ATOM_MUTATIONS) + ["unknown label"]),
+        data=st.data(),
+    )
+    def test_malformed_bodies_name_the_first_bad_node(self, n, seed, mutation, data):
+        rng = np.random.default_rng(seed)
+        space = gen_mod.make_space(n)
+        body = _random_body(rng, space)
+        if not body:
+            body = {space.atoms[0]: {"e1": [1.0, 0.0], "e2": [0.0, 1.0]}}
+        items = list(body.items())
+        k = data.draw(st.integers(0, len(items) - 1), label="atom")
+        label, value = items[k]
+        if mutation == "unknown label":
+            items.insert(k, ("not-an-atom", value))
+        else:
+            items[k] = (label, _ATOM_MUTATIONS[mutation](value))
+        # Through JSON text, as the CLI reads it: NaN and Infinity tokens.
+        body = json.loads(json.dumps(dict(items)))
+        want = _per_atom_table(body, space, "f.function")
+        assert isinstance(want, tuple)
+        assert _parse_function_body(body, space) == want
+
+    def test_bulk_body(self):
+        rng = np.random.default_rng(10_000)
+        space = gen_mod.make_space(10_000)
+        body = json.loads(json.dumps(_random_body(rng, space)))
+        want = _per_atom_table(body, space, "f.function")
+        assert _same_table(_parse_function_body(body, space), want)
+        # One bad part in the last atom of the document.
+        label = list(body)[-1]
+        body[label] = _ATOM_MUTATIONS["NaN part"](body[label])
+        assert _parse_function_body(body, space) == (
+            f"f.function.{label}.e2[1]", "expected a finite number"
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([1, 23, 24, 200]),
+        seed=st.integers(0, 2**32 - 1),
+        mutation=st.sampled_from(
+            ["none", "int target", "null target", "list target", "unknown target",
+             "unknown source", "missing source"]
+        ),
+        data=st.data(),
+    )
+    def test_maps(self, n, seed, mutation, data):
+        rng = np.random.default_rng(seed)
+        space = gen_mod.make_space(n)
+        image = rng.integers(0, n, size=n)
+        order = rng.permutation(n).tolist()
+        items = [(space.atoms[i], space.atoms[image[i]]) for i in order]
+        k = data.draw(st.integers(0, n - 1), label="entry")
+        src = items[k][0]
+        bad = {
+            "int target": 1, "null target": None, "list target": [src],
+            "unknown target": "not-an-atom",
+        }
+        if mutation in bad:
+            items[k] = (src, bad[mutation])
+        elif mutation == "unknown source":
+            items.insert(k, ("not-an-atom", src))
+        elif mutation == "missing source":
+            del items[k]
+        body = dict(items)
+        # The per-entry reference.
+        want = None
+        for key, target in body.items():
+            at = f"m.map.{key}"
+            if not isinstance(target, str):
+                want = (at, "expected a string label")
+            elif key not in space.atoms:
+                want = (at, "unknown atom label")
+            elif target not in space.atoms:
+                want = (at, f"unknown target label {target!r}")
+            if want:
+                break
+        if want is None and len(body) < n:
+            missing = [a for a in space.atoms if a not in body]
+            want = ("m.map", f"map is not total; missing {missing}")
+        got = _parse_outcome(lambda: parse_map({"map": body}, "m", space))
+        if want is None:
+            assert got.image.tolist() == [space.atoms.index(body[a]) for a in space.atoms]
+        else:
+            assert got == want
 
 
 @pytest.mark.parametrize("n", [1, 64, 10_000])
@@ -1307,6 +1530,9 @@ def _mutate(doc, path, value):
     return doc
 
 
+_READING_COMMANDS = ["decompose", "integrate", "pushforward", "find-invariant"]
+
+
 class TestCliExitContract:
     """Mutated documents never escape ``main``: exit 0, 2 or 3, JSON stderr."""
 
@@ -1363,6 +1589,27 @@ class TestCliExitContract:
         argv = ["gen", "--kind", kind, "--atoms", str(atoms), "--seed", str(seed), "--mode", mode]
         _assert_exit_contract(*_main_on_stdin(argv, ""))
 
+    @pytest.mark.parametrize("command", _READING_COMMANDS)
+    def test_deeply_nested_json_exits_2(self, command):
+        # Deeper than the parser's stack: json.loads raises RecursionError.
+        code, out, err = _main_on_stdin([command], "[" * 200_000)
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert (payload["error"], payload["location"]) == ("schema violation", "input")
+        assert payload["message"].startswith("invalid JSON: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("command", _READING_COMMANDS)
+    def test_non_utf8_input_file_exits_2(self, command, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_bytes(b'{"a":"\xff"}')
+        code, out, err = _main_on_stdin([command, "--input", str(path)], "")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "schema violation",
+            "location": "input",
+            "message": "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte",
+        }
+
     def test_non_finite_result_exits_3(self, monkeypatch):
         # Inputs are finite and overflow is checked at the result, so a NaN
         # that still reaches the writer is the program's fault.
@@ -1375,6 +1622,47 @@ class TestCliExitContract:
         payload = json.loads(err)
         assert payload["error"] == "internal invariant violation"
         assert "JSON compliant" in payload["payload"]["reason"]
+
+
+class TestReadDocGc:
+    """The cyclic GC is off while the input parses, then back as the caller had it."""
+
+    DOC = json.dumps({**TestCliKindHint.ONE_ATOM, **TestCliKindHint.EXTRA["integrate"]})
+
+    @pytest.fixture
+    def gc_state(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_paused_during_json_loads(self, gc_state, monkeypatch):
+        import hypmeasure.cli as cli_mod
+
+        seen = []
+        loads = json.loads
+
+        def spy(text):
+            seen.append(gc.isenabled())
+            return loads(text)
+
+        monkeypatch.setattr(cli_mod.json, "loads", spy)
+        gc.enable()
+        assert _main_on_stdin(["integrate"], self.DOC)[0] == 0
+        assert seen == [False]
+
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    @pytest.mark.parametrize("text, code", [(DOC, 0), ("{", 2), ("[" * 200_000, 2)],
+                             ids=["valid", "invalid JSON", "too deep"])
+    def test_state_is_restored(self, gc_state, caller_enabled, text, code):
+        if caller_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert _main_on_stdin(["integrate"], text)[0] == code
+        assert gc.isenabled() is caller_enabled
 
 
 def _main_on_stdin(argv, text):
