@@ -510,29 +510,25 @@ def parse_map(
 ) -> PointMap:
     """Parse a map document; every atom needs one target label.
 
-    Sources and targets are looked up in the space's index by whole
-    columns; if any lookup fails, a walk in document order names the
-    first bad entry.
+    One pass in document order, with sources and targets looked up in
+    the space's index dict.
     """
     _, space, body = _parse_document(obj, loc, space, "map")
     loc = f"{loc}.map"
     body = _require_dict(body, loc)
     index = space._index
-    targets = body.values()
-    src = list(map(index.get, body))
-    dst = list(map(index.get, targets)) if _all_of(targets, str) else [None]
-    if None in src or None in dst:
-        for key, target in body.items():
-            if not isinstance(target, str):
-                raise SchemaError(f"{loc}.{key}", "expected a string label")
-            if key not in index:
-                raise SchemaError(f"{loc}.{key}", "unknown atom label")
-            if target not in index:
-                raise SchemaError(f"{loc}.{key}", f"unknown target label {target!r}")
-        raise InternalInvariantError(f"{loc}: a valid map failed its column check")
-    image = np.full(space.size, -1, dtype=np.int64)
-    image.put(src, dst)
-    if len(src) < space.size:
-        missing = [space.atoms[i] for i in np.flatnonzero(image < 0).tolist()]
+    image = [-1] * space.size
+    for src, dst in body.items():
+        if not isinstance(dst, str):
+            raise SchemaError(f"{loc}.{src}", "expected a string label")
+        i = index.get(src)
+        if i is None:
+            raise SchemaError(f"{loc}.{src}", "unknown atom label")
+        j = index.get(dst)
+        if j is None:
+            raise SchemaError(f"{loc}.{src}", f"unknown target label {dst!r}")
+        image[i] = j
+    missing = [label for label, j in zip(space.atoms, image) if j < 0]
+    if missing:
         raise SchemaError(loc, f"map is not total; missing {missing}")
     return PointMap(space, image)

@@ -464,7 +464,7 @@ def _same_table(got, want):
 
 
 class TestColumnParse:
-    """The column parse of atom tables and maps gives the per-atom results.
+    """The column parse of atom tables, and the map parse, give the per-atom results.
 
     Valid bodies give the same bits as ``complex(float(re), float(im))``
     per pair; a malformed body raises the SchemaError of the first bad
