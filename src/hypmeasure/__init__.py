@@ -10,6 +10,8 @@ with invariant-measure search, and a seeded verification suite runner
 behind both a Python API and a JSON command line.
 """
 
+from types import ModuleType as _ModuleType
+
 from .codec import (
     bicomplex_to_obj,
     dumps_canonical,
@@ -109,98 +111,9 @@ from .verify import SuiteResult, VerifyReport, run_suite, run_verify, suite_name
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bicomplex",
-    "CesaroTrace",
-    "ContinuityProbe",
-    "CovCheck",
-    "DCTReport",
-    "E1",
-    "E2",
-    "FiniteSpace",
-    "HahnPartition",
-    "Hyperbolic",
-    "InternalInvariantError",
-    "J",
-    "JordanPair",
-    "LRNResult",
-    "LatticeReport",
-    "MeasureKind",
-    "ModulusCheck",
-    "NotIntegrableError",
-    "ONE",
-    "Order",
-    "PointMap",
-    "SchemaError",
-    "SeriesWitness",
-    "SetMask",
-    "SuiteResult",
-    "TFunction",
-    "TMeasure",
-    "TvOfIndefinite",
-    "VerifyReport",
-    "ZERO",
-    "abs_continuous",
-    "all_subsets",
-    "bicomplex_to_obj",
-    "certify_hahn",
-    "certify_jordan",
-    "certify_lrn",
-    "certify_polar",
-    "cesaro_invariant",
-    "change_of_variables_check",
-    "check_convergence",
-    "check_lattice_properties",
-    "check_linearity",
-    "check_modulus_inequality",
-    "check_series",
-    "compare_d",
-    "continuity_probe",
-    "convex_combine",
-    "dct_run",
-    "dominates",
-    "dumps_canonical",
-    "epsilon_delta_witness",
-    "function_to_obj",
-    "hahn",
-    "hyperbolic_to_obj",
-    "in_invariant_hull",
-    "in_l1",
-    "indefinite_integral",
-    "integrate",
-    "invariant_basis_bruteforce",
-    "is_concentrated",
-    "is_invariant",
-    "jordan",
-    "lebesgue_radon_nikodym",
-    "leq_d",
-    "lt_d",
-    "map_to_obj",
-    "mask_to_obj",
-    "measure_to_obj",
-    "mutually_singular",
-    "normalize_to_probability",
-    "parse_bicomplex",
-    "parse_function",
-    "parse_hyperbolic",
-    "parse_map",
-    "parse_mask",
-    "parse_measure",
-    "parse_space",
-    "polar_density",
-    "probability_variant",
-    "pushforward",
-    "pushforward_iter",
-    "run_suite",
-    "run_verify",
-    "set_partitions",
-    "space_to_obj",
-    "subset_sum_blocks",
-    "subset_sums",
-    "suite_names",
-    "sup_d",
-    "total_variation_bruteforce",
-    "tv_of_indefinite_integral",
-    "unimodular_factor",
-    "variation_measure",
-]
+# The public names are the ones imported above, listed once.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -9,8 +9,10 @@ existence proofs constructive and exact.
 Constructions are O(n) at any size. Each has one certifier, ``certify_*``,
 with named verdicts (True, False, or None when not run): Jordan, polar
 and LRN atomwise, the Hahn formulas on every subset up to 20 atoms.
-Rounded identities are compared within a bound worked out from the
-inputs (``_close``), with no tolerance to set, so they fail at any scale.
+Rounded identities are compared within the package's one rounding
+bound, ``measures._close``, worked out from the inputs with no tolerance
+to set, so they fail at any scale; integration, dynamics and domination
+checks use the same bound.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .measures import (
     AtomTable,
     MeasureKind,
     TMeasure,
+    _close,
     _masked_sum,
     subset_sum_blocks,
     variation_measure,
@@ -54,25 +57,6 @@ __all__ = [
     "TvOfIndefinite",
     "tv_of_indefinite_integral",
 ]
-
-
-# A sum of n terms in ascending order is off by at most (n - 1)*u*sum|x|,
-# u = eps/2. A checked identity compares two such sums, with at most
-# three more roundings on one side (the Hahn cell combination; atomwise,
-# a division and a product): (2n + 1)*u*sum|x| in all. So c = 4 in the
-# bound c*n*eps*sum|x| covers every n >= 1, with room for second-order
-# terms and for the rounding of sum|x| itself.
-_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
-# Below the normal range a product or quotient is off by up to half the
-# subnormal spacing 2**-1074 (sums there are exact): 16 spacings per term,
-# and m more for a factor rounded there and then multiplied by a mass m.
-_FLOOR = 16.0 * float(np.finfo(np.float64).smallest_subnormal)
-
-
-def _close(got, want, scale, floors) -> bool:
-    """Whether |got - want| <= 4*eps*scale + _FLOOR*floors, with scale =
-    n*sum|x| and floors = n (see _FLOOR) over the n terms of a side."""
-    return bool((np.abs(got - want) <= _ROUNDING * scale + _FLOOR * floors).all())
 
 
 def _require_signed_d(mu: TMeasure) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .integration import TFunction, integrate
-from .measures import TMeasure, probability_variant
+from .measures import TMeasure, _ascending_sum, _at_most, _close, probability_variant
 from .numbers import Bicomplex, Hyperbolic, _lt_d_rows, lt_d
 from .spaces import FiniteSpace, SetMask
 
@@ -236,21 +236,25 @@ class CovCheck:
     equal: bool
 
 
-def change_of_variables_check(
-    f: PointMap, mu: TMeasure, phi: TFunction, tol: float = 1e-12
-) -> CovCheck:
+def change_of_variables_check(f: PointMap, mu: TMeasure, phi: TFunction) -> CovCheck:
     """Compare the integral of phi against f_*mu with the integral of
     phi after f against mu.
 
     Both sides are independent finite sums and agree exactly on
-    exactly-representable inputs; ``equal`` uses tolerance ``tol``.
+    exactly-representable inputs; ``equal`` allows the rounding bound
+    (``_close``) of the n-term sum of |phi after f| * mu.
     """
     _require_same_space(f, mu)
     if phi.space != f.space:
         raise ValueError("function lives on a different space")
+    pulled = f.pullback(phi)
     lhs = integrate(phi, pushforward(f, mu))
-    rhs = integrate(f.pullback(phi), mu)
-    return CovCheck(lhs=lhs, rhs=rhs, equal=lhs.isclose(rhs, tol))
+    rhs = integrate(pulled, mu)
+    n = f.space.size
+    with np.errstate(over="ignore"):
+        scale = n * _ascending_sum(np.abs(pulled.c) * mu.c.real)
+    equal = _close(np.array([lhs.e1 - rhs.e1, lhs.e2 - rhs.e2]), 0.0, scale, n)
+    return CovCheck(lhs=lhs, rhs=rhs, equal=equal)
 
 
 def convex_combine(a: TMeasure, b: TMeasure, t: float) -> TMeasure:
@@ -384,32 +388,31 @@ def invariant_basis_bruteforce(f: PointMap) -> list[TMeasure]:
     return basis
 
 
-def in_invariant_hull(f: PointMap, mu: TMeasure, tol: float = 1e-9) -> bool:
+def in_invariant_hull(f: PointMap, mu: TMeasure) -> bool:
     """Whether mu lies in the componentwise hull of the cycle basis.
 
-    Componentwise: each component of mu must vanish off the cycles
-    (within tol), be constant along each cycle (within tol), with
-    nonnegative cycle weights summing to that component's total mass.
-    Degenerate variants are covered because a zero component has all
-    weights zero.
+    Componentwise: each component of mu must vanish off the cycles, be
+    constant and nonnegative along each cycle, with cycle weights
+    summing to that component's total mass. Degenerate variants are
+    covered because a zero component has all weights zero. Each test
+    allows the rounding bound (``_close``) of n terms of the
+    component's masses, along a cycle those of the cycle.
     """
     _require_same_space(f, mu)
     on_cycle, cycles = f._cycle_structure()
-    for comp in mu.c.real:
-        off = comp[~on_cycle]
-        if off.size and float(np.max(np.abs(off))) > tol:
-            return False
-        weight_total = 0.0
-        for cycle in cycles:
-            masses = comp[cycle]
-            if float(masses.max() - masses.min()) > tol:
-                return False
-            if masses.min() < -tol:
-                return False
-            weight_total += float(masses.sum())
-        if abs(weight_total - float(comp.sum())) > tol * max(1.0, len(comp)):
-            return False
-    return True
+    n, m = f.space.size, mu.c.real
+    # The cycles' masses side by side, each cycle from its offset on.
+    on = m[:, np.concatenate(cycles)]
+    starts = np.cumsum([0, *map(len, cycles[:-1])])
+    low = np.minimum.reduceat(on, starts, axis=1)
+    mass = n * np.add.reduceat(np.abs(on), starts, axis=1)
+    scale = n * np.abs(m).sum(axis=1)
+    return (
+        _close(m[:, ~on_cycle], 0.0, scale[:, None], n)
+        and _close(np.maximum.reduceat(on, starts, axis=1), low, mass, n)
+        and _at_most(0.0, low, mass, n)
+        and _close(on.sum(axis=1), m.sum(axis=1), scale, n)
+    )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ from .measures import (
     TMeasure,
     _MassLike,
     _as_components,
+    _at_most,
     _ascending_sum,
+    _close,
     _from_atoms,
     _masked_sum,
 )
@@ -145,20 +147,17 @@ def integrate(f: TFunction, mu: TMeasure, e: SetMask | None = None) -> Bicomplex
 
 
 def check_linearity(
-    f: TFunction,
-    g: TFunction,
-    alpha: Bicomplex,
-    beta: Bicomplex,
-    mu: TMeasure,
-    tol: float = 1e-12,
+    f: TFunction, g: TFunction, alpha: Bicomplex, beta: Bicomplex, mu: TMeasure
 ) -> bool:
     """Whether integration is linear for the given scalars and tables.
 
     Verifies that alpha*f + beta*g stays integrable and that
     integrate(alpha*f + beta*g) equals alpha*integrate(f) +
-    beta*integrate(g) within ``tol`` in both components. Scalars may
-    be arbitrary bicomplex numbers; complex scalars are the special
-    case with equal components.
+    beta*integrate(g) in both components, within the rounding bound
+    (``_close``) of the n-term sums of (|alpha||f| + |beta||g|)*mu. Its
+    floor counts 1 + |alpha| + |beta| per term and per unit of mass.
+    Scalars may be arbitrary bicomplex numbers; complex scalars are the
+    special case with equal components.
     """
     f._check_space(g)
     combo = f.scaled(alpha) + g.scaled(beta)
@@ -166,7 +165,12 @@ def check_linearity(
         return False
     lhs = integrate(combo, mu)
     rhs = alpha * integrate(f, mu) + beta * integrate(g, mu)
-    return lhs.isclose(rhs, tol)
+    a, b = np.abs([_as_components(alpha), _as_components(beta)])[..., None]
+    n, m = f.space.size, mu.c.real
+    with np.errstate(over="ignore"):
+        scale = n * _ascending_sum((a * np.abs(f.c) + b * np.abs(g.c)) * m)
+        floors = (1.0 + a + b)[:, 0] * (n + _ascending_sum(m))
+    return _close(np.array([lhs.e1 - rhs.e1, lhs.e2 - rhs.e2]), 0.0, scale, floors)
 
 
 @dataclass(frozen=True)
@@ -178,19 +182,23 @@ class ModulusCheck:
     holds: bool
 
 
-def check_modulus_inequality(
-    f: TFunction, mu: TMeasure, tol: float = 1e-12
-) -> ModulusCheck:
+def check_modulus_inequality(f: TFunction, mu: TMeasure) -> ModulusCheck:
     """Evaluate |integral of f|_D against the integral of |f|_D.
 
-    ``holds`` reports lhs <= rhs componentwise with an additive slack
-    ``tol``: the two sides can tie mathematically (no cancellation)
-    and then differ by an ulp in float arithmetic.
+    ``holds`` reports lhs <= rhs componentwise within the one-sided
+    rounding bound (``_at_most``) of the n-term sum rhs: the two sides
+    can tie mathematically (no cancellation) and then differ by a few
+    ulps. Its floor counts mu more, as |f|_D is rounded before it meets
+    the masses.
     """
     lhs = integrate(f, mu).d_modulus()
     rhs_bc = integrate(f.d_modulus(), mu)
     rhs = Hyperbolic(rhs_bc.e1.real, rhs_bc.e2.real)
-    holds = lhs.e1 <= rhs.e1 + tol and lhs.e2 <= rhs.e2 + tol
+    sides = np.array([[lhs.e1, lhs.e2], [rhs.e1, rhs.e2]])
+    n = f.space.size
+    with np.errstate(over="ignore"):
+        scale, floors = n * sides[1], n + _ascending_sum(mu.c.real)
+    holds = _at_most(*sides, scale, floors)
     return ModulusCheck(lhs=lhs, rhs=rhs, holds=holds)
 
 
@@ -223,7 +231,8 @@ def dct_run(
     """Dominated-convergence harness over a finite function sequence.
 
     Checks the domination hypothesis |f_n,i(x)| <= g_i(x) for every
-    term, component and atom (with a 1e-12 slack against float ties),
+    term, component and atom, within the one-sided rounding bound
+    (``_at_most``) of g_i(x) against float ties,
     and traces the two conclusions: the integrals of |f_n - f|_D
     heading to zero and the integrals of f_n heading to the integral
     of f.
@@ -260,7 +269,7 @@ def dct_run(
     rows = np.array([*(fn.c for fn in fn_seq), f_limit.c])
     m = mu.c.real
     with np.errstate(over="ignore", invalid="ignore"):
-        domination_ok = bool((np.abs(rows[:-1]) <= g.c.real + 1e-12).all())
+        domination_ok = _at_most(np.abs(rows[:-1]), g.c.real, g.c.real, 1)
         # The component integrals of |f_k|_D and |f_k - f|_D, per table.
         term_l1 = _ascending_sum(np.abs(rows) * m)
         gap_l1 = _ascending_sum(np.abs(rows[:-1] - rows[-1]) * m)

@@ -46,6 +46,35 @@ SUBSET_CAP = 20
 # temporaries stay in cache.
 _BLOCK_BITS = 13
 
+# The one rounding rule of every checked identity and inequality. A sum
+# of n terms in ascending order is off by at most (n - 1)*u*sum|x|,
+# u = eps/2 (Higham, Accuracy and Stability of Numerical Algorithms,
+# 4.2). A check compares two such sums, with at most three more
+# roundings on one side (the Hahn cell combination; atomwise, a division
+# and a product): (2n + 1)*u*sum|x| in all. So c = 4 in the bound
+# c*n*eps*sum|x| covers every n >= 1, with room for second-order terms
+# and for the rounding of sum|x| itself.
+_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
+# Below the normal range a product or quotient is off by up to half the
+# subnormal spacing 2**-1074 (sums there are exact): 16 spacings per term,
+# and m more for a factor rounded there and then multiplied by a mass m.
+_FLOOR = 16.0 * float(np.finfo(np.float64).smallest_subnormal)
+# probability_variant reads totals that users round by hand, so it keeps
+# an absolute slack: the rounding bound would refuse masses 1/3 written
+# as 0.3333333333333.
+_VARIANT_SLACK = 1e-12
+
+
+def _at_most(lhs, rhs, scale, floors) -> bool:
+    """Whether lhs <= rhs + 4*eps*scale + _FLOOR*floors everywhere, with
+    scale = n*sum|x| and floors = n (see _FLOOR) over the n terms of a side."""
+    return bool((lhs <= rhs + (_ROUNDING * scale + _FLOOR * floors)).all())
+
+
+def _close(got, want, scale, floors) -> bool:
+    """Whether |got - want| is within the slack of :func:`_at_most`."""
+    return _at_most(np.abs(got - want), 0.0, scale, floors)
+
 
 class MeasureKind(Enum):
     """Strictest value-range class a measure belongs to.
@@ -402,14 +431,15 @@ def variation_measure(mu: TMeasure) -> TMeasure:
     return TMeasure(mu.space, *np.abs(mu.c))
 
 
-def dominates(lambda_d: TMeasure, mu: TMeasure, tol: float = 1e-12) -> bool:
+def dominates(lambda_d: TMeasure, mu: TMeasure) -> bool:
     """Whether |mu_i(E)| <= lambda_i(E) for every subset and component.
 
     ``lambda_d`` must be a D-measure on the same space. All 2**|X|
     subsets are enumerated, a block of subset sums at a time, so the
-    space is capped at 20 atoms. The comparison allows an additive
-    slack ``tol`` because the two sides are computed by different float
-    summation orders and can tie mathematically (e.g. |mu|_D against mu).
+    space is capped at 20 atoms. The two sides are summed in different
+    float orders and can tie mathematically (|mu|_D against mu), so each
+    subset is compared within the rounding bound (``_at_most``) of its
+    |mu|_D sum, walked in the same blocks.
 
     Raises
     ------
@@ -424,11 +454,11 @@ def dominates(lambda_d: TMeasure, mu: TMeasure, tol: float = 1e-12) -> bool:
     if n > SUBSET_CAP:
         raise ValueError(f"space too large for subset enumeration (> {SUBSET_CAP})")
     ok = True
-    # Both walks visit the same subsets in the same order.
-    for (_, mu_sums), (_, lam_sums) in zip(
-        subset_sum_blocks(mu.c), subset_sum_blocks(lambda_d.c.real)
-    ):
-        ok &= bool((np.abs(mu_sums) <= lam_sums + tol).all())
+    # Six rows, mu, lambda and |mu|_D, summed in one walk; the real rows'
+    # sums keep their bits as real parts.
+    rows = np.concatenate((mu.c, lambda_d.c, np.abs(mu.c)))
+    for _, sums in subset_sum_blocks(rows):
+        ok &= _at_most(np.abs(sums[:2]), sums[2:4].real, n * sums[4:].real, n)
     return ok
 
 
@@ -459,11 +489,12 @@ def normalize_to_probability(mu_hat: TMeasure) -> TMeasure:
 _VARIANTS = (Hyperbolic(1.0, 1.0), Hyperbolic(1.0, 0.0), Hyperbolic(0.0, 1.0))
 
 
-def probability_variant(mu: TMeasure, tol: float = 1e-12) -> Hyperbolic:
+def probability_variant(mu: TMeasure) -> Hyperbolic:
     """Classify a D-probability by its total: e1+e2, e1 or e2.
 
-    Returns the exact variant constant the total matches within
-    ``tol``.
+    Returns the exact variant constant the total matches within the
+    absolute slack ``_VARIANT_SLACK`` (1e-12), which admits hand-rounded
+    totals.
 
     Raises
     ------
@@ -475,6 +506,6 @@ def probability_variant(mu: TMeasure, tol: float = 1e-12) -> Hyperbolic:
         raise ValueError("a D-probability must be a D-measure")
     t = mu.total().as_hyperbolic()
     for variant in _VARIANTS:
-        if t.isclose(variant, tol):
+        if t.isclose(variant, _VARIANT_SLACK):
             return variant
     raise ValueError("total mass is not e1+e2, e1 or e2")

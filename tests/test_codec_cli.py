@@ -1716,9 +1716,47 @@ class TestCliVerify:
         assert payload["failed_suites"] == ["zz-forced-failure"]
         assert payload["counterexamples"]
 
+    @pytest.mark.parametrize(
+        "exc, error",
+        [
+            (ValueError("boom"), "ValueError: boom"),
+            (ZeroDivisionError("division by zero"), "ZeroDivisionError: division by zero"),
+        ],
+        ids=["ValueError", "ZeroDivisionError"],
+    )
+    def test_raising_suite_is_a_replayable_failure(self, capsys, monkeypatch, exc, error):
+        # A check that raises is a failing case, not a bad glob (exit 2)
+        # nor a traceback: exit 3, naming its suite, seed and case.
+        def raises_from_case_1(rng):
+            calls.append(rng)
+            if len(calls) == 2:
+                raise exc
+            return None
+
+        calls = []
+        monkeypatch.setattr(
+            verify_mod, "_REGISTRY", [*verify_mod._REGISTRY, ("zz-raises", 1, raises_from_case_1)]
+        )
+        code, out, err = _run(
+            ["verify", "--cases", "3", "--seed", "5", "--suite", "zz-raises"], capsys
+        )
+        assert code == 3
+        assert json.loads(out)["suites"][0]["failures"] == 1
+        assert json.loads(err)["counterexamples"] == [
+            {"suite": "zz-raises", "seed": 5, "case": 1, "check": "raised", "error": error}
+        ]
+
     def test_unknown_suite_is_schema_error(self, capsys):
         code, _, err = _run(["verify", "--suite", "no-such-suite"], capsys)
         assert code == 2
+
+    def test_algebra_suite_catches_a_division_that_multiplies(self, monkeypatch):
+        monkeypatch.setattr(
+            Bicomplex, "__truediv__", lambda a, b: Bicomplex(a.e1 * b.e1, a.e2 * b.e2)
+        )
+        result = verify_mod.run_suite("algebra", 42, 20)
+        assert result.failures == 20
+        assert result.first_counterexample["check"] == "division-inverts-product"
 
 
 class TestCliGen:
