@@ -32,7 +32,6 @@ from .codec import (
 from .decomposition import (
     HahnPartition,
     JordanPair,
-    LatticeReport,
     LRNResult,
     TvOfIndefinite,
     abs_continuous,
@@ -52,7 +51,6 @@ from .decomposition import (
 )
 from .dynamics import (
     CesaroTrace,
-    ContinuityProbe,
     CovCheck,
     PointMap,
     cesaro_invariant,

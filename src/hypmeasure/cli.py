@@ -7,7 +7,8 @@ Subcommands map one-to-one onto the library's operation families:
   two Hahn formula checks enumerate all subsets, a block at a time, and
   run up to 20 atoms; above that they are written as ``null`` (not run).
 - ``integrate``: a single integral (with modulus inequality report) or
-  a dominated-convergence run when the document has a ``sequence``.
+  a dominated-convergence run when the document has a ``sequence``, to
+  the document's ``tol`` (default 1e-9).
 - ``pushforward``: image of a D-probability under a self-map.
 - ``find-invariant``: averaged-orbit invariant measure plus the
   brute-force basis of the invariant cone.
@@ -177,9 +178,8 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         raise SchemaError(
             "input.reference", "density against the reference overflows the float range"
         )
-    # The certifiers add masses and scale a rounding bound by n * sum|x|.
-    # Finite masses can still overflow there, and the checks would then
-    # read false or be vacuous.
+    # The certifiers add masses, and finite masses can still overflow in a
+    # sum; the checks would then read false or be vacuous.
     try:
         with np.errstate(over="raise", invalid="raise"):
             checks = {
@@ -240,7 +240,7 @@ def _cmd_integrate(args: argparse.Namespace) -> dict:
             raise SchemaError("input.dominator", "missing dominating function")
         limit = parse_function(doc["limit"], "input.limit", space)
         dominator = parse_function(doc["dominator"], "input.dominator", space)
-        tol = doc.get("tol", args.tol)
+        tol = doc.get("tol", 1e-9)
         if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
             raise SchemaError("input.tol", "expected a positive number")
         tol = _as_float(tol, "input.tol")
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output JSON path (default stdout)")
         if name in ("verify", "gen"):
             p.add_argument("--seed", type=int, default=42)
-        if name in ("integrate", "find-invariant"):
+        if name == "find-invariant":
             p.add_argument("--tol", type=float, default=1e-9)
         if name == "verify":
             p.add_argument("--cases", type=int, default=1000)

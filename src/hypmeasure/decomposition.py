@@ -9,6 +9,8 @@ existence proofs constructive and exact.
 Constructions are O(n) at any size. Each has one certifier, ``certify_*``,
 with named verdicts (True, False, or None when not run): Jordan, polar
 and LRN atomwise, the Hahn formulas on every subset up to 20 atoms.
+``check_lattice_properties`` names its verdicts the same way, None there
+meaning a false hypothesis (vacuous).
 Rounded identities are compared within the package's one rounding
 bound, ``measures._close``, worked out from the inputs with no tolerance
 to set, so they fail at any scale; integration, dynamics and domination
@@ -49,7 +51,6 @@ __all__ = [
     "is_concentrated",
     "mutually_singular",
     "abs_continuous",
-    "LatticeReport",
     "check_lattice_properties",
     "LRNResult",
     "lebesgue_radon_nikodym",
@@ -126,8 +127,8 @@ def certify_polar(table: AtomTable, h: TFunction) -> dict[str, bool]:
     table._check_space(h)
     x, hx = table.c, h.c
     return {
-        "polar_unimodular": _close(np.abs(hx), 1.0, 1.0, 1),
-        "polar_reconstruction": _close(hx * np.abs(x), x, np.abs(x), 1),
+        "polar_unimodular": _close(np.abs(hx), 1.0, 1, 1.0, 1),
+        "polar_reconstruction": _close(hx * np.abs(x), x, 1, np.abs(x), 1),
     }
 
 
@@ -215,9 +216,9 @@ def certify_hahn(mu: TMeasure, partition: HahnPartition) -> dict[str, bool | Non
     for _, (a, b, c, d, plus, minus) in subset_sum_blocks(rows):
         # Component e1 takes its modulus on C, component e2 on D.
         mixed = np.abs(np.stack((c[0], d[1])))
-        scale = n * (plus + minus)
-        plus_ok &= _close(a + mixed, plus, scale, n)
-        minus_ok &= _close(-b - c - d + mixed, minus, scale, n)
+        # |mu|_D(E) as its two parts, so the bound is finite when they are.
+        plus_ok &= _close(a + mixed, plus, n, (plus, minus), n)
+        minus_ok &= _close(-b - c - d + mixed, minus, n, (plus, minus), n)
     return {"hahn_mu_plus": plus_ok, "hahn_mu_minus": minus_ok}
 
 
@@ -254,57 +255,30 @@ def abs_continuous(lam: TMeasure, mu: TMeasure) -> bool:
     return bool((lam.c[mu.c.real == 0.0] == 0).all())
 
 
-@dataclass(frozen=True)
-class LatticeReport:
-    """Seven checked implications tying moduli, concentration,
-    absolute continuity and singularity together.
-
-    Each field is the truth value of one implication evaluated on the
-    supplied measures; an implication with a false hypothesis counts
-    as true.
-    """
-
-    concentration_to_modulus: bool
-    singularity_to_moduli: bool
-    singular_sum_closed: bool
-    abs_continuous_sum_closed: bool
-    abs_continuity_to_modulus: bool
-    ac_and_singular_are_singular: bool
-    ac_and_singular_is_zero: bool
-
-    def all_hold(self) -> bool:
-        return (
-            self.concentration_to_modulus
-            and self.singularity_to_moduli
-            and self.singular_sum_closed
-            and self.abs_continuous_sum_closed
-            and self.abs_continuity_to_modulus
-            and self.ac_and_singular_are_singular
-            and self.ac_and_singular_is_zero
-        )
-
-
-def _implies(hypothesis: bool, conclusion: bool) -> bool:
-    return (not hypothesis) or conclusion
-
-
 def check_lattice_properties(
     lam: TMeasure, lam_p: TMeasure, lam_pp: TMeasure, mu: TMeasure
-) -> LatticeReport:
-    """Evaluate the seven modulus/continuity/singularity implications.
+) -> dict[str, bool | None]:
+    """Verdicts on the seven modulus/continuity/singularity implications.
 
-    a) lam concentrated on A implies |lam|_D concentrated on A, for
-       every A; equivalent to support(|lam|_D) being inside
-       support(lam), which is checked directly.
-    b) lam_p and lam_pp mutually singular implies their moduli are.
-    c) lam_p and lam_pp both singular to mu implies their sum is.
-    d) lam_p and lam_pp both absolutely continuous w.r.t. mu implies
-       their sum is.
-    e) lam absolutely continuous w.r.t. mu implies |lam|_D is.
-    f) lam_p absolutely continuous and lam_pp singular w.r.t. mu
-       implies lam_p and lam_pp are mutually singular.
-    g) lam both absolutely continuous and singular w.r.t. mu implies
-       lam = 0.
+    Each verdict is None when its hypothesis is false (vacuous; the
+    conclusion is not computed), else whether its conclusion holds:
+
+    a) ``concentration_to_modulus``: lam concentrated on A implies
+       |lam|_D concentrated on A, for every A; checked at once as
+       support(|lam|_D) inside support(lam), so it is never None.
+    b) ``singularity_to_moduli``: lam_p and lam_pp mutually singular
+       implies their moduli are.
+    c) ``singular_sum_closed``: lam_p and lam_pp both singular to mu
+       implies their sum is.
+    d) ``abs_continuous_sum_closed``: lam_p and lam_pp both absolutely
+       continuous w.r.t. mu implies their sum is.
+    e) ``abs_continuity_to_modulus``: lam absolutely continuous w.r.t.
+       mu implies |lam|_D is.
+    f) ``ac_and_singular_are_singular``: lam_p absolutely continuous and
+       lam_pp singular w.r.t. mu implies lam_p and lam_pp are mutually
+       singular.
+    g) ``ac_and_singular_is_zero``: lam both absolutely continuous and
+       singular w.r.t. mu implies lam = 0.
 
     Raises
     ------
@@ -313,42 +287,23 @@ def check_lattice_properties(
     """
     for m in (lam_p, lam_pp):
         lam._check_space(m)
-
     var_lam = variation_measure(lam)
-    # a) supports of a measure and its modulus coincide atomwise, so
-    # concentration transfers for every A at once.
-    a_ok = is_concentrated(var_lam, lam.support_mask())
-
-    b_ok = _implies(
-        mutually_singular(lam_p, lam_pp),
-        mutually_singular(variation_measure(lam_p), variation_measure(lam_pp)),
-    )
-    c_ok = _implies(
-        mutually_singular(lam_p, mu) and mutually_singular(lam_pp, mu),
-        mutually_singular(lam_p + lam_pp, mu),
-    )
-    d_ok = _implies(
-        abs_continuous(lam_p, mu) and abs_continuous(lam_pp, mu),
-        abs_continuous(lam_p + lam_pp, mu),
-    )
-    e_ok = _implies(abs_continuous(lam, mu), abs_continuous(var_lam, mu))
-    f_ok = _implies(
-        abs_continuous(lam_p, mu) and mutually_singular(lam_pp, mu),
-        mutually_singular(lam_p, lam_pp),
-    )
-    g_ok = _implies(
-        abs_continuous(lam, mu) and mutually_singular(lam, mu),
-        bool((lam.c == 0).all()),
-    )
-    return LatticeReport(
-        concentration_to_modulus=bool(a_ok),
-        singularity_to_moduli=b_ok,
-        singular_sum_closed=c_ok,
-        abs_continuous_sum_closed=d_ok,
-        abs_continuity_to_modulus=e_ok,
-        ac_and_singular_are_singular=f_ok,
-        ac_and_singular_is_zero=g_ok,
-    )
+    ac, ac_p, ac_pp = (abs_continuous(m, mu) for m in (lam, lam_p, lam_pp))
+    sing, sing_p, sing_pp = (mutually_singular(m, mu) for m in (lam, lam_p, lam_pp))
+    apart = mutually_singular(lam_p, lam_pp)
+    return {
+        "concentration_to_modulus": is_concentrated(var_lam, lam.support_mask()),
+        "singularity_to_moduli": (
+            mutually_singular(*map(variation_measure, (lam_p, lam_pp))) if apart else None
+        ),
+        "singular_sum_closed": (
+            mutually_singular(lam_p + lam_pp, mu) if sing_p and sing_pp else None
+        ),
+        "abs_continuous_sum_closed": abs_continuous(lam_p + lam_pp, mu) if ac_p and ac_pp else None,
+        "abs_continuity_to_modulus": abs_continuous(var_lam, mu) if ac else None,
+        "ac_and_singular_are_singular": apart if ac_p and sing_pp else None,
+        "ac_and_singular_is_zero": bool((lam.c == 0).all()) if ac and sing else None,
+    }
 
 
 @dataclass(frozen=True)
@@ -423,7 +378,7 @@ def certify_lrn(lam: TMeasure, mu: TMeasure, result: LRNResult) -> dict[str, boo
         "lrn_sum": (ac + sing).equal_exact(lam),
         "lrn_abs_continuous": abs_continuous(ac, mu),
         "lrn_singular": mutually_singular(sing, mu),
-        "lrn_density": _close(density.c * mu.c.real, ac.c, np.abs(lam.c), 1 + mu.c.real),
+        "lrn_density": _close(density.c * mu.c.real, ac.c, 1, np.abs(lam.c), 1 + mu.c.real),
     }
 
 
@@ -500,5 +455,5 @@ def tv_of_indefinite_integral(g: TFunction, mu: TMeasure, e: SetMask) -> TvOfInd
     iom = Hyperbolic(iom_bc.e1.real, iom_bc.e2.real)
     got, want = np.array([[tv.e1, tv.e2], [iom.e1, iom.e2]])
     n = mu.space.size
-    equal = _close(got, want, n * want, n + _masked_sum(mu.c.real, e))
+    equal = _close(got, want, n, want, n + _masked_sum(mu.c.real, e))
     return TvOfIndefinite(tv=tv, integral_of_modulus=iom, equal=equal)

@@ -168,9 +168,9 @@ def check_linearity(
     a, b = np.abs([_as_components(alpha), _as_components(beta)])[..., None]
     n, m = f.space.size, mu.c.real
     with np.errstate(over="ignore"):
-        scale = n * _ascending_sum((a * np.abs(f.c) + b * np.abs(g.c)) * m)
+        total = _ascending_sum((a * np.abs(f.c) + b * np.abs(g.c)) * m)
         floors = (1.0 + a + b)[:, 0] * (n + _ascending_sum(m))
-    return _close(np.array([lhs.e1 - rhs.e1, lhs.e2 - rhs.e2]), 0.0, scale, floors)
+    return _close(np.array([lhs.e1 - rhs.e1, lhs.e2 - rhs.e2]), 0.0, n, total, floors)
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,7 @@ def check_modulus_inequality(f: TFunction, mu: TMeasure) -> ModulusCheck:
     sides = np.array([[lhs.e1, lhs.e2], [rhs.e1, rhs.e2]])
     n = f.space.size
     with np.errstate(over="ignore"):
-        scale, floors = n * sides[1], n + _ascending_sum(mu.c.real)
-    holds = _at_most(*sides, scale, floors)
+        holds = _at_most(*sides, n, sides[1], n + _ascending_sum(mu.c.real))
     return ModulusCheck(lhs=lhs, rhs=rhs, holds=holds)
 
 
@@ -269,7 +268,7 @@ def dct_run(
     rows = np.array([*(fn.c for fn in fn_seq), f_limit.c])
     m = mu.c.real
     with np.errstate(over="ignore", invalid="ignore"):
-        domination_ok = _at_most(np.abs(rows[:-1]), g.c.real, g.c.real, 1)
+        domination_ok = _at_most(np.abs(rows[:-1]), g.c.real, 1, g.c.real, 1)
         # The component integrals of |f_k|_D and |f_k - f|_D, per table.
         term_l1 = _ascending_sum(np.abs(rows) * m)
         gap_l1 = _ascending_sum(np.abs(rows[:-1] - rows[-1]) * m)

@@ -65,15 +65,21 @@ _FLOOR = 16.0 * float(np.finfo(np.float64).smallest_subnormal)
 _VARIANT_SLACK = 1e-12
 
 
-def _at_most(lhs, rhs, scale, floors) -> bool:
-    """Whether lhs <= rhs + 4*eps*scale + _FLOOR*floors everywhere, with
-    scale = n*sum|x| and floors = n (see _FLOOR) over the n terms of a side."""
-    return bool((lhs <= rhs + (_ROUNDING * scale + _FLOOR * floors)).all())
+def _at_most(lhs, rhs, n, total, floors) -> bool:
+    """Whether lhs <= rhs + 4*eps*n*total + _FLOOR*floors everywhere, over
+    the n terms of a side with total = sum|x| and floors = n (see _FLOOR).
+
+    4*eps*n is formed first, and a total given as a tuple of partial sums
+    is scaled part by part, so the slack is finite whenever each part is.
+    """
+    unit = _ROUNDING * n
+    slack = sum(unit * part for part in total) if isinstance(total, tuple) else unit * total
+    return bool((lhs <= rhs + (slack + _FLOOR * floors)).all())
 
 
-def _close(got, want, scale, floors) -> bool:
+def _close(got, want, n, total, floors) -> bool:
     """Whether |got - want| is within the slack of :func:`_at_most`."""
-    return _at_most(np.abs(got - want), 0.0, scale, floors)
+    return _at_most(np.abs(got - want), 0.0, n, total, floors)
 
 
 class MeasureKind(Enum):
@@ -188,17 +194,6 @@ class AtomTable:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def isclose(self, other: "AtomTable", tol: float = 1e-12) -> bool:
-        """Atomwise closeness of both components within ``tol``.
-
-        A non-finite entry is close to nothing (inf - inf is NaN), and
-        computing that difference does not warn.
-        """
-        if other.space != self.space:
-            return False
-        with np.errstate(invalid="ignore", over="ignore"):
-            return bool((np.abs(self.c - other.c) <= tol).all())
 
     def equal_exact(self, other: "AtomTable") -> bool:
         if other.space != self.space:
@@ -458,7 +453,7 @@ def dominates(lambda_d: TMeasure, mu: TMeasure) -> bool:
     # sums keep their bits as real parts.
     rows = np.concatenate((mu.c, lambda_d.c, np.abs(mu.c)))
     for _, sums in subset_sum_blocks(rows):
-        ok &= _at_most(np.abs(sums[:2]), sums[2:4].real, n * sums[4:].real, n)
+        ok &= _at_most(np.abs(sums[:2]), sums[2:4].real, n, sums[4:].real, n)
     return ok
 
 

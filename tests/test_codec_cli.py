@@ -1015,8 +1015,8 @@ class TestCliDecompose:
         [
             # Each mass is finite; their sum is not.
             ([[1e308, 1e308], [1e308, 1e308]], None, "input.measure"),
-            # The sum is finite, n times it (the certifiers' rounding scale) is not.
-            ([[1e308, 1.0], [1e307, 1.0]], None, "input.measure"),
+            # The same in the e2 component.
+            ([[1.0, 1e308], [1.0, 1e308]], None, "input.measure"),
             # A tiny reference mass overflows the density 9 / 5e-324.
             ([[9.0, 1.0], [1.0, 1.0]], [[5e-324, 1.0], [1.0, 1.0]], "input.reference"),
         ],
@@ -1034,6 +1034,25 @@ class TestCliDecompose:
         assert out == ""
         # One JSON document on stderr and nothing else: no numpy warning.
         assert json.loads(err)["location"] == location
+
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            # The sum is finite; n times it, the rounding bound's scale, is not.
+            [[1e308, 1.0], [1e307, 1.0]],
+            # The Jordan parts' sums are finite; |mu|_D's, their sum, is not.
+            [[1.5e308, 1.0], [-1.5e308, 1.0]],
+        ],
+        ids=["n-times-sum", "sum-of-parts"],
+    )
+    def test_finite_sums_near_the_float_range_decompose(self, masses, capsys, monkeypatch):
+        # The bound is formed as (4*eps*n) * sum, part by part, so it is
+        # finite whenever the sums are.
+        space = FiniteSpace(("a", "b"))
+        doc_in = measure_to_obj(TMeasure(space, *np.array(masses).T))
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc_in)))
+        doc = _run_json(["decompose"], capsys)
+        assert len(doc["checks"]) == 10 and all(doc["checks"].values())
 
     def test_overflow_past_the_first_block_is_a_schema_error(self, capsys, monkeypatch):
         # At 20 atoms only subsets holding atom 18 or 19 overflow, so the
@@ -1758,6 +1777,28 @@ class TestCliVerify:
         assert result.failures == 20
         assert result.first_counterexample["check"] == "division-inverts-product"
 
+    def test_lattice_suite_names_the_implication_that_fails(self, monkeypatch):
+        # A singularity test that answers yes to everything makes a nonzero
+        # measure both absolutely continuous and singular.
+        monkeypatch.setattr("hypmeasure.decomposition.mutually_singular", lambda a, b: True)
+        result = verify_mod.run_suite("lattice", 42, 100)
+        assert result.failures > 0
+        assert result.first_counterexample["check"] == "ac_and_singular_is_zero"
+
+    def test_lattice_suite_reaches_every_implication(self, monkeypatch):
+        # None is a vacuous implication; each must also be tested at least once.
+        reached = set()
+        check = verify_mod.dec.check_lattice_properties
+
+        def recording(*measures):
+            verdicts = check(*measures)
+            reached.update(name for name, value in verdicts.items() if value is not None)
+            return verdicts
+
+        monkeypatch.setattr(verify_mod.dec, "check_lattice_properties", recording)
+        assert verify_mod.run_suite("lattice", 42, 1000).passed
+        assert len(reached) == 7
+
 
 class TestCliGen:
     def test_byte_determinism(self, tmp_path, capsys):
@@ -1920,7 +1961,7 @@ class TestCliParser:
         calls = [
             ["--help"],
             ["decompose", "--seed", "3"],
-            ["integrate", "--input", str(path), "--tol", "-1"],
+            ["find-invariant", "--input", str(path), "--tol", "-1"],
             ["decompose", "--input", str(path)],
             ["gen", "--kind", "map", "--atoms", "3"],
         ]
@@ -1967,6 +2008,7 @@ class TestCliParser:
             pytest.param(["pushforward", "--tol", "1e-6"], id="pushforward-tol"),
             pytest.param(["find-invariant", "--seed", "3"], id="find-invariant-seed"),
             pytest.param(["integrate", "--cases", "3"], id="integrate-cases"),
+            pytest.param(["integrate", "--tol", "1e-6"], id="integrate-tol"),
         ],
     )
     def test_unread_flag_is_rejected(self, argv, capsys):
@@ -1979,16 +2021,15 @@ class TestCliParser:
     def test_bad_tol_is_schema_error(self, tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(WORKED_EXAMPLE))
-        for command in ("integrate", "find-invariant"):
-            code, _, err = _run([command, "--input", str(path), "--tol", "-1"], capsys)
-            assert code == 2
-            assert json.loads(err) == {
-                "error": "schema violation",
-                "location": "tol",
-                "message": "must be positive",
-            }
+        code, _, err = _run(["find-invariant", "--input", str(path), "--tol", "-1"], capsys)
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "schema violation",
+            "location": "tol",
+            "message": "must be positive",
+        }
 
-    @pytest.mark.parametrize("command", ["integrate", "find-invariant"])
+    @pytest.mark.parametrize("command", ["find-invariant"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_tol_is_schema_error(self, tmp_path, capsys, command, tol):
         # A NaN or infinite threshold would make every convergence or

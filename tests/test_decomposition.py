@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hypmeasure.decomposition as decomposition
 import hypmeasure.measures as measures_mod
 from hypmeasure import (
     Bicomplex,
@@ -458,20 +459,108 @@ class TestEpsilonDelta:
         assert outcomes == {"none", 0, 1, 2}
 
 
-class TestLattice:
-    def test_constructed_instances_hold(self, space):
-        mu = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1)})
-        lam_p = TMeasure.from_atoms(space, {"a": Bicomplex(2, -1j)})  # ac wrt mu
-        lam_pp = TMeasure.from_atoms(space, {"b": Bicomplex(0, 3)})  # singular
-        report = check_lattice_properties(lam_p + lam_pp, lam_p, lam_pp, mu)
-        assert report.all_hold()
+LATTICE = (
+    "concentration_to_modulus",
+    "singularity_to_moduli",
+    "singular_sum_closed",
+    "abs_continuous_sum_closed",
+    "abs_continuity_to_modulus",
+    "ac_and_singular_are_singular",
+    "ac_and_singular_is_zero",
+)
 
-    def test_zero_forced_when_both(self, space):
-        mu = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1)})
-        zero = TMeasure.zero(space)
-        report = check_lattice_properties(zero, zero, zero, mu)
-        assert report.all_hold()
-        assert report.ac_and_singular_is_zero
+
+def _at(space, **masses):
+    return TMeasure.from_atoms(space, {k: Bicomplex(*v) for k, v in masses.items()})
+
+
+class TestLattice:
+    """Each implication reads None when its hypothesis fails and True when
+    it holds; they are theorems, so only a faulty helper reads False."""
+
+    SPACE = FiniteSpace(("a", "b", "c"))
+    MU = _at(SPACE, a=(1, 1))  # every lattice case's reference measure
+
+    def test_constructed_instances_hold(self):
+        lam_p = _at(self.SPACE, a=(2, -1j))  # ac wrt mu
+        lam_pp = _at(self.SPACE, b=(0, 3))  # singular
+        # Their sum is neither ac nor singular.
+        verdicts = (True, True, None, None, None, True, None)
+        got = check_lattice_properties(lam_p + lam_pp, lam_p, lam_pp, self.MU)
+        assert got == dict(zip(LATTICE, verdicts))
+
+    def test_zero_forced_when_both(self):
+        # Zero measures satisfy every hypothesis.
+        zero = TMeasure.zero(self.SPACE)
+        assert check_lattice_properties(zero, zero, zero, self.MU) == dict.fromkeys(LATTICE, True)
+
+    @pytest.mark.parametrize(
+        "lam, lam_p, lam_pp, verdicts",
+        [
+            pytest.param(
+                # Both parts singular to mu, on disjoint atoms.
+                _at(SPACE, b=(1, 0), c=(0, 1)), _at(SPACE, b=(1, 0)), _at(SPACE, c=(0, 1)),
+                (True, True, True, None, None, None, None),
+                id="both-singular",
+            ),
+            pytest.param(
+                # Both parts ac on the same atom, hence not mutually singular.
+                _at(SPACE, a=(4, 2)), _at(SPACE, a=(1, 1j)), _at(SPACE, a=(3, -1)),
+                (True, None, None, True, True, None, None),
+                id="both-ac",
+            ),
+            pytest.param(
+                # Mass on a and b everywhere: every hypothesis but (a)'s fails.
+                _at(SPACE, a=(1, 1), b=(1, 1)), _at(SPACE, a=(1, 1), b=(1, 1)), _at(SPACE, a=(1, 1), b=(1, 1)),
+                (True,) + (None,) * 6,
+                id="vacuous",
+            ),
+        ],
+    )
+    def test_verdicts(self, lam, lam_p, lam_pp, verdicts):
+        assert check_lattice_properties(lam, lam_p, lam_pp, self.MU) == dict(zip(LATTICE, verdicts))
+
+    def test_vacuous_conclusions_are_not_computed(self, monkeypatch):
+        # The sum appears only in the conclusions of (c) and (d).
+        both = _at(self.SPACE, a=(1, 1), b=(1, 1))
+
+        def boom(*_):
+            raise AssertionError("conclusion computed")
+
+        monkeypatch.setattr(TMeasure, "__add__", boom)
+        verdicts = check_lattice_properties(both, both, both, self.MU)
+        assert verdicts["singular_sum_closed"] is verdicts["abs_continuous_sum_closed"] is None
+
+    @pytest.mark.parametrize(
+        "target, helper, fake, lam, lam_p, lam_pp, false",
+        [
+            pytest.param(
+                # A modulus that spreads mass over every atom.
+                decomposition, "variation_measure", lambda m: TMeasure(m.space, np.ones(3), np.ones(3)),
+                _at(SPACE, a=(1, 1)), _at(SPACE, a=(1, 1)), _at(SPACE, b=(1, 1)),
+                {"concentration_to_modulus", "singularity_to_moduli", "abs_continuity_to_modulus"},
+                id="modulus",
+            ),
+            pytest.param(
+                # A sum that spreads mass over every atom.
+                TMeasure, "__add__", lambda m, other: TMeasure(m.space, np.ones(3), np.ones(3)),
+                TMeasure.zero(SPACE), TMeasure.zero(SPACE), TMeasure.zero(SPACE),
+                {"singular_sum_closed", "abs_continuous_sum_closed"},
+                id="sum",
+            ),
+            pytest.param(
+                # An absolute-continuity test that answers yes to everything.
+                decomposition, "abs_continuous", lambda lam, mu: True,
+                _at(SPACE, b=(1, 1)), _at(SPACE, b=(1, 1)), _at(SPACE, b=(1, 1)),
+                {"ac_and_singular_are_singular", "ac_and_singular_is_zero"},
+                id="abs-continuity",
+            ),
+        ],
+    )
+    def test_a_faulty_helper_reads_false(self, target, helper, fake, lam, lam_p, lam_pp, false, monkeypatch):
+        monkeypatch.setattr(target, helper, fake)
+        verdicts = check_lattice_properties(lam, lam_p, lam_pp, self.MU)
+        assert {name for name, value in verdicts.items() if value is False} == false
 
     def test_space_mismatch(self, space):
         other = FiniteSpace(("x", "y"))

@@ -407,18 +407,25 @@ class TestContinuityProbe:
         space, f = cycle3
         mu = _uniform(space)
         fns = [TFunction.indicator(SetMask(space, 1 << i)) for i in range(3)]
-        probe = continuity_probe(f, [mu, mu, mu], mu, fns, tol=1e-9)
-        assert probe.holds and not probe.vacuous
-        assert bool(probe)
+        assert continuity_probe(f, [mu, mu, mu], mu, fns, tol=1e-9) == {"pushforward_continuity": True}
 
-    def test_vacuous_when_sequence_is_far(self, cycle3):
+    def test_vacuous_when_sequence_is_far(self, cycle3, monkeypatch):
         space, f = cycle3
         seq = [_delta(space, "a")]
         lim = _delta(space, "b")
         fns = [TFunction.indicator(SetMask(space, 0b001))]
-        probe = continuity_probe(f, seq, lim, fns, tol=1e-9)
-        assert probe.vacuous and probe.holds
-        assert not probe.hypothesis_holds
+        # A vacuous probe does not push the measures forward.
+        monkeypatch.setattr("hypmeasure.dynamics.pushforward", None)
+        assert continuity_probe(f, seq, lim, fns, tol=1e-9) == {"pushforward_continuity": None}
+
+    def test_false_when_closeness_does_not_transfer(self, cycle3):
+        # The test function misses b and c, so delta_b and delta_c look
+        # alike; pushed along a -> b -> c -> a they become delta_c and
+        # delta_a, which it tells apart.
+        space, f = cycle3
+        fns = [TFunction.indicator(SetMask(space, 0b001))]
+        probe = continuity_probe(f, [_delta(space, "b")], _delta(space, "c"), fns, tol=1e-9)
+        assert probe == {"pushforward_continuity": False}
 
     def test_validation(self, cycle3):
         space, f = cycle3
@@ -430,6 +437,11 @@ class TestContinuityProbe:
             continuity_probe(f, [mu], mu, [], tol=1e-9)
         with pytest.raises(ValueError, match="positive"):
             continuity_probe(f, [mu], mu, fns, tol=0.0)
+        # Measures of another space, even far apart (vacuous).
+        other = FiniteSpace(("x", "y", "z"))
+        far, phi = [_delta(other, "x")], TFunction.indicator(SetMask(other, 0b001))
+        with pytest.raises(ValueError, match="different spaces"):
+            continuity_probe(f, far, _delta(other, "y"), [phi], tol=1e-9)
 
 
 def test_integral_against_pushforward_matches_pullback(cycle3):
