@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-import hypmeasure.decomposition as decomposition
+import hypmeasure.decomposition as decomposition_mod
 import hypmeasure.measures as measures_mod
 from hypmeasure import (
     Bicomplex,
@@ -480,6 +480,7 @@ class TestLattice:
 
     SPACE = FiniteSpace(("a", "b", "c"))
     MU = _at(SPACE, a=(1, 1))  # every lattice case's reference measure
+    BOTH = _at(SPACE, a=(1, 1), b=(1, 1))  # mass on and off MU's support
 
     def test_constructed_instances_hold(self):
         lam_p = _at(self.SPACE, a=(2, -1j))  # ac wrt mu
@@ -510,8 +511,8 @@ class TestLattice:
                 id="both-ac",
             ),
             pytest.param(
-                # Mass on a and b everywhere: every hypothesis but (a)'s fails.
-                _at(SPACE, a=(1, 1), b=(1, 1)), _at(SPACE, a=(1, 1), b=(1, 1)), _at(SPACE, a=(1, 1), b=(1, 1)),
+                # Every hypothesis but (a)'s fails.
+                BOTH, BOTH, BOTH,
                 (True,) + (None,) * 6,
                 id="vacuous",
             ),
@@ -522,13 +523,11 @@ class TestLattice:
 
     def test_vacuous_conclusions_are_not_computed(self, monkeypatch):
         # The sum appears only in the conclusions of (c) and (d).
-        both = _at(self.SPACE, a=(1, 1), b=(1, 1))
-
         def boom(*_):
             raise AssertionError("conclusion computed")
 
         monkeypatch.setattr(TMeasure, "__add__", boom)
-        verdicts = check_lattice_properties(both, both, both, self.MU)
+        verdicts = check_lattice_properties(self.BOTH, self.BOTH, self.BOTH, self.MU)
         assert verdicts["singular_sum_closed"] is verdicts["abs_continuous_sum_closed"] is None
 
     @pytest.mark.parametrize(
@@ -536,7 +535,7 @@ class TestLattice:
         [
             pytest.param(
                 # A modulus that spreads mass over every atom.
-                decomposition, "variation_measure", lambda m: TMeasure(m.space, np.ones(3), np.ones(3)),
+                decomposition_mod, "variation_measure", lambda m: TMeasure(m.space, np.ones(3), np.ones(3)),
                 _at(SPACE, a=(1, 1)), _at(SPACE, a=(1, 1)), _at(SPACE, b=(1, 1)),
                 {"concentration_to_modulus", "singularity_to_moduli", "abs_continuity_to_modulus"},
                 id="modulus",
@@ -550,7 +549,7 @@ class TestLattice:
             ),
             pytest.param(
                 # An absolute-continuity test that answers yes to everything.
-                decomposition, "abs_continuous", lambda lam, mu: True,
+                decomposition_mod, "abs_continuous", lambda lam, mu: True,
                 _at(SPACE, b=(1, 1)), _at(SPACE, b=(1, 1)), _at(SPACE, b=(1, 1)),
                 {"ac_and_singular_are_singular", "ac_and_singular_is_zero"},
                 id="abs-continuity",
