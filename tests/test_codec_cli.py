@@ -2029,14 +2029,30 @@ class TestCliParser:
             "message": "must be positive",
         }
 
-    @pytest.mark.parametrize("command", ["find-invariant"])
+    @pytest.mark.parametrize("command", ["integrate", "find-invariant"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_tol_is_schema_error(self, tmp_path, capsys, command, tol):
         # A NaN or infinite threshold would make every convergence or
-        # invariance check pass (or fail) whatever the data; the input is
-        # never read.
+        # invariance check pass (or fail) whatever the data. find-invariant
+        # takes it as --tol and never reads the input; integrate takes it
+        # only as the document's "tol" (json.dumps writes NaN, Infinity and
+        # -Infinity).
         path = tmp_path / "in.json"
-        path.write_text(json.dumps(WORKED_EXAMPLE))
-        code, out, err = _run([command, "--input", str(path), f"--tol={tol}"], capsys)
+        if command == "integrate":
+            unit = {"function": {"a": {"e1": [1, 0], "e2": [1, 0]}}}
+            doc_in = {
+                "space": {"atoms": ["a"]},
+                "measure": {"a": {"e1": [1, 0], "e2": [1, 0]}},
+                "sequence": [unit],
+                "limit": unit,
+                "dominator": unit,
+                "tol": float(tol),
+            }
+            path.write_text(json.dumps(doc_in))
+            argv, location = [command, "--input", str(path)], "input.tol"
+        else:
+            path.write_text(json.dumps(WORKED_EXAMPLE))
+            argv, location = [command, "--input", str(path), f"--tol={tol}"], "tol"
+        code, out, err = _run(argv, capsys)
         assert (code, out) == (2, "")
-        assert json.loads(err)["location"] == "tol"
+        assert json.loads(err)["location"] == location
