@@ -30,8 +30,10 @@ from .measures import (
     AtomTable,
     MeasureKind,
     TMeasure,
+    _block_size,
     _close,
     _masked_sum,
+    _slack,
     subset_sum_blocks,
     variation_measure,
 )
@@ -188,9 +190,13 @@ def certify_hahn(mu: TMeasure, partition: HahnPartition) -> dict[str, bool | Non
 
     The subsets are walked in blocks (``subset_sum_blocks``) of six
     rows, mu on A, B, C and D, mu_plus and mu_minus, both components at
-    once, so memory is O(n * 2**_BLOCK_BITS) rather than O(2**n). Every
-    block is checked, with no early exit, so an overflow anywhere raises
-    under ``np.errstate(over="raise")``.
+    once, so memory is O(n * 2**_BLOCK_BITS) rather than O(2**n). An atom
+    lies in one cell and, per component, in one Jordan part, so for a
+    Hahn partition a child block adds it to at most three of the six rows
+    and shares the others with its parent. Each block forms the bound once, for both verdicts,
+    in buffers reused from block to block. Every block is checked, with
+    no early exit, so an overflow anywhere raises under
+    ``np.errstate(over="raise")``.
 
     Raises
     ------
@@ -212,13 +218,36 @@ def certify_hahn(mu: TMeasure, partition: HahnPartition) -> dict[str, bool | Non
     rows = np.concatenate(
         (inside[:, None] * x, jp.mu_plus.c.real[None], jp.mu_minus.c.real[None])
     )
+    # Reused by every block: the slack, the two sides' gaps and their
+    # verdicts per entry.
+    size = _block_size(n)
+    scratch = np.empty((3, 2, size))
+    slack, gaps = scratch[0], scratch[1:]
+    plus_gap, minus_gap = gaps
+    below = np.empty((2, 2, size), dtype=bool)
     plus_ok = minus_ok = True
     for _, (a, b, c, d, plus, minus) in subset_sum_blocks(rows):
-        # Component e1 takes its modulus on C, component e2 on D.
-        mixed = np.abs(np.stack((c[0], d[1])))
-        # |mu|_D(E) as its two parts, so the bound is finite when they are.
-        plus_ok &= _close(a + mixed, plus, n, (plus, minus), n)
-        minus_ok &= _close(-b - c - d + mixed, minus, n, (plus, minus), n)
+        # Formed once for both verdicts, from |mu|_D(E) as its two parts,
+        # so it is finite when they are; minus_gap holds a part meanwhile.
+        _slack(n, (plus, minus), n, out=(slack, minus_gap))
+        # The mixed moduli: component e1 takes its modulus on C, e2 on D.
+        # They wait in plus_gap, which becomes mixed + a - plus last.
+        mixed = plus_gap
+        np.abs(c[0], out=mixed[0])
+        np.abs(d[1], out=mixed[1])
+        np.negative(b, out=minus_gap)
+        np.subtract(minus_gap, c, out=minus_gap)
+        np.subtract(minus_gap, d, out=minus_gap)
+        np.add(minus_gap, mixed, out=minus_gap)
+        np.subtract(minus_gap, minus, out=minus_gap)
+        # mixed + a is a + mixed: float addition commutes (up to which of
+        # two NaNs is kept, and either reads false).
+        np.add(mixed, a, out=plus_gap)
+        np.subtract(plus_gap, plus, out=plus_gap)
+        # Both verdicts as _close reads them: |gap| within the slack.
+        np.less_equal(np.abs(gaps, out=gaps), slack, out=below)
+        plus_ok &= bool(below[0].all())
+        minus_ok &= bool(below[1].all())
     return {"hahn_mu_plus": plus_ok, "hahn_mu_minus": minus_ok}
 
 

@@ -41,9 +41,10 @@ _MassLike = Union[Bicomplex, Hyperbolic, complex, float, int]
 # refuses to run rather than silently sampling.
 PARTITION_CAP = 12
 SUBSET_CAP = 20
-# Entries per subset-sum block, as a power of two: the Hahn certificate's
-# six (2, 2**13) rows of float64 sums take 768 KiB, so a block and its
-# temporaries stay in cache.
+# Entries per subset-sum block, as a power of two: a (2, 2**13) row of
+# float64 sums takes 128 KiB, so the Hahn certificate's six rows (768 KiB,
+# of which a child block rewrites about a third) and its three reused
+# scratch rows stay in a 2 MiB cache.
 _BLOCK_BITS = 13
 
 # The one rounding rule of every checked identity and inequality. A sum
@@ -65,21 +66,44 @@ _FLOOR = 16.0 * float(np.finfo(np.float64).smallest_subnormal)
 _VARIANT_SLACK = 1e-12
 
 
-def _at_most(lhs, rhs, n, total, floors) -> bool:
-    """Whether lhs <= rhs + 4*eps*n*total + _FLOOR*floors everywhere, over
-    the n terms of a side with total = sum|x| and floors = n (see _FLOOR).
+def _slack(n, total, floors, out=(None, None)):
+    """The slack 4*eps*n*total + _FLOOR*floors of the n terms of a side
+    with total = sum|x| and floors = n (see _FLOOR).
 
-    4*eps*n is formed first, and a total given as a tuple of partial sums
+    4*eps*n is formed first, and a total given as a pair of partial sums
     is scaled part by part, so the slack is finite whenever each part is.
+    ``out``, if given, holds a buffer per part, and the slack is written
+    to the first.
     """
     unit = _ROUNDING * n
-    slack = sum(unit * part for part in total) if isinstance(total, tuple) else unit * total
-    return bool((lhs <= rhs + (slack + _FLOOR * floors)).all())
+    if isinstance(total, tuple):
+        part, other = total
+        slack = np.add(
+            np.multiply(part, unit, out=out[0]), np.multiply(other, unit, out=out[1]), out=out[0]
+        )
+    else:
+        slack = np.multiply(total, unit, out=out[0])
+    return np.add(slack, _FLOOR * floors, out=out[0])
+
+
+def _at_most(lhs, rhs, n, total, floors) -> bool:
+    """Whether lhs <= rhs + _slack(n, total, floors) everywhere.
+
+    A bound past the float range is +inf, without a warning, and every
+    side but NaN lies below it.
+    """
+    with np.errstate(over="ignore"):
+        bound = rhs + _slack(n, total, floors)
+    return bool((lhs <= bound).all())
 
 
 def _close(got, want, n, total, floors) -> bool:
-    """Whether |got - want| is within the slack of :func:`_at_most`."""
-    return _at_most(np.abs(got - want), 0.0, n, total, floors)
+    """Whether |got - want| is within the slack of :func:`_at_most`.
+
+    Its right side is 0.0, and a side compares with 0.0 + slack as with
+    the slack itself, so the bound needs no addition (and no errstate).
+    """
+    return bool((np.abs(got - want) <= _slack(n, total, floors)).all())
 
 
 class MeasureKind(Enum):
@@ -328,6 +352,11 @@ def _masked_sum(values: np.ndarray, e: SetMask | None = None) -> np.ndarray:
         return _ascending_sum(values)
 
 
+def _block_size(n: int) -> int:
+    """Entries per block of :func:`subset_sum_blocks` for n values."""
+    return 1 << min(n, _BLOCK_BITS)
+
+
 def subset_sums(values: np.ndarray) -> np.ndarray:
     """Sums of ``values`` over every subset of its index set, per row.
 
@@ -349,34 +378,57 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     return sums
 
 
-def subset_sum_blocks(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+def subset_sum_blocks(values: np.ndarray) -> Iterator[tuple[int, tuple[np.ndarray, ...]]]:
     """The entries of ``subset_sums(values)`` in blocks, with their offsets.
 
-    Yields ``(start, block)`` pairs, where ``block`` equals
+    ``values`` has shape (rows, ..., n). Yields ``(start, block)`` pairs,
+    where ``block`` holds one array per row and ``np.stack(block)`` equals
     ``subset_sums(values)[..., start : start + len]`` bit for bit. The
     low block is the subset sums of the first ``_BLOCK_BITS`` values;
     every other block is its parent plus one value of a higher index
     than the parent's atoms, so each entry is still the ascending left
-    fold from 0.0. Blocks come depth first over the higher atoms and
-    share one buffer per atom, so memory is O(n * 2**_BLOCK_BITS) per
-    row instead of O(2**n). A block is read-only, and valid only until
-    the next one is requested: copy it to keep it.
+    fold from 0.0. Only the rows where that value is nonzero are added
+    to; every other row is the parent's row itself. That keeps the bits:
+    a fold starts at +0.0 and never reaches -0.0, so adding +-0 changes
+    no bit, and it never overflows or raises ``invalid``.
+
+    Blocks come depth first over the higher atoms and share one buffer
+    per atom and row, so memory is O(n * 2**_BLOCK_BITS) per row instead
+    of O(2**n). The arrays of a block are read-only, and valid only until
+    the next block is requested: copy them to keep them.
     """
     n = values.shape[-1]
     low = min(n, _BLOCK_BITS)
     root = subset_sums(values[..., :low])
-    # The block whose highest atom is j lives in buffers[j - low]. It is
-    # rewritten only after every block derived from it has been yielded.
-    buffers = np.empty((n - low,) + root.shape, dtype=root.dtype)
-
-    def walk(block: np.ndarray, start: int, first: int):
-        block.flags.writeable = False
-        yield start, block
-        for j in range(first, n):
-            child = np.add(block, values[..., j, None], out=buffers[j - low])
-            yield from walk(child, start + (1 << j), j + 1)
-
-    yield from walk(root, 0, low)
+    root.flags.writeable = False
+    block = tuple(root)
+    yield 0, block
+    # Per higher atom j, the rows it adds to (those where it is nonzero):
+    # (row, value, the row's buffer for j, a read-only view of it).
+    steps = {}
+    for j in range(low, n):
+        steps[j] = []
+        for r in np.flatnonzero(values[..., j].reshape(len(values), -1).any(axis=1)):
+            out = np.empty(root.shape[1:], dtype=root.dtype)
+            view = out.view()
+            view.flags.writeable = False
+            steps[j].append((r, values[r, ..., j, None], out, view))
+    # Depth first: a block, then all of its descendants, then its next
+    # sibling. So a buffer for j is rewritten, for the next block whose
+    # highest atom is j, only after every block sharing it was yielded.
+    pending = [(block, 0, low)]  # (parent, its start, the next atom to add)
+    while pending:
+        parent, start, j = pending.pop()
+        if j == n:
+            continue
+        pending.append((parent, start, j + 1))
+        block = list(parent)
+        for r, value, out, view in steps[j]:
+            np.add(parent[r], value, out=out)
+            block[r] = view
+        block = tuple(block)
+        yield start + (1 << j), block
+        pending.append((block, start + (1 << j), j + 1))
 
 
 def total_variation_bruteforce(mu: TMeasure, e: SetMask) -> Hyperbolic:
@@ -426,6 +478,10 @@ def variation_measure(mu: TMeasure) -> TMeasure:
     return TMeasure(mu.space, *np.abs(mu.c))
 
 
+# Sums past the float range are inf (and inf - inf is NaN), as set values
+# are, and a bound past it is inf: no warning. The decorator form enters
+# the errstate once per call at half the cost of a with block.
+@np.errstate(over="ignore", invalid="ignore")
 def dominates(lambda_d: TMeasure, mu: TMeasure) -> bool:
     """Whether |mu_i(E)| <= lambda_i(E) for every subset and component.
 
@@ -434,7 +490,8 @@ def dominates(lambda_d: TMeasure, mu: TMeasure) -> bool:
     space is capped at 20 atoms. The two sides are summed in different
     float orders and can tie mathematically (|mu|_D against mu), so each
     subset is compared within the rounding bound (``_at_most``) of its
-    |mu|_D sum, walked in the same blocks.
+    |mu|_D sum, walked in the same blocks. Sums that pass the float
+    range read inf, without a warning.
 
     Raises
     ------
@@ -448,12 +505,14 @@ def dominates(lambda_d: TMeasure, mu: TMeasure) -> bool:
     n = mu.space.size
     if n > SUBSET_CAP:
         raise ValueError(f"space too large for subset enumeration (> {SUBSET_CAP})")
+    # Two rows summed in one walk: mu, and lambda and |mu|_D as the real
+    # and imaginary parts of one complex row. A complex sum adds its two
+    # parts apart, so each keeps the bits of its own real sum.
+    rows = np.array((mu.c, lambda_d.c))
+    rows.imag[1] = np.abs(mu.c)
     ok = True
-    # Six rows, mu, lambda and |mu|_D, summed in one walk; the real rows'
-    # sums keep their bits as real parts.
-    rows = np.concatenate((mu.c, lambda_d.c, np.abs(mu.c)))
-    for _, sums in subset_sum_blocks(rows):
-        ok &= _at_most(np.abs(sums[:2]), sums[2:4].real, n, sums[4:].real, n)
+    for _, (sums, sides) in subset_sum_blocks(rows):
+        ok &= bool((np.abs(sums) <= sides.real + _slack(n, sides.imag, n)).all())
     return ok
 
 

@@ -1,9 +1,12 @@
 """Jordan, Hahn, polar and Lebesgue decompositions with subset oracles."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypmeasure.decomposition as decomposition_mod
 import hypmeasure.measures as measures_mod
@@ -211,6 +214,79 @@ class TestHahn:
         assert p.D.labels() == ["a"]
         assert p.C.labels() == ["b"]
         assert certify_hahn(mu, p) == {"hahn_mu_plus": True, "hahn_mu_minus": True}
+
+
+def _reference_certify_hahn(mu, partition):
+    """The Hahn certificate as a plain block loop (no shared buffers, no
+    skipped zero adds), on one block holding every subset sum, with the
+    rounding bound written out: 0.0 + (sum of 4*eps*n*part + floor)."""
+    x = mu.c.real
+    n = mu.space.size
+    inside = np.zeros((4, n))
+    for row, cell in zip(inside, (partition.A, partition.B, partition.C, partition.D)):
+        row[list(cell.indices())] = 1.0
+    jp = jordan(mu)
+    rows = np.concatenate(
+        (inside[:, None] * x, jp.mu_plus.c.real[None], jp.mu_minus.c.real[None])
+    )
+
+    def close(got, want, total):
+        unit = 4.0 * float(np.finfo(np.float64).eps) * n
+        slack = sum(unit * part for part in total)
+        floor = 16.0 * float(np.finfo(np.float64).smallest_subnormal) * n
+        return bool((np.abs(got - want) <= 0.0 + (slack + floor)).all())
+
+    plus_ok = minus_ok = True
+    for a, b, c, d, plus, minus in (subset_sums(rows),):
+        mixed = np.abs(np.stack((c[0], d[1])))
+        plus_ok &= close(a + mixed, plus, (plus, minus))
+        minus_ok &= close(-b - c - d + mixed, minus, (plus, minus))
+    return {"hahn_mu_plus": plus_ok, "hahn_mu_minus": minus_ok}
+
+
+def _outcome(certify, mu, partition, **errstate):
+    with np.errstate(**errstate):
+        try:
+            return certify(mu, partition)
+        except FloatingPointError as exc:
+            return type(exc)
+
+
+@st.composite
+def _signed_measures(draw):
+    n = draw(st.integers(1, 16))
+    unit = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, allow_subnormal=False))
+    masses = np.array(draw(st.lists(unit, min_size=2 * n, max_size=2 * n))).reshape(2, n)
+    # Subnormal masses up to masses whose sums overflow (at 1e308).
+    exponent = st.sampled_from([-318, -300, 0, 300, 308]) | st.integers(-318, 308)
+    scale = 10.0 ** draw(exponent)
+    return TMeasure(FiniteSpace(tuple(f"x{i}" for i in range(n))), *(masses * scale))
+
+
+@pytest.mark.parametrize("block_bits", [None, 8])
+@settings(max_examples=40, deadline=None)
+@given(mu=_signed_measures(), data=st.data())
+def test_certify_hahn_matches_the_reference_loop(block_bits, mu, data):
+    # Same verdicts on correct, swapped, overlapping and perturbed
+    # partitions, and the same exception type where sums overflow.
+    n = mu.space.size
+    p = hahn(mu)
+    i = data.draw(st.integers(0, n - 1))
+    bumped = mu.c.real.copy()
+    bumped[data.draw(st.integers(0, 1)), i] *= 1 + 1e-13
+    cases = [
+        (mu, p),
+        (mu, HahnPartition(A=p.B, B=p.A, C=p.C, D=p.D)),
+        (mu, HahnPartition(A=p.A, B=p.B, C=p.D, D=p.C)),
+        (mu, HahnPartition(A=p.A | p.B, B=p.B, C=p.C, D=p.D)),
+        (TMeasure(mu.space, *bumped), p),
+    ]
+    block_bits = measures_mod._BLOCK_BITS if block_bits is None else block_bits
+    with mock.patch.object(measures_mod, "_BLOCK_BITS", block_bits):
+        for measure, partition in cases:
+            for errstate in ({"over": "ignore", "invalid": "ignore"}, {"over": "raise", "invalid": "raise"}):
+                want = _outcome(_reference_certify_hahn, measure, partition, **errstate)
+                assert _outcome(certify_hahn, measure, partition, **errstate) == want
 
 
 class TestPolar:

@@ -240,6 +240,16 @@ class TestDomination:
         with pytest.raises(ValueError, match="subset"):
             dominates(zero, zero)
 
+    def test_bound_past_the_float_range_holds_without_a_warning(self):
+        # Each side sums to the largest float, and the side plus its slack
+        # rounds to inf: every subset is dominated. pyproject.toml turns
+        # any RuntimeWarning into an error.
+        space = FiniteSpace(("a", "b"))
+        half = np.finfo(float).max / 2
+        mu = TMeasure(space, [half, half], [1.0, 1.0])
+        assert dominates(variation_measure(mu), mu)
+        assert not dominates(variation_measure(mu).scaled(0.5), mu)
+
     @pytest.mark.parametrize("block_bits", [None, 2])
     def test_verdicts_match_the_full_array_form(self, block_bits, monkeypatch):
         # The verdict of the one-shot form over the whole 2**n array,
@@ -306,6 +316,23 @@ def test_subset_sums_oracle():
 _AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, 1.5, -2.25, 0.1, 1e308]
 
 
+def _blocks_bitwise(values):
+    """Every block of the walk against its slice of subset_sums, through a
+    uint64 view (so -0.0, NaN payloads and subnormals count); each array
+    of each block must be read-only. Returns the number of entries."""
+    want = subset_sums(values)
+    covered = 0
+    for start, block in subset_sum_blocks(values):
+        assert len(block) == len(values)
+        assert not any(row.flags.writeable for row in block)
+        got = np.stack(block)
+        width = got.shape[-1]
+        expected = want[..., start : start + width]
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        covered += width
+    return covered
+
+
 @pytest.mark.parametrize("block_bits", [None, 2])
 @pytest.mark.parametrize("n", range(17))
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -319,20 +346,47 @@ def test_subset_sum_blocks_reassemble_subset_sums_bitwise(n, dtype, block_bits, 
     if dtype is np.complex128:
         values.imag = rng.choice(_AWKWARD, size=(2, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        want = subset_sums(values)
-        got = np.full_like(want, np.nan)
-        covered = 0
-        for start, block in subset_sum_blocks(values):
-            assert not block.flags.writeable
-            got[..., start : start + block.shape[-1]] = block
-            covered += block.shape[-1]
-    assert covered == 1 << n
-    assert got.tobytes() == want.tobytes()
+        assert _blocks_bitwise(values) == 1 << n
+
+
+@pytest.mark.parametrize("n", [1, 12, 13, 14, 17])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_walk_skipping_zero_adds_keeps_every_bit(n, dtype):
+    # Rows of shape (2, 2^B) with mostly zero values, so most rows of a
+    # block are shared with its parent, some across several levels; the
+    # values hold +-0.0, subnormals, +-inf and NaN (of either sign).
+    rng = np.random.default_rng(100 + n)
+    awkward = _AWKWARD + [np.nan, -np.nan]
+    values = np.where(rng.random((4, 2, n)) < 0.6, 0.0, rng.choice(awkward, size=(4, 2, n)))
+    values[3] = rng.choice([0.0, -0.0], size=(2, n))  # a row that never moves
+    values = values.astype(dtype)
+    if dtype is np.complex128:
+        values.imag = np.where(rng.random((4, 2, n)) < 0.6, -0.0, rng.choice(awkward, size=(4, 2, n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _blocks_bitwise(values) == 1 << n
+
+
+def test_walk_overflow_raises_past_the_first_block():
+    # Only subsets holding both large values overflow, and those come from
+    # a block past the first; a row that is not added to raises nothing.
+    n = measures_mod._BLOCK_BITS + 1
+    values = np.zeros((2, 1, n))
+    values[0, 0, [0, n - 1]] = 1e308
+    values[1, 0, :] = 1.0
+    blocks = subset_sum_blocks(values)
+    with np.errstate(over="raise"):
+        next(blocks)
+        with pytest.raises(FloatingPointError):
+            next(blocks)
+    # Zero adds never overflow: a row of inf next to zeros walks quietly.
+    values[0, 0, :] = [np.inf] + [0.0] * (n - 1)
+    with np.errstate(over="raise", invalid="raise"):
+        assert _blocks_bitwise(values) == 1 << n
 
 
 def test_blocks_stay_small_at_the_subset_cap():
     values = np.ones((2, 6, 20))
-    sizes = {block.shape for _, block in subset_sum_blocks(values)}
+    sizes = {(len(block),) + row.shape for _, block in subset_sum_blocks(values) for row in block}
     assert sizes == {(2, 6, 1 << measures_mod._BLOCK_BITS)}
 
 
