@@ -115,18 +115,11 @@ def _read_doc(args: argparse.Namespace) -> Any:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError("input", str(exc)) from None
-    # A parsed JSON document holds no reference cycles, so the cyclic
-    # collector has nothing to find while the parser builds its tree.
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the parser's stack allows.
         raise SchemaError("input", f"invalid JSON: {exc}") from None
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _write_doc(args: argparse.Namespace, obj: Any) -> None:
@@ -451,11 +444,17 @@ _COMMANDS = {
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
     try:
+        args = build_parser().parse_args(argv)
         _check_flags(args)
         if args.command == "verify":
             return _cmd_verify(args)
+        # A parsed JSON document and the objects built from it hold no
+        # reference cycles, so the cyclic collector stays paused from the
+        # parse through the write: its collections would only walk the
+        # document's tree.
+        gc.disable()
         result = _COMMANDS[args.command](args)
         _write_doc(args, result)
         return 0
@@ -477,6 +476,9 @@ def main(argv: "list[str] | None" = None) -> int:
             + "\n"
         )
         return 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

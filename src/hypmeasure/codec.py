@@ -74,21 +74,24 @@ def dumps_canonical(obj: Any) -> str:
     place.
 
     The stdlib drops its C encoder when ``indent`` is set; this writer
-    appends the chunks to one list and joins them once. A table of at
-    least ``_SMALL_TABLE`` atoms is one join: its labels' sort order and
+    appends the chunks to one list and joins them once, so each character
+    is copied once. A table of at least ``_SMALL_TABLE`` atoms adds its
+    labels and nodes to that list as they are: the labels' sort order and
     escaped texts are cached on the space, each atom's node comes from one
-    template, and every all-zero node is one shared string. A list of
-    strings and an object of string values are one join too.
+    template that also carries the separator after it, and every all-zero
+    node is one shared string. A list of strings and an object of string
+    values are one join each.
     """
     chunks: list[str] = []
-    _encode(obj, 0, chunks.append, {})
+    _encode(obj, 0, chunks, {})
     chunks.append("\n")
     return "".join(chunks)
 
 
 _escape = json.encoder.encode_basestring_ascii
-# Atom count from which a table is written in one join rather than as its
-# tree: the two cost the same at about 15-22 atoms on a 2-core Xeon.
+# Atom count from which a table is written from its cached keys and one node
+# template rather than as its tree: the two cost the same at about 15-22
+# atoms on a 2-core Xeon.
 _SMALL_TABLE = 24
 
 
@@ -100,29 +103,30 @@ def _node_template(level: int) -> str:
     return f'{{{inner}"e1": {pair},{inner}"e2": {pair}{at}}}'
 
 
-def _block(items, level: int, brackets: str) -> str:
-    """Non-empty ``items`` one per line inside ``brackets`` at indent ``level``."""
-    newline = "\n" + "  " * (level + 1)
-    return (
-        brackets[0] + newline + ("," + newline).join(items)
-        + "\n" + "  " * level + brackets[1]
-    )
-
-
-def _table_text(t: AtomTable, level: int) -> str | None:
-    """The text of ``table_to_obj(t)`` at indent ``level``; None if not finite."""
+def _table_chunks(t: AtomTable, level: int) -> list[str] | None:
+    """The text of ``table_to_obj(t)`` at indent ``level`` in pieces; None if not finite."""
     order, keys = t.space._json_keys
     # One row per atom in sorted label order: e1.re, e1.im, e2.re, e2.im.
     parts = t.c.T[order].view(np.float64)
     if not np.isfinite(parts).all():
         return None
-    node = _node_template(level + 1)
+    # Each node carries the ": " after its key and the separator before the
+    # next key; the last one carries the closing brace instead.
+    newline = "\n" + "  " * (level + 1)
+    node = ": " + _node_template(level + 1)
+    sep = node + "," + newline
     # A row of +0.0 bits is the shared zero node; -0.0 keeps its sign.
-    nodes = [node % (0.0, 0.0, 0.0, 0.0)] * len(keys)
+    nodes = [sep % (0.0, 0.0, 0.0, 0.0)] * len(keys)
     live = parts.view(np.uint64).any(axis=1)
     for i, row in zip(np.flatnonzero(live).tolist(), parts[live].tolist()):
-        nodes[i] = node % tuple(row)
-    return _block(map(str.__add__, keys, nodes), level, "{}")
+        nodes[i] = sep % tuple(row)
+    nodes[-1] = (node + "\n" + "  " * level + "}") % tuple(parts[-1].tolist())
+    # "{", then each key followed by its node.
+    pieces = [None] * (2 * len(keys) + 1)
+    pieces[0] = "{" + newline
+    pieces[1::2] = keys
+    pieces[2::2] = nodes
+    return pieces
 
 
 def _float_text(x: float) -> str:
@@ -156,8 +160,8 @@ def _enter(o: Any, markers: dict) -> None:
     markers[id(o)] = o
 
 
-def _encode(o: Any, level: int, append, markers: dict) -> None:
-    """Append the text of ``o`` with its brackets at indent ``level``."""
+def _encode(o: Any, level: int, chunks: list, markers: dict) -> None:
+    """Append the text of ``o`` with its brackets at indent ``level`` to ``chunks``."""
     if type(o) is dict and len(o) == 2:
         p = o.get("e1")
         q = o.get("e2")
@@ -171,45 +175,53 @@ def _encode(o: Any, level: int, append, markers: dict) -> None:
                 and type(c) is float and type(d) is float
                 and a * 0.0 + b * 0.0 + c * 0.0 + d * 0.0 == 0.0
             ):
-                append(_node_template(level) % (a, b, c, d))
+                chunks.append(_node_template(level) % (a, b, c, d))
                 return
     if isinstance(o, str):
-        append(_escape(o))
+        chunks.append(_escape(o))
     elif o is None:
-        append("null")
+        chunks.append("null")
     elif o is True:
-        append("true")
+        chunks.append("true")
     elif o is False:
-        append("false")
+        chunks.append("false")
     elif isinstance(o, int):
-        append(int.__repr__(o))
+        chunks.append(int.__repr__(o))
     elif isinstance(o, float):
-        append(_float_text(o))
+        chunks.append(_float_text(o))
     elif isinstance(o, (list, tuple)):
         if not o:
-            append("[]")
+            chunks.append("[]")
             return
         # Strings hold no container, so such a list cannot be circular.
-        if all(type(item) is str for item in o):
-            append(_block(map(_escape, o), level, "[]"))
+        if set(map(type, o)) == {str}:
+            newline = "\n" + "  " * (level + 1)
+            chunks.append("[" + newline)
+            chunks.append(("," + newline).join(map(_escape, o)))
+            chunks.append("\n" + "  " * level + "]")
             return
         _enter(o, markers)
         level += 1
         newline = "\n" + "  " * level
         sep = "[" + newline
         for item in o:
-            append(sep)
+            chunks.append(sep)
             sep = "," + newline
-            _encode(item, level, append, markers)
-        append("\n" + "  " * (level - 1) + "]")
+            _encode(item, level, chunks, markers)
+        chunks.append("\n" + "  " * (level - 1) + "]")
         del markers[id(o)]
     elif isinstance(o, dict):
         if not o:
-            append("{}")
+            chunks.append("{}")
             return
-        if all(type(k) is str and type(v) is str for k, v in o.items()):
-            items = sorted(o.items())
-            append(_block([_escape(k) + ": " + _escape(v) for k, v in items], level, "{}"))
+        if set(map(type, o.values())) == {str} and set(map(type, o)) == {str}:
+            keys = sorted(o)
+            newline = "\n" + "  " * (level + 1)
+            chunks.append("{" + newline)
+            chunks.append(("," + newline).join(map(
+                ": ".join, zip(map(_escape, keys), map(_escape, map(o.__getitem__, keys)))
+            )))
+            chunks.append("\n" + "  " * level + "}")
             return
         _enter(o, markers)
         level += 1
@@ -218,20 +230,20 @@ def _encode(o: Any, level: int, append, markers: dict) -> None:
         for key, value in sorted(o.items()):
             if type(key) is not str:
                 key = _key_text(key)
-            append(sep + _escape(key) + ": ")
+            chunks.append(sep + _escape(key) + ": ")
             sep = "," + newline
-            _encode(value, level, append, markers)
-        append("\n" + "  " * (level - 1) + "}")
+            _encode(value, level, chunks, markers)
+        chunks.append("\n" + "  " * (level - 1) + "}")
         del markers[id(o)]
     elif isinstance(o, AtomTable):
         # A small table costs numpy's per-call overhead more than the join
         # saves, and a table that is not finite must raise the stdlib's
         # error for its first bad value: both are written as their tree.
-        text = _table_text(o, level) if o.space.size >= _SMALL_TABLE else None
-        if text is None:
-            _encode(table_to_obj(o), level, append, markers)
+        pieces = _table_chunks(o, level) if o.space.size >= _SMALL_TABLE else None
+        if pieces is None:
+            _encode(table_to_obj(o), level, chunks, markers)
         else:
-            append(text)
+            chunks += pieces
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
@@ -324,9 +336,10 @@ def parse_space(obj: Any, loc: str = "space") -> FiniteSpace:
     atoms = obj.get("atoms")
     if not isinstance(atoms, list) or not atoms:
         raise SchemaError(f"{loc}.atoms", "expected a nonempty list of labels")
-    for i, label in enumerate(atoms):
-        if not isinstance(label, str):
-            raise SchemaError(f"{loc}.atoms[{i}]", "expected a string label")
+    if not _all_of(atoms, str):
+        for i, label in enumerate(atoms):
+            if not isinstance(label, str):
+                raise SchemaError(f"{loc}.atoms[{i}]", "expected a string label")
     try:
         return FiniteSpace(tuple(atoms))
     except ValueError as exc:
@@ -364,7 +377,11 @@ _E2 = operator.itemgetter("e2")
 
 def _all_of(items, cls) -> bool:
     """``isinstance(x, cls)`` for every item, with one ``type()`` call per item."""
-    return all(issubclass(t, cls) for t in set(map(type, items)))
+    types = set(map(type, items))
+    # Items of exactly one class are the usual case; skip the generator then.
+    if len(types) == 1 and cls in types:
+        return True
+    return all(issubclass(t, cls) for t in types)
 
 
 def _table_columns(body: dict, space: FiniteSpace) -> np.ndarray | None:
@@ -496,12 +513,10 @@ def parse_function(
 
 
 def map_to_obj(f: PointMap) -> dict:
+    atoms = f.space.atoms
     return {
         "space": space_to_obj(f.space),
-        "map": {
-            f.space.atoms[i]: f.space.atoms[int(f.image[i])]
-            for i in range(f.space.size)
-        },
+        "map": dict(zip(atoms, map(atoms.__getitem__, f.image.tolist()))),
     }
 
 
@@ -510,13 +525,24 @@ def parse_map(
 ) -> PointMap:
     """Parse a map document; every atom needs one target label.
 
-    One pass in document order, with sources and targets looked up in
-    the space's index dict.
+    A total body is checked by whole columns: each atom's target, read in
+    index order, must be a string, and every target a known label. If any
+    check fails, a pass in document order names the first bad entry.
     """
     _, space, body = _parse_document(obj, loc, space, "map")
     loc = f"{loc}.map"
     body = _require_dict(body, loc)
     index = space._index
+    if len(body) == space.size:
+        # With as many entries as atoms, reading every atom's entry without
+        # a KeyError means the keys are exactly the atoms.
+        try:
+            targets = list(map(body.__getitem__, space.atoms))
+            image = list(map(index.__getitem__, targets)) if _all_of(targets, str) else None
+        except KeyError:
+            image = None
+        if image is not None:
+            return PointMap(space, image)
     image = [-1] * space.size
     for src, dst in body.items():
         if not isinstance(dst, str):
@@ -531,4 +557,4 @@ def parse_map(
     missing = [label for label, j in zip(space.atoms, image) if j < 0]
     if missing:
         raise SchemaError(loc, f"map is not total; missing {missing}")
-    return PointMap(space, image)
+    raise InternalInvariantError(f"{loc}: a valid map failed its column check")

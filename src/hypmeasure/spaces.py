@@ -37,28 +37,35 @@ class FiniteSpace:
     atoms: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        if not self.atoms:
+        atoms = tuple(self.atoms)
+        object.__setattr__(self, "atoms", atoms)
+        if not atoms:
             raise ValueError("space needs at least one atom")
-        if len(set(self.atoms)) != len(self.atoms):
+        # Label to index, built in one C-level pass; a repeated label
+        # leaves fewer keys than atoms.
+        index = dict(zip(atoms, range(len(atoms))))
+        if len(index) != len(atoms):
             raise ValueError("atom labels must be distinct")
+        object.__setattr__(self, "_index", index)
 
     @property
     def size(self) -> int:
         return len(self.atoms)
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.atoms)}
-
-    @cached_property
     def _json_keys(self) -> tuple[np.ndarray, list[str]]:
-        """Atom indices in sorted label order, and each one's ``"label": `` text.
+        """Atom indices in sorted label order, and each label's escaped text.
 
         The canonical JSON writer reads them once per space, not per table.
+        Labels that are already ascending (as ``make_space`` makes them)
+        skip the sort.
         """
-        order = sorted(range(self.size), key=self.atoms.__getitem__)
-        keys = [encode_basestring_ascii(self.atoms[i]) + ": " for i in order]
+        atoms = self.atoms
+        if all(map(operator.lt, atoms, atoms[1:])):
+            order = np.arange(len(atoms), dtype=np.intp)
+            return order, list(map(encode_basestring_ascii, atoms))
+        order = sorted(range(len(atoms)), key=atoms.__getitem__)
+        keys = list(map(encode_basestring_ascii, map(atoms.__getitem__, order)))
         return np.array(order, dtype=np.intp), keys
 
     def index_of(self, label: str) -> int:

@@ -576,6 +576,57 @@ class TestColumnParse:
         else:
             assert got == want
 
+    @pytest.mark.parametrize("n", [3, 30])
+    @pytest.mark.parametrize("bad", [1, None, True, 1.5, ["x"], {"x": "y"}], ids=repr)
+    def test_space_names_its_first_non_string_label(self, n, bad):
+        labels = list(gen_mod.make_space(n).atoms)
+        for k in (0, n // 2, n - 1):
+            atoms = labels.copy()
+            atoms[k] = bad
+            if k < n - 1:
+                atoms[-1] = 7  # a later bad label is not the one named
+            got = _parse_outcome(lambda: parse_space({"atoms": atoms}))
+            assert got == (f"space.atoms[{k}]", "expected a string label")
+
+    def test_space_takes_string_subclass_labels(self):
+        class Label(str):
+            pass
+
+        atoms = [Label(a) for a in gen_mod.make_space(30).atoms]
+        assert parse_space({"atoms": atoms}).atoms == tuple(atoms)
+
+    def test_map_with_permuted_entries(self):
+        n = 30
+        space = gen_mod.make_space(n)
+        rng = np.random.default_rng(n)
+        image = rng.integers(0, n, size=n)
+        body = {space.atoms[i]: space.atoms[image[i]] for i in rng.permutation(n)}
+        assert parse_map({"map": body}, "m", space).image.tolist() == image.tolist()
+
+    @pytest.mark.parametrize("n", [4, 30])
+    def test_map_errors_on_the_column_path(self, n):
+        # Bodies with as many entries as the space has atoms, or one more:
+        # the ones the column check reads before it hands over to the walk.
+        space = gen_mod.make_space(n)
+        items = [(a, space.atoms[(i + 1) % n]) for i, a in enumerate(space.atoms)]
+        for k in (0, n // 2, n - 1):
+            src = items[k][0]
+            extra = dict(items[:k] + [("not-an-atom", src)] + items[k:])
+            replaced = dict(items[:k] + [("not-an-atom", src)] + items[k + 1:])
+            for body in (extra, replaced):
+                got = _parse_outcome(lambda: parse_map({"map": body}, "m", space))
+                assert got == ("m.map.not-an-atom", "unknown atom label")
+            # Unhashable and non-string targets are refused, not looked up.
+            for target in ([src], {"e1": src}, 1, None):
+                body = dict(items)
+                body[src] = target
+                got = _parse_outcome(lambda: parse_map({"map": body}, "m", space))
+                assert got == (f"m.map.{src}", "expected a string label")
+            body = dict(items)
+            body[src] = "not-an-atom"
+            got = _parse_outcome(lambda: parse_map({"map": body}, "m", space))
+            assert got == (f"m.map.{src}", "unknown target label 'not-an-atom'")
+
 
 @pytest.mark.parametrize("n", [1, 64, 10_000])
 def test_table_encoder_matches_per_atom_reference(n):
@@ -801,6 +852,29 @@ class TestCanonicalWriter:
         assert _outcome(_stdlib_canonical, _expand(nested)) == want
         if not table.is_finite():
             assert want[0] is ValueError
+
+    @pytest.mark.parametrize("n", [_SMALL_TABLE, _SMALL_TABLE + 1])
+    @pytest.mark.parametrize(
+        "last_row",
+        [(0.0, 0.0, 0.0, 0.0), (-0.0, 0.0, 0.0, -0.0), (1.5, -2.25, 5e-324, 0.0)],
+        ids=["zero", "negative zero", "live"],
+    )
+    def test_last_node_in_label_order(self, n, last_row):
+        # The node of the label that sorts last carries the closing brace
+        # rather than a separator. Here that label needs escaping and sits
+        # in the middle of the index order, and the other labels are
+        # unsorted too.
+        rng = np.random.default_rng(n)
+        labels = [f"x{i:02d}" for i in rng.permutation(n - 1)]
+        labels.insert(n // 2, 'z"é\n')
+        rows = rng.standard_normal((n, 4))
+        rows[rng.random(n) < 0.5] = 0.0
+        rows[n // 2] = last_row
+        c = rows.view(np.complex128)
+        for role in (TMeasure, TFunction):
+            table = role(FiniteSpace(tuple(labels)), c[:, 0], c[:, 1])
+            for doc in (table, {"outer": [table, "tail"]}):
+                assert dumps_canonical(doc) == _stdlib_canonical(_expand(doc))
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -1644,7 +1718,8 @@ class TestCliExitContract:
 
 
 class TestReadDocGc:
-    """The cyclic GC is off while the input parses, then back as the caller had it."""
+    """The cyclic GC is off from the parse through the write of a document
+    command, then back as the caller had it; ``verify`` leaves it alone."""
 
     DOC = json.dumps({**TestCliKindHint.ONE_ATOM, **TestCliKindHint.EXTRA["integrate"]})
 
@@ -1681,6 +1756,54 @@ class TestReadDocGc:
         else:
             gc.disable()
         assert _main_on_stdin(["integrate"], text)[0] == code
+        assert gc.isenabled() is caller_enabled
+
+    def test_paused_through_the_write(self, gc_state, monkeypatch):
+        import hypmeasure.cli as cli_mod
+
+        seen = []
+        write = cli_mod._write_doc
+
+        def spy(args, obj):
+            seen.append(gc.isenabled())
+            write(args, obj)
+
+        monkeypatch.setattr(cli_mod, "_write_doc", spy)
+        gc.enable()
+        assert _main_on_stdin(["integrate"], self.DOC)[0] == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    def test_state_is_restored_on_exit_3(self, gc_state, monkeypatch, caller_enabled):
+        import hypmeasure.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "integrate", lambda f, mu, e=None: Bicomplex(math.nan, 0))
+        (gc.enable if caller_enabled else gc.disable)()
+        assert _main_on_stdin(["integrate"], self.DOC)[0] == 3
+        assert gc.isenabled() is caller_enabled
+
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    @pytest.mark.parametrize("argv", [["integrate", "--no-such-flag"], ["--help"]], ids=repr)
+    def test_state_is_restored_on_argparse_exit(self, gc_state, caller_enabled, argv):
+        (gc.enable if caller_enabled else gc.disable)()
+        with pytest.raises(SystemExit):
+            _main_on_stdin(argv, "")
+        assert gc.isenabled() is caller_enabled
+
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    def test_verify_runs_with_the_callers_state(self, gc_state, monkeypatch, caller_enabled):
+        seen = []
+        run = verify_mod.run_verify
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return run(*args)
+
+        monkeypatch.setattr("hypmeasure.cli.run_verify", spy)
+        (gc.enable if caller_enabled else gc.disable)()
+        assert _main_on_stdin(["verify", "--cases", "2", "--suite", "algebra"], "")[0] == 0
+        assert seen == [caller_enabled]
         assert gc.isenabled() is caller_enabled
 
 
