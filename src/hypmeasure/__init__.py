@@ -82,7 +82,6 @@ from .measures import (
     dominates,
     normalize_to_probability,
     probability_variant,
-    subset_sum_blocks,
     subset_sums,
     total_variation_bruteforce,
     variation_measure,

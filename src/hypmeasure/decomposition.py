@@ -6,15 +6,17 @@ Hahn partition, and the Lebesgue decomposition with its Radon-Nikodym
 density as a ratio of atom masses. Atomic spaces make the classical
 existence proofs constructive and exact.
 
-Constructions are O(n) at any size. Each has one certifier, ``certify_*``,
-with named verdicts (True, False, or None when not run): Jordan, polar
-and LRN atomwise, the Hahn formulas on every subset up to 20 atoms.
-``check_lattice_properties`` names its verdicts the same way, None there
-meaning a false hypothesis (vacuous).
-Rounded identities are compared within the package's one rounding
+Constructions and certificates are O(n) at any size. Each construction
+has one certifier, ``certify_*``, with named verdicts (True or False),
+all atomwise: an identity on a set is the sum of the identities on its
+atoms, and the Hahn formulas also need their modulus terms to keep one
+sign per cell (``certify_hahn``). ``check_lattice_properties`` names its
+verdicts the same way, None there meaning a false hypothesis (vacuous).
+The Jordan, Hahn and Lebesgue-part verdicts are exact; the polar,
+density and integral ones compare within the package's one rounding
 bound, ``measures._close``, worked out from the inputs with no tolerance
-to set, so they fail at any scale; integration, dynamics and domination
-checks use the same bound.
+to set, so they fail at any scale; integration and dynamics checks use
+the same bound.
 """
 
 from __future__ import annotations
@@ -26,15 +28,11 @@ import numpy as np
 from .errors import InternalInvariantError
 from .integration import TFunction, indefinite_integral, integrate
 from .measures import (
-    SUBSET_CAP,
     AtomTable,
     MeasureKind,
     TMeasure,
-    _block_size,
     _close,
     _masked_sum,
-    _slack,
-    subset_sum_blocks,
     variation_measure,
 )
 from .numbers import Hyperbolic
@@ -177,7 +175,10 @@ def hahn(mu: TMeasure) -> HahnPartition:
     )
 
 
-def certify_hahn(mu: TMeasure, partition: HahnPartition) -> dict[str, bool | None]:
+# A side that overflows is inf, and an infinite mass can make it NaN;
+# neither equals a Jordan part, and neither warns.
+@np.errstate(over="ignore", invalid="ignore")
+def certify_hahn(mu: TMeasure, partition: HahnPartition) -> dict[str, bool]:
     """Verdicts ``hahn_mu_plus`` and ``hahn_mu_minus``: the Hahn formulas
     against the Jordan parts on every subset E,
 
@@ -185,18 +186,23 @@ def certify_hahn(mu: TMeasure, partition: HahnPartition) -> dict[str, bool | Non
         mu_minus(E) = -mu(E & B) - mu(E & C) - mu(E & D)
                       + e1*|mu(E & C)|_D + e2*|mu(E & D)|_D
 
-    within a rounding bound scaled by n * |mu|_D(E), plus the subnormal
-    floor. Above the 20-atom subset cap both verdicts are None (not run).
+    exactly, with no sums and no cap, in O(n) at any size.
 
-    The subsets are walked in blocks (``subset_sum_blocks``) of six
-    rows, mu on A, B, C and D, mu_plus and mu_minus, both components at
-    once, so memory is O(n * 2**_BLOCK_BITS) rather than O(2**n). An atom
-    lies in one cell and, per component, in one Jordan part, so for a
-    Hahn partition a child block adds it to at most three of the six rows
-    and shares the others with its parent. Each block forms the bound once, for both verdicts,
-    in buffers reused from block to block. Every block is checked, with
-    no early exit, so an overflow anywhere raises under
-    ``np.errstate(over="raise")``.
+    Sign test: if component e1 keeps one sign on C and e2 one sign on D,
+    the modulus terms are additive, and so is each formula; a formula
+    then holds on every E iff it holds on every atom. If e1 takes both
+    strict signs on C (or e2 on D), the modulus of two such atoms' sum is
+    below the sum of their moduli, so both formulas fail on that pair or
+    on one of its atoms, and both verdicts are False.
+
+    Atom test: at an atom of mass x each side is, per component, a sum
+    of the terms +-x and |x| that its cells select, in the formula's
+    order, so every partial sum is an integer multiple of x. Where the
+    side equals the Jordan part (x, -x or 0 there), every partial sum is
+    0, +-x or +-2x, which are exact. A side that rounds or overflows
+    passes through +-3x, or +-2x past the float range, and ends at least
+    |x| away from the part, or at inf: it never matches. So the
+    comparison is exact at every scale, subnormal masses included.
 
     Raises
     ------
@@ -207,48 +213,20 @@ def certify_hahn(mu: TMeasure, partition: HahnPartition) -> dict[str, bool | Non
     cells = (partition.A, partition.B, partition.C, partition.D)
     for cell in cells:
         mu._check_mask(cell)
-    n = mu.space.size
-    if n > SUBSET_CAP:
-        return {"hahn_mu_plus": None, "hahn_mu_minus": None}
-    inside = np.zeros((4, n))
+    a, b, c, d = inside = np.zeros((4, mu.space.size), dtype=bool)
     for row, cell in zip(inside, cells):
-        row[list(cell.indices())] = 1.0
+        row[list(cell.indices())] = True
+    # Component e1 takes its modulus on C, e2 on D.
+    moduli = np.array((c, d))
+    signs_ok = not ((moduli & (x > 0)).any(axis=1) & (moduli & (x < 0)).any(axis=1)).any()
+    mixed = np.abs(np.where(moduli, x, 0.0))
+    plus = mixed + np.where(a, x, 0.0)
+    minus = np.where(b, -x, 0.0) - np.where(c, x, 0.0) - np.where(d, x, 0.0) + mixed
     jp = jordan(mu)
-    # Six (2, n) rows: mu on A, B, C and D, then mu_plus and mu_minus.
-    rows = np.concatenate(
-        (inside[:, None] * x, jp.mu_plus.c.real[None], jp.mu_minus.c.real[None])
-    )
-    # Reused by every block: the slack, the two sides' gaps and their
-    # verdicts per entry.
-    size = _block_size(n)
-    scratch = np.empty((3, 2, size))
-    slack, gaps = scratch[0], scratch[1:]
-    plus_gap, minus_gap = gaps
-    below = np.empty((2, 2, size), dtype=bool)
-    plus_ok = minus_ok = True
-    for _, (a, b, c, d, plus, minus) in subset_sum_blocks(rows):
-        # Formed once for both verdicts, from |mu|_D(E) as its two parts,
-        # so it is finite when they are; minus_gap holds a part meanwhile.
-        _slack(n, (plus, minus), n, out=(slack, minus_gap))
-        # The mixed moduli: component e1 takes its modulus on C, e2 on D.
-        # They wait in plus_gap, which becomes mixed + a - plus last.
-        mixed = plus_gap
-        np.abs(c[0], out=mixed[0])
-        np.abs(d[1], out=mixed[1])
-        np.negative(b, out=minus_gap)
-        np.subtract(minus_gap, c, out=minus_gap)
-        np.subtract(minus_gap, d, out=minus_gap)
-        np.add(minus_gap, mixed, out=minus_gap)
-        np.subtract(minus_gap, minus, out=minus_gap)
-        # mixed + a is a + mixed: float addition commutes (up to which of
-        # two NaNs is kept, and either reads false).
-        np.add(mixed, a, out=plus_gap)
-        np.subtract(plus_gap, plus, out=plus_gap)
-        # Both verdicts as _close reads them: |gap| within the slack.
-        np.less_equal(np.abs(gaps, out=gaps), slack, out=below)
-        plus_ok &= bool(below[0].all())
-        minus_ok &= bool(below[1].all())
-    return {"hahn_mu_plus": plus_ok, "hahn_mu_minus": minus_ok}
+    return {
+        "hahn_mu_plus": signs_ok and bool((plus == jp.mu_plus.c.real).all()),
+        "hahn_mu_minus": signs_ok and bool((minus == jp.mu_minus.c.real).all()),
+    }
 
 
 def is_concentrated(lam: TMeasure, a: SetMask) -> bool:
@@ -422,41 +400,31 @@ def epsilon_delta_witness(
     respect to mu (then no delta can work: a mu-null set carries lam
     mass).
 
-    The constructive choice takes, per component, half the smallest
-    mu_i(E) among subsets with |lam_i(E)| >= epsilon_i; halving keeps
-    the guarantee strict under the component-lenient order. Components
-    with no offending subset get delta_i = 1. Subsets are walked a block
-    at a time (``subset_sum_blocks``), in O(n * 2**_BLOCK_BITS) memory.
+    Per component, delta_i is half the smallest positive mu_i atom mass,
+    or 1 when mu_i has none, in O(n) at any size. Under the
+    component-lenient order mu_i(E) may equal delta_i, and halving keeps
+    E clear of every atom of positive mu_i mass: an ascending sum of
+    D+ masses is at least each of them. So E holds only mu_i-null atoms,
+    and under absolute continuity lam_i(E) = 0 < epsilon_i.
 
     Raises
     ------
     ValueError
-        If epsilon is not strictly positive in both components, or
-        the space exceeds the subset-enumeration cap.
+        If epsilon is not strictly positive in both components, or the
+        smallest positive mu_i mass is the smallest subnormal (5e-324):
+        its half rounds to 0, and no positive float lies below it.
     """
     if not (epsilon.e1 > 0.0 and epsilon.e2 > 0.0):
         raise ValueError("epsilon must be strictly positive in both components")
     lam._check_space(mu)
-    if lam.space.size > SUBSET_CAP:
-        raise ValueError(f"space too large for subset enumeration (> {SUBSET_CAP})")
     if not abs_continuous(lam, mu):
         return None
-
-    eps = np.array([[epsilon.e1], [epsilon.e2]])
-    # NaN means no offending subset (fmin skips it; mu-sums are never NaN).
-    # mu's complex sums keep its real sums' bits; block minima compose.
-    smallest = np.full(2, np.nan)
-    for _, (lam_sums, mu_sums) in subset_sum_blocks(np.array((lam.c, mu.c))):
-        offending = np.where(np.abs(lam_sums) >= eps, mu_sums.real, np.nan)
-        np.fmin(smallest, np.fmin.reduce(offending, axis=1), out=smallest)
-    if (smallest <= 0.0).any():
-        # An offending subset with zero mu-mass contradicts absolute
-        # continuity on a finite space.
-        raise InternalInvariantError(
-            "offending subset with zero reference mass",
-            payload={"epsilon": [epsilon.e1, epsilon.e2]},
-        )
-    return Hyperbolic(*np.where(np.isnan(smallest), 1.0, smallest / 2.0).tolist())
+    m = mu.c.real
+    smallest = m.min(axis=1, where=m > 0.0, initial=np.inf)
+    delta = np.where(smallest == np.inf, 1.0, smallest / 2.0)
+    if (delta == 0.0).any():
+        raise ValueError("no positive delta: the smallest reference mass is 5e-324")
+    return Hyperbolic(*delta.tolist())
 
 
 @dataclass(frozen=True)

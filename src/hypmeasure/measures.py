@@ -16,7 +16,7 @@ pure, so concurrent reads are safe.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -32,29 +32,21 @@ __all__ = [
     "normalize_to_probability",
     "probability_variant",
     "subset_sums",
-    "subset_sum_blocks",
 ]
 
 _MassLike = Union[Bicomplex, Hyperbolic, complex, float, int]
 
-# Hard caps for the exhaustive enumerators; beyond these the operation
-# refuses to run rather than silently sampling.
+# Hard cap for the exhaustive partition enumerator; beyond it the
+# operation refuses to run rather than silently sampling.
 PARTITION_CAP = 12
-SUBSET_CAP = 20
-# Entries per subset-sum block, as a power of two: a (2, 2**13) row of
-# float64 sums takes 128 KiB, so the Hahn certificate's six rows (768 KiB,
-# of which a child block rewrites about a third) and its three reused
-# scratch rows stay in a 2 MiB cache.
-_BLOCK_BITS = 13
 
 # The one rounding rule of every checked identity and inequality. A sum
 # of n terms in ascending order is off by at most (n - 1)*u*sum|x|,
 # u = eps/2 (Higham, Accuracy and Stability of Numerical Algorithms,
 # 4.2). A check compares two such sums, with at most three more
-# roundings on one side (the Hahn cell combination; atomwise, a division
-# and a product): (2n + 1)*u*sum|x| in all. So c = 4 in the bound
-# c*n*eps*sum|x| covers every n >= 1, with room for second-order terms
-# and for the rounding of sum|x| itself.
+# roundings on one side (atomwise, a division and a product): (2n + 1)*u*
+# sum|x| in all. So c = 4 in the bound c*n*eps*sum|x| covers every n >= 1,
+# with room for second-order terms and for the rounding of sum|x| itself.
 _ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
 # Below the normal range a product or quotient is off by up to half the
 # subnormal spacing 2**-1074 (sums there are exact): 16 spacings per term,
@@ -352,11 +344,6 @@ def _masked_sum(values: np.ndarray, e: SetMask | None = None) -> np.ndarray:
         return _ascending_sum(values)
 
 
-def _block_size(n: int) -> int:
-    """Entries per block of :func:`subset_sum_blocks` for n values."""
-    return 1 << min(n, _BLOCK_BITS)
-
-
 def subset_sums(values: np.ndarray) -> np.ndarray:
     """Sums of ``values`` over every subset of its index set, per row.
 
@@ -364,8 +351,8 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     of m, so that axis has length 2**n for n values and entry 0 is zero.
     Each sum is the ascending left fold ``0.0 + v[k1] + v[k2] + ...``
     over k1 < k2 < ..., so every entry has the bits of that scalar loop.
-    The whole array is O(2**n) memory; :func:`subset_sum_blocks` yields
-    the same entries a block at a time.
+    The whole array is O(2**n) memory. No certifier reads it: it is the
+    subset oracle of the ``epsilon-delta`` verify suite and of the tests.
     """
     n = values.shape[-1]
     sums = np.zeros(values.shape[:-1] + (1 << n,), dtype=values.dtype)
@@ -376,59 +363,6 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
         np.add(sums[..., :size], values[..., k, None], out=sums[..., size : 2 * size])
         size *= 2
     return sums
-
-
-def subset_sum_blocks(values: np.ndarray) -> Iterator[tuple[int, tuple[np.ndarray, ...]]]:
-    """The entries of ``subset_sums(values)`` in blocks, with their offsets.
-
-    ``values`` has shape (rows, ..., n). Yields ``(start, block)`` pairs,
-    where ``block`` holds one array per row and ``np.stack(block)`` equals
-    ``subset_sums(values)[..., start : start + len]`` bit for bit. The
-    low block is the subset sums of the first ``_BLOCK_BITS`` values;
-    every other block is its parent plus one value of a higher index
-    than the parent's atoms, so each entry is still the ascending left
-    fold from 0.0. Only the rows where that value is nonzero are added
-    to; every other row is the parent's row itself. That keeps the bits:
-    a fold starts at +0.0 and never reaches -0.0, so adding +-0 changes
-    no bit, and it never overflows or raises ``invalid``.
-
-    Blocks come depth first over the higher atoms and share one buffer
-    per atom and row, so memory is O(n * 2**_BLOCK_BITS) per row instead
-    of O(2**n). The arrays of a block are read-only, and valid only until
-    the next block is requested: copy them to keep them.
-    """
-    n = values.shape[-1]
-    low = min(n, _BLOCK_BITS)
-    root = subset_sums(values[..., :low])
-    root.flags.writeable = False
-    block = tuple(root)
-    yield 0, block
-    # Per higher atom j, the rows it adds to (those where it is nonzero):
-    # (row, value, the row's buffer for j, a read-only view of it).
-    steps = {}
-    for j in range(low, n):
-        steps[j] = []
-        for r in np.flatnonzero(values[..., j].reshape(len(values), -1).any(axis=1)):
-            out = np.empty(root.shape[1:], dtype=root.dtype)
-            view = out.view()
-            view.flags.writeable = False
-            steps[j].append((r, values[r, ..., j, None], out, view))
-    # Depth first: a block, then all of its descendants, then its next
-    # sibling. So a buffer for j is rewritten, for the next block whose
-    # highest atom is j, only after every block sharing it was yielded.
-    pending = [(block, 0, low)]  # (parent, its start, the next atom to add)
-    while pending:
-        parent, start, j = pending.pop()
-        if j == n:
-            continue
-        pending.append((parent, start, j + 1))
-        block = list(parent)
-        for r, value, out, view in steps[j]:
-            np.add(parent[r], value, out=out)
-            block[r] = view
-        block = tuple(block)
-        yield start + (1 << j), block
-        pending.append((block, start + (1 << j), j + 1))
 
 
 def total_variation_bruteforce(mu: TMeasure, e: SetMask) -> Hyperbolic:
@@ -478,42 +412,25 @@ def variation_measure(mu: TMeasure) -> TMeasure:
     return TMeasure(mu.space, *np.abs(mu.c))
 
 
-# Sums past the float range are inf (and inf - inf is NaN), as set values
-# are, and a bound past it is inf: no warning. The decorator form enters
-# the errstate once per call at half the cost of a with block.
-@np.errstate(over="ignore", invalid="ignore")
 def dominates(lambda_d: TMeasure, mu: TMeasure) -> bool:
     """Whether |mu_i(E)| <= lambda_i(E) for every subset and component.
 
-    ``lambda_d`` must be a D-measure on the same space. All 2**|X|
-    subsets are enumerated, a block of subset sums at a time, so the
-    space is capped at 20 atoms. The two sides are summed in different
-    float orders and can tie mathematically (|mu|_D against mu), so each
-    subset is compared within the rounding bound (``_at_most``) of its
-    |mu|_D sum, walked in the same blocks. Sums that pass the float
-    range read inf, without a warning.
+    ``lambda_d`` must be a D-measure on the same space. The inequality
+    holds on every subset iff it holds on every atom: singletons are
+    subsets, and the triangle inequality sums the atoms' inequalities
+    over any set. So the atom moduli are compared with lambda's masses,
+    exactly and in O(n) at any size. A modulus past the float range is
+    inf, without a warning.
 
     Raises
     ------
     ValueError
-        If spaces differ, ``lambda_d`` is not a D-measure, or the
-        space exceeds the enumeration cap.
+        If spaces differ or ``lambda_d`` is not a D-measure.
     """
     lambda_d._check_space(mu)
     if not lambda_d.is_d_measure():
         raise ValueError("dominating measure must be a D-measure")
-    n = mu.space.size
-    if n > SUBSET_CAP:
-        raise ValueError(f"space too large for subset enumeration (> {SUBSET_CAP})")
-    # Two rows summed in one walk: mu, and lambda and |mu|_D as the real
-    # and imaginary parts of one complex row. A complex sum adds its two
-    # parts apart, so each keeps the bits of its own real sum.
-    rows = np.array((mu.c, lambda_d.c))
-    rows.imag[1] = np.abs(mu.c)
-    ok = True
-    for _, (sums, sides) in subset_sum_blocks(rows):
-        ok &= bool((np.abs(sums) <= sides.real + _slack(n, sides.imag, n)).all())
-    return ok
+    return bool((np.abs(mu.c) <= lambda_d.c.real).all())
 
 
 def normalize_to_probability(mu_hat: TMeasure) -> TMeasure:

@@ -1,7 +1,7 @@
 """Jordan, Hahn, polar and Lebesgue decompositions with subset oracles."""
 
 import warnings
-from unittest import mock
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypmeasure.decomposition as decomposition_mod
-import hypmeasure.measures as measures_mod
 from hypmeasure import (
     Bicomplex,
     FiniteSpace,
@@ -38,6 +37,7 @@ from hypmeasure import (
     tv_of_indefinite_integral,
     variation_measure,
 )
+from hypmeasure.numbers import _lt_d_rows
 
 
 @pytest.fixture
@@ -151,12 +151,16 @@ class TestHahn:
         assert list(p.C.indices()) == list(np.flatnonzero(pos_u & ~pos_v))
         assert list(p.D.indices()) == list(np.flatnonzero(~pos_u & pos_v))
 
-    def test_certifier_refuses_past_the_cap(self):
-        # Past the subset cap the formulas are not run: both verdicts None.
-        space = FiniteSpace(tuple(f"x{i}" for i in range(21)))
-        mu = TMeasure(space, np.ones(21), -np.ones(21))
+    @pytest.mark.parametrize("n", [21, 10_000])
+    def test_certifier_runs_at_any_size(self, n):
+        # The formulas are checked atom by atom, so no size reads None.
+        rng = np.random.default_rng(n)
+        space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+        mu = TMeasure(space, rng.normal(size=n), rng.normal(size=n))
         p = hahn(mu)
-        assert certify_hahn(mu, p) == {"hahn_mu_plus": None, "hahn_mu_minus": None}
+        assert certify_hahn(mu, p) == {"hahn_mu_plus": True, "hahn_mu_minus": True}
+        swapped = HahnPartition(A=p.A, B=p.B, C=p.D, D=p.C)
+        assert certify_hahn(mu, swapped) == {"hahn_mu_plus": False, "hahn_mu_minus": False}
 
     def test_certifier_rejects_swapped_cells(self):
         space = FiniteSpace(tuple("pqrs"))
@@ -176,10 +180,8 @@ class TestHahn:
 
     @pytest.mark.parametrize("n", [14, 20])
     def test_certifier_rejects_an_error_at_the_highest_atom(self, n):
-        # Only subsets holding the last atom see the error, and their
-        # sums come from blocks past the first: a walk that stops early,
-        # or never reaches the blocks holding that atom, passes this
-        # partition.
+        # Only subsets holding the last atom see the error: a check that
+        # stops early, or never reaches that atom, passes this partition.
         rng = np.random.default_rng(n)
         space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
         u = rng.normal(size=n)
@@ -217,44 +219,30 @@ class TestHahn:
 
 
 def _reference_certify_hahn(mu, partition):
-    """The Hahn certificate as a plain block loop (no shared buffers, no
-    skipped zero adds), on one block holding every subset sum, with the
-    rounding bound written out: 0.0 + (sum of 4*eps*n*part + floor)."""
-    x = mu.c.real
+    """The Hahn certificate by exact enumeration: both formulas against
+    the Jordan parts on every subset, in Fraction arithmetic."""
+    x = [[Fraction(v) for v in row] for row in mu.c.real.tolist()]
     n = mu.space.size
-    inside = np.zeros((4, n))
-    for row, cell in zip(inside, (partition.A, partition.B, partition.C, partition.D)):
-        row[list(cell.indices())] = 1.0
-    jp = jordan(mu)
-    rows = np.concatenate(
-        (inside[:, None] * x, jp.mu_plus.c.real[None], jp.mu_minus.c.real[None])
-    )
-
-    def close(got, want, total):
-        unit = 4.0 * float(np.finfo(np.float64).eps) * n
-        slack = sum(unit * part for part in total)
-        floor = 16.0 * float(np.finfo(np.float64).smallest_subnormal) * n
-        return bool((np.abs(got - want) <= 0.0 + (slack + floor)).all())
-
+    cells = [set(cell.indices()) for cell in (partition.A, partition.B, partition.C, partition.D)]
     plus_ok = minus_ok = True
-    for a, b, c, d, plus, minus in (subset_sums(rows),):
-        mixed = np.abs(np.stack((c[0], d[1])))
-        plus_ok &= close(a + mixed, plus, (plus, minus))
-        minus_ok &= close(-b - c - d + mixed, minus, (plus, minus))
+    for bits in range(1 << n):
+        members = [k for k in range(n) if bits >> k & 1]
+        a, b, c, d = (
+            [sum((x[i][k] for k in members if k in cell), Fraction(0)) for i in range(2)]
+            for cell in cells
+        )
+        mixed = [abs(c[0]), abs(d[1])]
+        for i in range(2):
+            plus = sum((max(x[i][k], 0) for k in members), Fraction(0))
+            minus = sum((max(-x[i][k], 0) for k in members), Fraction(0))
+            plus_ok &= a[i] + mixed[i] == plus
+            minus_ok &= -b[i] - c[i] - d[i] + mixed[i] == minus
     return {"hahn_mu_plus": plus_ok, "hahn_mu_minus": minus_ok}
-
-
-def _outcome(certify, mu, partition, **errstate):
-    with np.errstate(**errstate):
-        try:
-            return certify(mu, partition)
-        except FloatingPointError as exc:
-            return type(exc)
 
 
 @st.composite
 def _signed_measures(draw):
-    n = draw(st.integers(1, 16))
+    n = draw(st.integers(1, 7))
     unit = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, allow_subnormal=False))
     masses = np.array(draw(st.lists(unit, min_size=2 * n, max_size=2 * n))).reshape(2, n)
     # Subnormal masses up to masses whose sums overflow (at 1e308).
@@ -263,30 +251,25 @@ def _signed_measures(draw):
     return TMeasure(FiniteSpace(tuple(f"x{i}" for i in range(n))), *(masses * scale))
 
 
-@pytest.mark.parametrize("block_bits", [None, 8])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(mu=_signed_measures(), data=st.data())
-def test_certify_hahn_matches_the_reference_loop(block_bits, mu, data):
-    # Same verdicts on correct, swapped, overlapping and perturbed
-    # partitions, and the same exception type where sums overflow.
-    n = mu.space.size
+def test_certify_hahn_matches_the_exact_reference(mu, data):
+    # Same verdicts as exact subset enumeration on the correct partition
+    # and six wrong ones: swapped, overlapping and moved cells.
     p = hahn(mu)
-    i = data.draw(st.integers(0, n - 1))
-    bumped = mu.c.real.copy()
-    bumped[data.draw(st.integers(0, 1)), i] *= 1 + 1e-13
-    cases = [
-        (mu, p),
-        (mu, HahnPartition(A=p.B, B=p.A, C=p.C, D=p.D)),
-        (mu, HahnPartition(A=p.A, B=p.B, C=p.D, D=p.C)),
-        (mu, HahnPartition(A=p.A | p.B, B=p.B, C=p.C, D=p.D)),
-        (TMeasure(mu.space, *bumped), p),
+    atom = mu.space.singleton(data.draw(st.integers(0, mu.space.size - 1)))
+    others = [cell.difference(atom) for cell in (p.A, p.B, p.C, p.D)]
+    partitions = [
+        p,
+        HahnPartition(A=p.B, B=p.A, C=p.C, D=p.D),
+        HahnPartition(A=p.A, B=p.B, C=p.D, D=p.C),
+        HahnPartition(A=p.A | p.B, B=p.B, C=p.C, D=p.D),
+        HahnPartition(others[0], others[1], others[2] | atom, others[3]),
+        HahnPartition(others[0], others[1], others[2], others[3] | atom),
+        HahnPartition(A=p.A, B=p.B, C=p.C | atom, D=p.D),
     ]
-    block_bits = measures_mod._BLOCK_BITS if block_bits is None else block_bits
-    with mock.patch.object(measures_mod, "_BLOCK_BITS", block_bits):
-        for measure, partition in cases:
-            for errstate in ({"over": "ignore", "invalid": "ignore"}, {"over": "raise", "invalid": "raise"}):
-                want = _outcome(_reference_certify_hahn, measure, partition, **errstate)
-                assert _outcome(certify_hahn, measure, partition, **errstate) == want
+    for partition in partitions:
+        assert certify_hahn(mu, partition) == _reference_certify_hahn(mu, partition)
 
 
 class TestPolar:
@@ -459,9 +442,22 @@ class TestEpsilonDelta:
         assert delta == Hyperbolic(0.5, 0.5)
 
     def test_zero_measure_gets_unit_delta(self, space):
-        mu = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1)})
-        delta = epsilon_delta_witness(TMeasure.zero(space), mu, Hyperbolic(1, 1))
-        assert delta == Hyperbolic(1, 1)
+        # A reference component with no positive mass gets delta_i = 1;
+        # the other gets half its smallest positive mass, whatever lam is.
+        zero = TMeasure.zero(space)
+        assert epsilon_delta_witness(zero, zero, Hyperbolic(1, 1)) == Hyperbolic(1, 1)
+        mu = TMeasure.from_atoms(space, {"a": Bicomplex(3, 0), "b": Bicomplex(1, 0)})
+        assert epsilon_delta_witness(zero, mu, Hyperbolic(1, 1)) == Hyperbolic(0.5, 1)
+
+    def test_smallest_subnormal_reference_mass_has_no_delta(self, space):
+        # Half of 5e-324 rounds to 0, and no positive float lies below it:
+        # the set {a} has mu(a) = (5e-324, 1) and lam_1(a) >= epsilon_1.
+        mu = TMeasure.from_atoms(space, {"a": Bicomplex(5e-324, 1), "b": Bicomplex(1, 1)})
+        with pytest.raises(ValueError, match="5e-324"):
+            epsilon_delta_witness(mu, mu, Hyperbolic(4e-324, 1))
+        # One subnormal spacing above it, the half is a positive delta.
+        mu = TMeasure.from_atoms(space, {"a": Bicomplex(1e-323, 1), "b": Bicomplex(1, 1)})
+        assert epsilon_delta_witness(mu, mu, Hyperbolic(4e-324, 1)) == Hyperbolic(5e-324, 0.5)
 
     def test_no_witness_without_continuity(self, space):
         mu = TMeasure.from_atoms(space, {"a": Bicomplex(1, 1)})
@@ -498,25 +494,10 @@ class TestEpsilonDelta:
             )
             assert concl or not hyp
 
-    @staticmethod
-    def _full_array_delta(lam, mu, epsilon):
-        # The one-shot form over whole 2**n arrays of subset sums.
-        if not abs_continuous(lam, mu):
-            return None
-        deltas = []
-        for lam_sums, mu_sums, eps_i in zip(
-            np.abs(subset_sums(lam.c)), subset_sums(mu.c.real), (epsilon.e1, epsilon.e2)
-        ):
-            offending = mu_sums[lam_sums >= eps_i]
-            deltas.append(1.0 if offending.size == 0 else float(np.min(offending)) / 2.0)
-        return Hyperbolic(*deltas)
-
-    @pytest.mark.parametrize("block_bits", [None, 2])
-    def test_delta_matches_the_full_array_form(self, block_bits, monkeypatch):
-        # Bit for bit, on deltas from offending subsets, unit deltas and
-        # no witness; sizes past the default block cover several blocks.
-        if block_bits is not None:
-            monkeypatch.setattr(measures_mod, "_BLOCK_BITS", block_bits)
+    def test_delta_passes_the_subset_oracle(self):
+        # Every subset below delta in the strict order has |lam| below
+        # epsilon, on random pairs with null atoms, unit deltas and no
+        # witness; delta is half the smallest positive reference mass.
         rng = np.random.default_rng(12)
         outcomes = set()
         for case in range(200):
@@ -526,13 +507,21 @@ class TestEpsilonDelta:
             lam = TMeasure(space, *(rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))))
             if case % 3:
                 lam = TMeasure(space, *np.where(mu.c != 0, lam.c, 0))
-            top = np.abs(subset_sums(lam.c)).max(axis=1)
+            lam_sums = np.abs(subset_sums(lam.c))
+            top = lam_sums.max(axis=1)
             eps = Hyperbolic(*(top * rng.uniform(0.3, 1.2, 2) + (top == 0)))
-            want = self._full_array_delta(lam, mu, eps)
-            got = epsilon_delta_witness(lam, mu, eps)
-            assert got == want
-            outcomes.add("none" if want is None else (want.e1 == 1.0) + (want.e2 == 1.0))
-        assert outcomes == {"none", 0, 1, 2}
+            delta = epsilon_delta_witness(lam, mu, eps)
+            outcomes.add("none" if delta is None else (delta.e1 == 1.0) + (delta.e2 == 1.0))
+            if delta is None:
+                assert not abs_continuous(lam, mu)
+                continue
+            m = mu.c.real
+            for got, row in zip((delta.e1, delta.e2), m):
+                assert got == (row[row > 0].min() / 2 if (row > 0).any() else 1.0)
+            hyp = _lt_d_rows(subset_sums(m), np.array([[delta.e1], [delta.e2]]))
+            concl = _lt_d_rows(lam_sums, np.array([[eps.e1], [eps.e2]]))
+            assert (~hyp | concl).all()
+        assert {"none", 0, 1} <= outcomes
 
 
 LATTICE = (
@@ -687,12 +676,13 @@ def _bumped(table, atom, d1=0.0, d2=0.0):
     return type(table)(table.space, e1, e2)
 
 
-def _perturbed_verdicts(verdict):
+def _perturbed_verdicts(verdict, scale):
     """Certify a valid decomposition and one with a single input perturbed
-    so that ``verdict`` must fail; returns both verdict dicts."""
+    so that ``verdict`` must fail; returns both verdict dicts. The signed
+    measure's masses are multiplied by ``scale``."""
     space = FiniteSpace(tuple("pqrs"))
     # One atom per Hahn cell: p in A, q in B, r in C, s in D.
-    mu = TMeasure(space, [2, -1, 5, -2], [3, -4, -1, 6])
+    mu = TMeasure(space, [2, -1, 5, -2], [3, -4, -1, 6]).scaled(scale)
     # The reference is null at q in e1 and at s in e2.
     ref = TMeasure(space, [1, 0, 2, 4], [3, 1, 0.5, 0])
     lam = TMeasure(space, [1 + 2j, 7, -3, 0.5j], [2, -1j, 4, 9])
@@ -737,17 +727,26 @@ def _perturbed_verdicts(verdict):
     return certify[family](valid[family]), certify[family](perturbed)
 
 
+_VERDICTS = [
+    "jordan_difference", "jordan_variation",
+    "hahn_mu_plus", "hahn_mu_minus",
+    "polar_unimodular", "polar_reconstruction",
+    "lrn_sum", "lrn_abs_continuous", "lrn_singular", "lrn_density",
+]
+
+
 @pytest.mark.parametrize(
-    "verdict",
-    [
-        "jordan_difference", "jordan_variation",
-        "hahn_mu_plus", "hahn_mu_minus",
-        "polar_unimodular", "polar_reconstruction",
-        "lrn_sum", "lrn_abs_continuous", "lrn_singular", "lrn_density",
+    "verdict, scale",
+    [pytest.param(verdict, 1.0, id=verdict) for verdict in _VERDICTS]
+    # Masses of a few subnormal spacings, where a rounding floor of that
+    # size would accept the swapped cells.
+    + [
+        pytest.param(verdict, 5e-324, id=f"{verdict}-subnormal")
+        for verdict in ("hahn_mu_plus", "hahn_mu_minus")
     ],
 )
-def test_every_verdict_can_fail(verdict):
-    valid, broken = _perturbed_verdicts(verdict)
+def test_every_verdict_can_fail(verdict, scale):
+    valid, broken = _perturbed_verdicts(verdict, scale)
     assert all(value is True for value in valid.values())
     assert broken[verdict] is False
 

@@ -208,7 +208,8 @@ def test_dominates(sigma):
         assert dominates(var, mu)
         assert not dominates(var.scaled(0.5), mu)
 
-        # The float subset sums are those of the block walk, bit for bit.
+        # The subset-sum oracle (subset_sums) stays within the rounding
+        # bound of the exact subset sums.
         got = np.abs(subset_sums(mu.c))
         lam = subset_sums(var.c.real)
         for i in range(2):
