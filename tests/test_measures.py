@@ -313,6 +313,53 @@ def test_subset_sums_oracle():
         assert sums[m] == want
 
 
+_AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, 1.5, -2.25, 0.1, 1e308]
+
+
+def _subset_sum_blocks(values, block_bits):
+    """The subset sums block by block, built apart from subset_sums' doubling.
+
+    Block h holds the entries whose bits past the low ``block_bits`` spell
+    h. Its low part folds the low values in ascending order, one masked add
+    per value; the high values it holds are then added to it in ascending
+    order. ``None`` makes one block of all n bits.
+    """
+    n = values.shape[-1]
+    bits = n if block_bits is None else min(block_bits, n)
+    entries = np.arange(1 << bits)
+    low = np.zeros(values.shape[:-1] + (1 << bits,), dtype=values.dtype)
+    for k in range(bits):
+        low = np.where(entries >> k & 1 == 1, low + values[..., k, None], low)
+    for h in range(1 << (n - bits)):
+        block = low
+        for k in range(bits, n):
+            if h >> (k - bits) & 1:
+                block = block + values[..., k, None]
+        yield h << bits, block
+
+
+@pytest.mark.parametrize("block_bits", [None, 2])
+@pytest.mark.parametrize("n", range(17))
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_subset_sum_blocks_reassemble_subset_sums_bitwise(n, dtype, block_bits):
+    # subset_sums is the ascending left fold of each subset, bit for bit,
+    # on signed zeros, subnormals, infinities (so NaNs) and overflowing
+    # sums; compared through a uint64 view so -0.0 and NaN payloads count.
+    rng = np.random.default_rng(n)
+    values = rng.choice(_AWKWARD, size=(2, n)).astype(dtype)
+    if dtype is np.complex128:
+        values.imag = rng.choice(_AWKWARD, size=(2, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = subset_sums(values)
+        covered = 0
+        for start, block in _subset_sum_blocks(values, block_bits):
+            width = block.shape[-1]
+            expected = want[..., start : start + width]
+            assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
+            covered += width
+    assert covered == 1 << n
+
+
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_variation_additive_over_complements(masses):
