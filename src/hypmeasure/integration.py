@@ -112,6 +112,7 @@ def _check_integrand(f: TFunction, mu: TMeasure) -> None:
         raise ValueError("integration needs a D-measure")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def in_l1(f: TFunction, mu: TMeasure) -> bool:
     """Whether both component integrals of |f| are finite.
 
@@ -121,8 +122,7 @@ def in_l1(f: TFunction, mu: TMeasure) -> bool:
     are silenced.
     """
     _check_integrand(f, mu)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.isfinite(_ascending_sum(np.abs(f.c) * mu.c.real)).all())
+    return bool(np.isfinite(_ascending_sum(np.abs(f.c) * mu.c.real)).all())
 
 
 def integrate(f: TFunction, mu: TMeasure, e: SetMask | None = None) -> Bicomplex:

@@ -15,13 +15,14 @@ pure, so concurrent reads are safe.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .numbers import Bicomplex, Hyperbolic, sup_d
-from .spaces import FiniteSpace, SetMask, set_partitions
+from .numbers import Bicomplex, Hyperbolic
+from .spaces import FiniteSpace, SetMask
 
 __all__ = [
     "MeasureKind",
@@ -58,24 +59,13 @@ _FLOOR = 16.0 * float(np.finfo(np.float64).smallest_subnormal)
 _VARIANT_SLACK = 1e-12
 
 
-def _slack(n, total, floors, out=(None, None)):
+def _slack(n, total, floors):
     """The slack 4*eps*n*total + _FLOOR*floors of the n terms of a side
     with total = sum|x| and floors = n (see _FLOOR).
 
-    4*eps*n is formed first, and a total given as a pair of partial sums
-    is scaled part by part, so the slack is finite whenever each part is.
-    ``out``, if given, holds a buffer per part, and the slack is written
-    to the first.
+    4*eps*n is formed first, so the slack is finite whenever the total is.
     """
-    unit = _ROUNDING * n
-    if isinstance(total, tuple):
-        part, other = total
-        slack = np.add(
-            np.multiply(part, unit, out=out[0]), np.multiply(other, unit, out=out[1]), out=out[0]
-        )
-    else:
-        slack = np.multiply(total, unit, out=out[0])
-    return np.add(slack, _FLOOR * floors, out=out[0])
+    return total * (_ROUNDING * n) + _FLOOR * floors
 
 
 def _at_most(lhs, rhs, n, total, floors) -> bool:
@@ -331,6 +321,7 @@ def _ascending_sum(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(values, axis=-1)[..., -1] + 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _masked_sum(values: np.ndarray, e: SetMask | None = None) -> np.ndarray:
     """Ascending sums along the last axis over the atoms of ``e`` (all by default).
 
@@ -340,8 +331,7 @@ def _masked_sum(values: np.ndarray, e: SetMask | None = None) -> np.ndarray:
     """
     if e is not None:
         values = values.take(list(e.indices()), axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _ascending_sum(values)
+    return _ascending_sum(values)
 
 
 def subset_sums(values: np.ndarray) -> np.ndarray:
@@ -352,7 +342,8 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     Each sum is the ascending left fold ``0.0 + v[k1] + v[k2] + ...``
     over k1 < k2 < ..., so every entry has the bits of that scalar loop.
     The whole array is O(2**n) memory. No certifier reads it: it is the
-    subset oracle of the ``epsilon-delta`` verify suite and of the tests.
+    subset oracle of the ``epsilon-delta`` verify suite and of the tests,
+    and it gives :func:`total_variation_bruteforce` its block sums.
     """
     n = values.shape[-1]
     sums = np.zeros(values.shape[:-1] + (1 << n,), dtype=values.dtype)
@@ -365,12 +356,46 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     return sums
 
 
+@functools.cache
+def _partition_table(k: int) -> np.ndarray:
+    """Every partition of positions 0..k-1, one row of block bitmasks each.
+
+    Rows follow ``set_partitions(range(k))``, blocks in its order, each
+    row zero-padded to k columns (int16, read-only). They are built from
+    the last position backwards: a partition of the positions after j
+    with nb blocks has nb + 1 children, j joining block i for each i < nb
+    and then leading a new first block.
+    """
+    table = np.zeros((1, k), dtype=np.int16)
+    blocks = np.zeros(1, dtype=np.intp)
+    for j in reversed(range(k)):
+        counts = blocks + 1
+        parent = np.repeat(np.arange(len(table)), counts)
+        slot = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        new = slot == blocks[parent]
+        table = table[parent]
+        table[new, 1:] = table[new, :-1]
+        table[new, 0] = 0
+        table[np.arange(len(table)), np.where(new, 0, slot)] |= 1 << j
+        blocks = blocks[parent] + new
+    table.setflags(write=False)
+    return table
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def total_variation_bruteforce(mu: TMeasure, e: SetMask) -> Hyperbolic:
     """Total variation by explicit maximization over set partitions.
 
-    Independent oracle for :meth:`TMeasure.total_variation`: walks
-    every partition of the subset and takes the componentwise supremum
-    of the partition sums of |mu(block)|_D.
+    Independent oracle for :meth:`TMeasure.total_variation`: it sums
+    |mu(block)|_D over the blocks of every partition of the subset and
+    takes the componentwise maximum. Every block sum is an entry of
+    :func:`subset_sums` (the ascending left fold), and each partition adds
+    its block moduli in ``set_partitions`` order from +0.0, so a finite
+    answer has the bits of that scalar walk. A component that is NaN in
+    any partition sum is NaN, whatever the order of the partitions.
+
+    The partition table of each subset size stays cached: about 2.8 MB
+    for all sizes through 10 atoms, 15 MB at 11 and 101 MB at 12.
 
     Raises
     ------
@@ -381,26 +406,12 @@ def total_variation_bruteforce(mu: TMeasure, e: SetMask) -> Hyperbolic:
     indices = list(e.indices())
     if len(indices) > PARTITION_CAP:
         raise ValueError(f"subset too large for partition enumeration (> {PARTITION_CAP})")
-    if not indices:
-        return Hyperbolic(0.0, 0.0)
-    # Python complex adds with the bits of numpy's complex128 at a
-    # fraction of the cost; the modulus stays np.abs (see total_variation).
-    m1 = mu.e1.tolist()
-    m2 = mu.e2.tolist()
-    best: list[Hyperbolic] = []
-    for partition in set_partitions(indices):
-        u = 0.0
-        v = 0.0
-        for block in partition:
-            s1 = 0j
-            s2 = 0j
-            for i in block:
-                s1 += m1[i]
-                s2 += m2[i]
-            u += float(np.abs(s1))
-            v += float(np.abs(s2))
-        best.append(Hyperbolic(u, v))
-    return sup_d(best)
+    table = _partition_table(len(indices))
+    moduli = np.abs(subset_sums(mu.c[:, indices]))
+    sums = np.zeros((2, len(table)))
+    for column in table.T:
+        sums += moduli[:, column]
+    return Hyperbolic(*sums.max(axis=1).tolist())
 
 
 def variation_measure(mu: TMeasure) -> TMeasure:

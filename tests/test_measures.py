@@ -1,5 +1,7 @@
 """Measure tables: set values, kinds, variation, domination, normalization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypmeasure import (
     FiniteSpace,
     Hyperbolic,
     MeasureKind,
+    SetMask,
     TFunction,
     TMeasure,
     abs_continuous,
@@ -18,10 +21,13 @@ from hypmeasure import (
     integrate,
     normalize_to_probability,
     probability_variant,
+    set_partitions,
     subset_sums,
+    sup_d,
     total_variation_bruteforce,
     variation_measure,
 )
+from hypmeasure import generators as gen
 
 
 @pytest.fixture
@@ -205,9 +211,73 @@ class TestTotalVariation:
             assert mu.total_variation(e) == total_variation_bruteforce(mu, e)
 
     def test_bruteforce_cap(self):
+        # 13 atoms raise before any partition table is looked up or built.
         big = FiniteSpace(tuple(f"x{i}" for i in range(13)))
+        before = measures_mod._partition_table.cache_info()
         with pytest.raises(ValueError, match="partition"):
             total_variation_bruteforce(TMeasure.zero(big), big.full())
+        after = measures_mod._partition_table.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_empty_set_is_positive_zero(self, space):
+        mu = TMeasure.from_atoms(space, {"a": Bicomplex(3 + 4j, -2), "b": Bicomplex(-1, 1j)})
+        tv = total_variation_bruteforce(mu, space.empty())
+        assert tv == Hyperbolic(0, 0)
+        assert tv.e1.hex() == tv.e2.hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_partition_table_rows_are_set_partitions(self, k):
+        table = measures_mod._partition_table(k)
+        want = [
+            [sum(1 << i for i in block) for block in p] + [0] * (k - len(p))
+            for p in set_partitions(range(k))
+        ]
+        assert table.dtype == np.int16 and not table.flags.writeable
+        assert table.tolist() == want
+
+    def test_partition_table_has_bell_many_rows(self):
+        bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
+        for k, rows in enumerate(bell):
+            assert measures_mod._partition_table(k).shape == (rows, k)
+
+    @pytest.mark.parametrize("mode", ["integer", "dyadic", "float"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_scalar_walk_bitwise(self, n, mode):
+        rng = np.random.default_rng([n, len(mode)])
+        space = gen.make_space(n)
+        for draw in range(6):
+            mu = gen.gen_t_measure(rng, space, mode)
+            if draw % 2:
+                # Masses far apart in scale, up and down to 1e+-300.
+                mu = TMeasure(space, *(mu.c * 10.0 ** rng.choice([-300, 0, 300], size=n)))
+            e = space.subset_of_indices(np.flatnonzero(rng.random(n) < 0.8).tolist())
+            got = total_variation_bruteforce(mu, e)
+            want = _partition_walk(mu, e)
+            assert (got.e1.hex(), got.e2.hex()) == (want.e1.hex(), want.e2.hex())
+
+    def test_a_nan_partition_sum_makes_the_component_nan(self):
+        # The one-block partition comes first: its e1 modulus is
+        # hypot(NaN, -inf) = inf, and the walk's max kept it, skipping the
+        # NaN of the singletons. The maximum over the array keeps the NaN,
+        # as the closed form does.
+        space = FiniteSpace(("a", "b"))
+        mu = TMeasure(space, [complex(np.nan, 0.0), complex(1.0, -np.inf)], [1.0, 2.0])
+        assert _partition_walk(mu, space.full()) == Hyperbolic(np.inf, 3.0)
+        for tv in (total_variation_bruteforce(mu, space.full()), mu.total_variation(space.full())):
+            assert math.isnan(tv.e1) and tv.e2 == 3.0
+
+    def test_masses_near_the_float_limit_warn_nothing(self):
+        # Block sums and moduli overflow to inf, as the walk's do, without
+        # a warning (pyproject.toml makes one an error).
+        space = FiniteSpace(("a", "b", "c", "d"))
+        big = 1.7e308
+        mu = TMeasure(space, [big, big, -big, -big], [big * (1 + 1j), big, big, big])
+        for bits in range(16):
+            e = SetMask(space, bits)
+            got = total_variation_bruteforce(mu, e)
+            want = _partition_walk(mu, e)
+            assert (got.e1.hex(), got.e2.hex()) == (want.e1.hex(), want.e2.hex())
+        assert total_variation_bruteforce(mu, space.full()) == Hyperbolic(np.inf, np.inf)
 
     def test_variation_measure_agrees(self, space):
         mu = TMeasure.from_atoms(space, {"a": Bicomplex(3 + 4j, -2), "b": Bicomplex(-1, 1j)})
@@ -301,6 +371,33 @@ class TestNormalization:
         assert probability_variant(e2_only) == Hyperbolic(0, 1)
         with pytest.raises(ValueError):
             probability_variant(TMeasure.from_atoms(space, {"a": Bicomplex(2, 1)}))
+
+
+def _partition_walk(mu, e):
+    """The scalar partition walk, the reference for the array oracle
+    total_variation_bruteforce: per partition, in set_partitions order, each block's ascending sum,
+    its modulus and the running total from +0.0; then sup_d, whose max
+    keeps the first of the values that compare unordered."""
+    indices = list(e.indices())
+    if not indices:
+        return Hyperbolic(0.0, 0.0)
+    m1 = mu.e1.tolist()
+    m2 = mu.e2.tolist()
+    best = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for partition in set_partitions(indices):
+            u = 0.0
+            v = 0.0
+            for block in partition:
+                s1 = 0j
+                s2 = 0j
+                for i in block:
+                    s1 += m1[i]
+                    s2 += m2[i]
+                u += float(np.abs(s1))
+                v += float(np.abs(s2))
+            best.append(Hyperbolic(u, v))
+    return sup_d(best)
 
 
 def test_subset_sums_oracle():
