@@ -10,14 +10,13 @@ measurable partitions.
 from hypmeasure import (
     Bicomplex,
     FiniteSpace,
-    SetMask,
     TMeasure,
     total_variation_bruteforce,
     variation_measure,
 )
 
 # A finite measurable space is an ordered tuple of atom labels; every
-# subset is measurable and encoded as a bitmask.
+# subset is measurable and held as a boolean row over the atoms.
 space = FiniteSpace(("a", "b", "c"))
 print("space:", space.atoms, "with", 2**space.size, "measurable sets")
 
@@ -53,7 +52,7 @@ assert flip.total_variation(space.full()).e1 == 2.0
 # variation_measure packages |mu| as a measure again, and it
 # dominates: no subset's modulus exceeds its variation mass.
 var = variation_measure(mu)
-sub = SetMask(space, 0b011)
+sub = space.subset_of_labels(["a", "b"])
 print("|mu|({a,b}) =", var.of(sub))
 print("mu({a,b})   =", mu.of(sub), "with modulus", mu.of(sub).d_modulus())
 

@@ -16,8 +16,8 @@ Subcommands map one-to-one onto the library's operation families:
 
 Exit codes: 0 on success, 2 on schema or usage violations (with a
 dotted document location on stderr), 3 on internal invariant
-violations, a ``decompose`` check that is false, or failing
-verification suites (with a counterexample dump on stderr).
+violations, a check that is false, or failing verification suites
+(with a counterexample dump on stderr).
 
 Outputs are canonical JSON (sorted keys, two-space indent, trailing
 newline), so identical inputs and flags produce byte-identical bytes.
@@ -262,15 +262,16 @@ def _cmd_integrate(args: argparse.Namespace) -> dict:
     except ValueError as exc:
         raise SchemaError("input.function", str(exc)) from None
     mod = check_modulus_inequality(f, mu)
-    return {
-        "integral": bicomplex_to_obj(value),
-        "in_l1": True,
-        "modulus": {
-            "integral_modulus": hyperbolic_to_obj(mod.lhs),
-            "integral_of_modulus": hyperbolic_to_obj(mod.rhs),
-            "holds": mod.holds,
-        },
+    modulus = {
+        "integral_modulus": hyperbolic_to_obj(mod.lhs),
+        "integral_of_modulus": hyperbolic_to_obj(mod.rhs),
+        "holds": mod.holds,
     }
+    if not mod.holds:
+        raise InternalInvariantError(
+            "modulus inequality failed", {"modulus": modulus, "input": doc}
+        )
+    return {"integral": bicomplex_to_obj(value), "in_l1": True, "modulus": modulus}
 
 
 def _cmd_pushforward(args: argparse.Namespace) -> dict:

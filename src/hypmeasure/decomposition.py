@@ -170,9 +170,7 @@ def hahn(mu: TMeasure) -> HahnPartition:
         )
     pos1, pos2 = h.real > 0
     cells = (pos1 & pos2, ~pos1 & ~pos2, pos1 & ~pos2, ~pos1 & pos2)  # A, B, C, D
-    return HahnPartition(
-        *(mu.space.subset_of_indices(np.flatnonzero(flags)) for flags in cells)
-    )
+    return HahnPartition(*(SetMask(mu.space, flags) for flags in cells))
 
 
 # A side that overflows is inf, and an infinite mass can make it NaN;
@@ -212,10 +210,8 @@ def certify_hahn(mu: TMeasure, partition: HahnPartition) -> dict[str, bool]:
     x = _require_signed_d(mu)
     cells = (partition.A, partition.B, partition.C, partition.D)
     for cell in cells:
-        mu._check_mask(cell)
-    a, b, c, d = inside = np.zeros((4, mu.space.size), dtype=bool)
-    for row, cell in zip(inside, cells):
-        row[list(cell.indices())] = True
+        cell.check_space(mu.space)
+    a, b, c, d = (cell.member for cell in cells)
     # Component e1 takes its modulus on C, e2 on D.
     moduli = np.array((c, d))
     signs_ok = not ((moduli & (x > 0)).any(axis=1) & (moduli & (x < 0)).any(axis=1)).any()
@@ -231,7 +227,7 @@ def certify_hahn(mu: TMeasure, partition: HahnPartition) -> dict[str, bool]:
 
 def is_concentrated(lam: TMeasure, a: SetMask) -> bool:
     """True iff every atom outside ``a`` has zero mass in both components."""
-    lam._check_mask(a)
+    a.check_space(lam.space)
     return lam.support_mask().is_subset_of(a)
 
 

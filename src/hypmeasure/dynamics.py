@@ -80,12 +80,8 @@ class PointMap:
 
     def preimage(self, a: SetMask) -> SetMask:
         """The exact preimage mask f^{-1}(A)."""
-        if a.space != self.space:
-            raise ValueError("mask lives on a different space")
-        member = np.zeros(self.space.size, dtype=bool)
-        member[list(a.indices())] = True
-        hits = np.flatnonzero(member[self.image])
-        return self.space.subset_of_indices(hits.tolist())
+        a.check_space(self.space)
+        return SetMask(self.space, a.member[self.image])
 
     def pullback(self, phi: TFunction) -> TFunction:
         """The composition phi after this map."""
@@ -290,7 +286,7 @@ def _cycle_flags(image: np.ndarray) -> np.ndarray:
 def _cycles(image: np.ndarray, on_cycle: np.ndarray) -> list[list[int]]:
     """Cycles of the functional graph, ordered by smallest member."""
     step = image.tolist()
-    seen = bytearray(len(step))
+    seen = [False] * len(step)
     cycles: list[list[int]] = []
     for start in np.flatnonzero(on_cycle).tolist():
         if seen[start]:
@@ -298,7 +294,7 @@ def _cycles(image: np.ndarray, on_cycle: np.ndarray) -> list[list[int]]:
         cycle = []
         x = start
         while not seen[x]:
-            seen[x] = 1
+            seen[x] = True
             cycle.append(x)
             x = step[x]
         cycles.append(cycle)

@@ -61,10 +61,8 @@ class TFunction(AtomTable):
     @classmethod
     def indicator(cls, mask: SetMask) -> "TFunction":
         """Characteristic function of a subset, 1 on it and 0 off it."""
-        bits = np.zeros(mask.space.size, dtype=np.complex128)
-        for i in mask.indices():
-            bits[i] = 1.0
-        return cls(mask.space, bits, bits)
+        values = mask.member.astype(complex)
+        return cls(mask.space, values, values)
 
     def d_modulus(self) -> "TFunction":
         """Atomwise D-modulus; the result is D+-valued."""
@@ -137,8 +135,8 @@ def integrate(f: TFunction, mu: TMeasure, e: SetMask | None = None) -> Bicomplex
         On space mismatch, a non-D measure, or a non-integrable table.
     """
     _check_integrand(f, mu)
-    if e is not None and e.space != f.space:
-        raise ValueError("mask does not belong to the integrand's space")
+    if e is not None:
+        e.check_space(f.space)
     if not in_l1(f, mu):
         raise ValueError("function is not integrable against this measure")
     # The array product can differ from the scalar one only in the sign of

@@ -1,7 +1,8 @@
 """Finite measurable spaces with the power-set sigma-algebra.
 
 A space is an ordered tuple of distinct atom labels; a subset is a
-bitmask over the atom indices. On such a space every subset is
+read-only boolean row over its atoms, the form in which every measure,
+integral and Hahn cell reads it. On such a space every subset is
 measurable and sigma-additivity reduces to finite additivity, so
 measures can be stored as atom tables.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 import operator
 from typing import Iterable, Iterator, Sequence
@@ -17,11 +19,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 __all__ = ["FiniteSpace", "SetMask", "all_subsets", "set_partitions"]
-
-# Set bit positions of every byte value, ascending.
-_BYTE_BITS = tuple(
-    tuple(j for j in range(8) if b >> j & 1) for b in range(256)
-)
 
 
 @dataclass(frozen=True)
@@ -75,112 +72,112 @@ class FiniteSpace:
             raise ValueError(f"unknown atom label {label!r}") from None
 
     def empty(self) -> "SetMask":
-        return SetMask(self, 0)
+        return SetMask(self, np.zeros(self.size, dtype=bool))
 
     def full(self) -> "SetMask":
-        return SetMask(self, (1 << self.size) - 1)
+        return SetMask(self, np.ones(self.size, dtype=bool))
 
     def singleton(self, index: int) -> "SetMask":
-        if not 0 <= index < self.size:
-            raise ValueError("atom index out of range")
-        return SetMask(self, 1 << index)
+        return self.subset_of_indices((index,))
 
     def subset_of_labels(self, labels: Iterable[str]) -> "SetMask":
         return self.subset_of_indices(map(self.index_of, labels))
 
     def subset_of_indices(self, indices: Iterable[int]) -> "SetMask":
-        # Set bits in a byte buffer and convert once: OR-ing into a big
-        # int per member would copy the whole mask every time.
+        # Each index is range-checked as a Python int: numpy would wrap a
+        # negative one around.
         n = self.size
-        buf = bytearray((n + 7) >> 3)
+        member = np.zeros(n, dtype=bool)
         for i in map(operator.index, indices):
             if not 0 <= i < n:
                 raise ValueError("atom index out of range")
-            buf[i >> 3] |= 1 << (i & 7)
-        return SetMask(self, int.from_bytes(buf, "little"))
+            member[i] = True
+        return SetMask(self, member)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetMask:
-    """A subset of a finite space, stored as an integer bitmask.
+    """A subset of a finite space: ``member[i]`` is True iff atom i belongs to it.
 
-    Bit i is set iff atom i belongs to the subset.
+    ``member`` is a read-only boolean array with one entry per atom, a
+    copy of the one passed in. Masks compare by value, space included,
+    and like their rows they are unhashable.
     """
 
     space: FiniteSpace
-    bits: int
+    member: np.ndarray
 
     def __post_init__(self) -> None:
-        # Normalize numpy integers so the bit tricks below stay exact.
-        object.__setattr__(self, "bits", int(self.bits))
-        if not 0 <= self.bits < (1 << self.space.size):
-            raise ValueError("mask bits exceed the space width")
+        member = self.member
+        if getattr(member, "dtype", None) != np.bool_ or member.shape != (self.space.size,):
+            raise ValueError("a mask is a boolean array with one entry per atom")
+        member = member.copy()
+        member.setflags(write=False)
+        object.__setattr__(self, "member", member)
 
-    def indices(self) -> Iterator[int]:
-        """Yield member atom indices in ascending order.
+    __hash__ = None
 
-        One pass over the mask's bytes through a 256-entry table, so a
-        walk costs O(n) on an n-atom space. The low byte is read off the
-        int itself, which keeps walks on small spaces free of the byte
-        conversion.
-        """
-        bits = self.bits
-        yield from _BYTE_BITS[bits & 0xFF]
-        high = bits >> 8
-        if high:
-            base = 8
-            for byte in high.to_bytes((high.bit_length() + 7) >> 3, "little"):
-                if byte:
-                    for j in _BYTE_BITS[byte]:
-                        yield base + j
-                base += 8
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SetMask):
+            return NotImplemented
+        return self.space == other.space and bool((self.member == other.member).all())
+
+    def check_space(self, space: FiniteSpace) -> None:
+        """Refuse a mask that does not live on ``space``."""
+        if self.space != space:
+            raise ValueError("mask lives on a different space")
+
+    def indices(self) -> np.ndarray:
+        """Member atom indices, ascending."""
+        return np.flatnonzero(self.member)
 
     def labels(self) -> list[str]:
-        return [self.space.atoms[i] for i in self.indices()]
+        return list(compress(self.space.atoms, self.member.tolist()))
 
     def count(self) -> int:
-        return self.bits.bit_count()
+        return int(np.count_nonzero(self.member))
 
     def is_empty(self) -> bool:
-        return self.bits == 0
+        return not self.member.any()
 
     def contains(self, index: int) -> bool:
-        return bool((self.bits >> index) & 1)
+        if not 0 <= index < self.space.size:
+            raise ValueError("atom index out of range")
+        return bool(self.member[index])
 
     def complement(self) -> "SetMask":
-        return SetMask(self.space, self.space.full().bits ^ self.bits)
-
-    def _check_same_space(self, other: "SetMask") -> None:
-        if self.space != other.space:
-            raise ValueError("masks live on different spaces")
+        return SetMask(self.space, ~self.member)
 
     def union(self, other: "SetMask") -> "SetMask":
-        self._check_same_space(other)
-        return SetMask(self.space, self.bits | other.bits)
+        other.check_space(self.space)
+        return SetMask(self.space, self.member | other.member)
 
     def intersect(self, other: "SetMask") -> "SetMask":
-        self._check_same_space(other)
-        return SetMask(self.space, self.bits & other.bits)
+        other.check_space(self.space)
+        return SetMask(self.space, self.member & other.member)
 
     def difference(self, other: "SetMask") -> "SetMask":
-        self._check_same_space(other)
-        return SetMask(self.space, self.bits & ~other.bits)
+        other.check_space(self.space)
+        return SetMask(self.space, self.member & ~other.member)
 
     def is_subset_of(self, other: "SetMask") -> bool:
-        self._check_same_space(other)
-        return self.bits & ~other.bits == 0
+        other.check_space(self.space)
+        return not (self.member & ~other.member).any()
 
-    def __and__(self, other: "SetMask") -> "SetMask":
-        return self.intersect(other)
-
-    def __or__(self, other: "SetMask") -> "SetMask":
-        return self.union(other)
+    __and__ = intersect
+    __or__ = union
 
 
 def all_subsets(space: FiniteSpace) -> Iterator[SetMask]:
-    """Yield every subset of the space, empty set first."""
-    for bits in range(1 << space.size):
-        yield SetMask(space, bits)
+    """Yield every subset of the space, empty set first.
+
+    Subset m has the set bits of m as members, as entry m of
+    ``measures.subset_sums`` sums them. The rows come from one
+    (2**n, n) table, built before the first yield: O(n 2**n) memory.
+    """
+    n = space.size
+    for row in np.arange(1 << n)[:, None] >> np.arange(n) & 1 == 1:
+        yield SetMask(space, row)
 
 
 def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:

@@ -22,7 +22,6 @@ from hypmeasure import (
     Hyperbolic,
     PointMap,
     SchemaError,
-    SetMask,
     TFunction,
     TMeasure,
     bicomplex_to_obj,
@@ -163,7 +162,7 @@ class TestStructureCodec:
 
     def test_mask_sorted_and_round_trips(self):
         space = FiniteSpace(("a", "b", "c"))
-        mask = SetMask(space, 0b101)
+        mask = space.subset_of_indices([0, 2])
         assert mask_to_obj(mask) == ["a", "c"]
         assert parse_mask(["c", "a"], space) == mask
         with pytest.raises(SchemaError) as exc:
@@ -352,7 +351,7 @@ class TestCodecAtScale:
         mask = space.subset_of_indices(members)
         again = parse_mask(json.loads(json.dumps(mask_to_obj(mask))), space)
         assert again == mask
-        assert list(again.indices()) == members
+        assert again.indices().tolist() == members
 
 
 # Largest int that float() rounds into the float range: 2**1024 - 2**970
@@ -1219,6 +1218,38 @@ class TestCliIntegrate:
         assert doc["in_l1"] is True
         assert doc["modulus"]["holds"] is True
         assert doc["modulus"]["integral_of_modulus"] == {"e1": 2.0, "e2": 2.0}
+
+    def test_false_modulus_check_exits_3(self, monkeypatch):
+        # Positive values make the modulus inequality a tie. Inflating the
+        # integral of the parsed function, as test_scale._inflate does,
+        # puts its left side above its right: the check reads false.
+        import hypmeasure.cli as cli_mod
+        import hypmeasure.integration as integration_mod
+
+        doc = {
+            "space": {"atoms": ["a", "b"]},
+            "measure": {"a": {"e1": [1, 0], "e2": [2, 0]}, "b": {"e1": [3, 0], "e2": [1, 0]}},
+            "function": {"a": {"e1": [2, 0], "e2": [1, 0]}, "b": {"e1": [1, 0], "e2": [5, 0]}},
+        }
+        code, out, err = _main_on_stdin(["integrate"], json.dumps(doc))
+        assert code == 0 and json.loads(out)["modulus"]["holds"] is True, err
+        parsed, parse = [], cli_mod.parse_function
+        monkeypatch.setattr(
+            cli_mod, "parse_function", lambda *args: parsed.append(parse(*args)) or parsed[-1]
+        )
+        real = integration_mod.integrate
+
+        def integrate(h, m, e=None):
+            value = real(h, m, e)
+            return value * 1.1 if any(h is v for v in parsed) else value
+
+        monkeypatch.setattr(integration_mod, "integrate", integrate)
+        code, out, err = _main_on_stdin(["integrate"], json.dumps(doc))
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "internal invariant violation"
+        assert payload["payload"]["modulus"]["holds"] is False
+        assert payload["payload"]["input"] == doc
 
     def test_dct_run(self, tmp_path, capsys):
         space = {"atoms": ["a", "b"]}

@@ -1,9 +1,15 @@
-"""Finite spaces, bitmask subsets, and set-partition enumeration."""
+"""Finite spaces, boolean-row subsets, and set-partition enumeration."""
 
 import numpy as np
 import pytest
 
-from hypmeasure import FiniteSpace, SetMask, all_subsets, set_partitions
+from hypmeasure import FiniteSpace, SetMask, all_subsets, set_partitions, subset_sums
+from hypmeasure.measures import _masked_sum
+
+
+def _row(n, members):
+    """The boolean row of length n that is True exactly at ``members``."""
+    return np.isin(np.arange(n), list(members))
 
 
 @pytest.fixture
@@ -24,8 +30,8 @@ class TestFiniteSpace:
             space.index_of("zz")
 
     def test_builders(self, space):
-        assert space.empty().bits == 0
-        assert space.full().bits == 0b1111
+        assert space.empty().member.tolist() == [False] * 4
+        assert space.full().member.tolist() == [True] * 4
         assert space.singleton(2).labels() == ["c"]
         assert space.subset_of_labels(["d", "a"]).labels() == ["a", "d"]
         assert space.subset_of_indices([3, 1]).labels() == ["b", "d"]
@@ -35,50 +41,100 @@ class TestFiniteSpace:
 
 class TestSetMask:
     def test_indices_ascending(self, space):
-        m = SetMask(space, 0b1011)
-        assert list(m.indices()) == [0, 1, 3]
+        m = SetMask(space, _row(4, [0, 1, 3]))
+        assert isinstance(m.indices(), np.ndarray)
+        assert m.indices().tolist() == [0, 1, 3]
         assert m.labels() == ["a", "b", "d"]
         assert m.count() == 3
 
     def test_numpy_bits_accepted(self, space):
-        m = SetMask(space, np.int64(0b101))
-        assert list(m.indices()) == [0, 2]
-        assert isinstance(m.bits, int)
+        # A row computed by numpy, and numpy integer indices, build the mask.
+        m = SetMask(space, np.arange(4) % 2 == 0)
+        assert m.indices().tolist() == [0, 2]
+        assert space.subset_of_indices(np.array([2, 0], dtype=np.int64)) == m
+        assert space.subset_of_indices([np.int64(0), np.int32(2)]) == m
 
     def test_bounds(self, space):
+        for bad in ([-1], [4], [0, 4]):
+            with pytest.raises(ValueError, match="out of range"):
+                space.subset_of_indices(bad)
+        with pytest.raises(ValueError, match="out of range"):
+            space.singleton(-1)
+        with pytest.raises(ValueError, match="out of range"):
+            space.singleton(4)
+        m = space.singleton(3)
+        for bad in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                m.contains(bad)
+
+    def test_constructor_takes_only_a_boolean_row(self, space):
+        for bad in (0b0101, np.array([1, 0, 1, 0]), np.zeros(3, dtype=bool),
+                    np.zeros((1, 4), dtype=bool), [True, False, True, False]):
+            with pytest.raises(ValueError, match="boolean array"):
+                SetMask(space, bad)
+        row = _row(4, [1])
+        m = SetMask(space, row)
+        row[0] = True
+        assert m.indices().tolist() == [1]
+        assert not m.member.flags.writeable
         with pytest.raises(ValueError):
-            SetMask(space, 1 << 4)
-        with pytest.raises(ValueError):
-            SetMask(space, -1)
+            m.member[0] = True
+        with pytest.raises(AttributeError):
+            m.member = row
+
+    def test_equality_by_value(self, space):
+        a = space.subset_of_indices([0, 2])
+        assert a == SetMask(space, _row(4, [2, 0]))
+        assert a == FiniteSpace(space.atoms).subset_of_indices([2, 0])
+        assert a != space.subset_of_indices([0])
+        # Same row, another space: not equal, and no error.
+        assert a != FiniteSpace(("x", "y", "z", "w")).subset_of_indices([0, 2])
+        assert a != [0, 2]
+        with pytest.raises(TypeError):
+            hash(a)
 
     def test_algebra(self, space):
-        a = SetMask(space, 0b0011)
-        b = SetMask(space, 0b0110)
-        assert (a | b).bits == 0b0111
-        assert (a & b).bits == 0b0010
-        assert a.union(b).bits == 0b0111
-        assert a.intersect(b).bits == 0b0010
-        assert a.difference(b).bits == 0b0001
-        assert a.complement().bits == 0b1100
+        a = SetMask(space, _row(4, [0, 1]))
+        b = SetMask(space, _row(4, [1, 2]))
+        assert (a | b).indices().tolist() == [0, 1, 2]
+        assert (a & b).indices().tolist() == [1]
+        assert a.union(b).indices().tolist() == [0, 1, 2]
+        assert a.intersect(b).indices().tolist() == [1]
+        assert a.difference(b).indices().tolist() == [0]
+        assert a.complement().indices().tolist() == [2, 3]
         assert a.is_subset_of(a | b)
         assert not a.is_subset_of(b)
 
     def test_contains_and_empty(self, space):
-        m = SetMask(space, 0b0100)
+        m = SetMask(space, _row(4, [2]))
         assert m.contains(2) and not m.contains(0)
         assert space.empty().is_empty()
         assert not m.is_empty()
 
     def test_cross_space_mix_rejected(self, space):
         other = FiniteSpace(("x", "y", "z", "w"))
-        with pytest.raises(ValueError):
-            SetMask(space, 1).union(SetMask(other, 1))
+        with pytest.raises(ValueError, match="different space"):
+            space.singleton(0).union(other.singleton(0))
 
 
 def test_all_subsets_counts(space):
     subsets = list(all_subsets(space))
     assert len(subsets) == 16
-    assert len({m.bits for m in subsets}) == 16
+    assert len({tuple(m.indices().tolist()) for m in subsets}) == 16
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_all_subsets_follow_subset_sums_order(n):
+    space = _space(n)
+    values = np.random.default_rng(n).normal(size=(2, n)) + 0j
+    sums = subset_sums(values)
+    count = 0
+    for m, e in enumerate(all_subsets(space)):
+        assert e.indices().tolist() == _members(m, n)
+        # Column m of subset_sums sums the same atoms, in the same order.
+        np.testing.assert_array_equal(_sum_loop(values, e.indices()), sums[:, m])
+        count += 1
+    assert count == 1 << n
 
 
 def _partitions_oracle(items):
@@ -129,36 +185,64 @@ def _members(bits, n):
     return [i for i in range(n) if bits >> i & 1]
 
 
+def _sum_loop(values, indices):
+    # The scalar ascending loop from +0.0 over each row's set atoms.
+    out = []
+    for row in values:
+        s = 0.0
+        for i in indices:
+            s += row[i]
+        out.append(s)
+    return np.array(out, dtype=values.dtype)
+
+
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 1000])
 def test_indices_match_reference_walk(n):
     space = _space(n)
     rng = np.random.default_rng(n)
+    sets = [set(), set(range(n)), {n - 1}]
+    sets += [set(np.flatnonzero(rng.random(n) < p).tolist()) for p in (0.05, 0.5, 0.95)]
     masks = [space.empty(), space.full(), space.singleton(n - 1)]
-    masks += [
-        space.subset_of_indices(np.flatnonzero(rng.random(n) < p).tolist())
-        for p in (0.05, 0.5, 0.95)
-    ]
-    for m in masks:
-        assert list(m.indices()) == _members(m.bits, n)
-        assert m.labels() == [space.atoms[i] for i in _members(m.bits, n)]
+    masks += [space.subset_of_indices(members) for members in sets[3:]]
+    for members, m in zip(sets, masks):
+        # Reference: every position in ascending order, tested against the set.
+        want = [i for i in range(n) if i in members]
+        assert m.indices().tolist() == want
+        assert m.labels() == [space.atoms[i] for i in want]
+        assert m.count() == len(members)
 
 
 @pytest.mark.parametrize("n", [1, 8, 9, 64, 65, 1000])
 def test_mask_builders_set_exactly_the_members(n):
     space = _space(n)
     rng = np.random.default_rng(n)
-    members = sorted(set(rng.integers(0, n, size=n // 2 + 1).tolist()))
-    want = sum(1 << i for i in members)
-    assert space.subset_of_indices(members).bits == want
-    assert space.subset_of_indices(reversed(members)).bits == want
-    # numpy integers past bit 63 must not wrap
-    assert space.subset_of_indices(np.array(members)).bits == want
+    chosen = set(rng.integers(0, n, size=n // 2 + 1).tolist())
+    members = sorted(chosen)
+    want = [i in chosen for i in range(n)]
+    assert space.subset_of_indices(members).member.tolist() == want
+    assert space.subset_of_indices(reversed(members)).member.tolist() == want
+    # numpy integers past position 63 land where plain ints do
+    assert space.subset_of_indices(np.array(members)).member.tolist() == want
     labels = [space.atoms[i] for i in members]
-    assert space.subset_of_labels(labels).bits == want
-    assert space.subset_of_indices([]).bits == 0
+    assert space.subset_of_labels(labels).member.tolist() == want
+    assert space.subset_of_indices([]).member.tolist() == [False] * n
     with pytest.raises(ValueError, match="out of range"):
         space.subset_of_indices(members + [n])
     with pytest.raises(ValueError, match="out of range"):
         space.subset_of_indices([-1])
     with pytest.raises(ValueError, match="unknown atom label 'zz'"):
         space.subset_of_labels(labels + ["zz"])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 1000, 10_000])
+def test_masked_sum_is_the_ascending_scalar_loop(n):
+    space = _space(n)
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-3, 4, size=(2, n))
+    values = values + 1j * rng.normal(size=(2, n))
+    sets = [space.empty(), space.full()]
+    sets += [space.subset_of_indices(np.flatnonzero(rng.random(n) < p)) for p in (0.1, 0.5, 0.9)]
+    for e in sets:
+        got = _masked_sum(values, e)
+        want = _sum_loop(values, e.indices().tolist())
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
