@@ -41,6 +41,7 @@ from numpy.random import default_rng
 from . import generators as gen_mod
 from .codec import (
     _as_float,
+    _parse_functions,
     _parse_table,
     bicomplex_to_obj,
     dumps_canonical,
@@ -156,7 +157,7 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         )
     space = mu.space
     if isinstance(doc, dict) and "reference" in doc:
-        ref = TMeasure(space, *_parse_table(doc["reference"], space, "input.reference"))
+        ref = _parse_table(doc["reference"], space, "input.reference", TMeasure)
         if not ref.is_d_measure():
             raise SchemaError("input.reference", "reference must be a D-measure")
     else:
@@ -221,16 +222,15 @@ def _cmd_integrate(args: argparse.Namespace) -> dict:
             raise SchemaError(
                 "input.sequence", "expected a nonempty list of functions"
             )
-        seq = [
-            parse_function(item, f"input.sequence[{i}]", space)
-            for i, item in enumerate(seq_obj)
-        ]
+        # Terms, limit and dominator in one pass; a missing end is named after the terms parse.
+        ends = [doc[key] for key in ("limit", "dominator") if key in doc]
+        locs = [f"input.sequence[{i}]" for i in range(len(seq_obj))] + ["input.limit", "input.dominator"]
+        fns = _parse_functions(seq_obj + ends if len(ends) == 2 else seq_obj, locs, space)
         if "limit" not in doc:
             raise SchemaError("input.limit", "missing limit function")
         if "dominator" not in doc:
             raise SchemaError("input.dominator", "missing dominating function")
-        limit = parse_function(doc["limit"], "input.limit", space)
-        dominator = parse_function(doc["dominator"], "input.dominator", space)
+        *seq, limit, dominator = fns
         tol = doc.get("tol", 1e-9)
         if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
             raise SchemaError("input.tol", "expected a positive number")

@@ -350,8 +350,8 @@ def mask_to_obj(mask: SetMask) -> list[str]:
     return sorted(mask.labels())
 
 
-def _parse_table(body: Any, space: FiniteSpace, loc: str) -> np.ndarray:
-    """The (2, n) complex table of a label-to-bicomplex object at ``loc``.
+def _parse_table(body: Any, space: FiniteSpace, loc: str, cls: type) -> AtomTable:
+    """The ``cls`` table of a label-to-bicomplex object at ``loc``, over its parsed array.
 
     Omitted atoms are ``0j``. The body is checked by whole columns, one
     pass per check over C-level iterators: labels against the space's
@@ -361,14 +361,14 @@ def _parse_table(body: Any, space: FiniteSpace, loc: str) -> np.ndarray:
     names the first bad node; it never builds a table.
     """
     body = _require_dict(body, loc)
-    c = _table_columns(body, space)
+    c = _table_columns([body], space)
     if c is None:
         for label, value in body.items():
             if label not in space._index:
                 raise SchemaError(f"{loc}.{label}", "unknown atom label")
             _parse_components(value, f"{loc}.{label}")
         raise InternalInvariantError(f"{loc}: a valid table failed its column check")
-    return c
+    return cls._views(space, c)[0]
 
 
 _E1 = operator.itemgetter("e1")
@@ -384,20 +384,21 @@ def _all_of(items, cls) -> bool:
     return all(issubclass(t, cls) for t in types)
 
 
-def _table_columns(body: dict, space: FiniteSpace) -> np.ndarray | None:
-    """The table of ``body`` if every column check passes, else None."""
-    c = np.zeros((2, space.size), dtype=np.complex128)
-    if not body:
-        return c
-    idx = list(map(space._index.get, body))
-    values = list(body.values())
-    if None in idx or not _all_of(values, dict) or set(map(len, values)) != {2}:
+def _table_columns(bodies: list, space: FiniteSpace) -> np.ndarray | None:
+    """The (K, 2, n) stack of K bodies' tables if every column check passes, else None."""
+    if not _all_of(bodies, dict):
+        return None
+    n = space.size
+    c = np.zeros((len(bodies), 2, n), dtype=np.complex128)
+    idx = list(map(space._index.get, chain.from_iterable(bodies)))
+    values = list(chain.from_iterable(map(dict.values, bodies)))
+    if None in idx or not _all_of(values, dict) or set(map(len, values)) - {2}:
         return None
     try:
         pairs = list(map(_E1, values)) + list(map(_E2, values))
     except KeyError:
         return None
-    if not _all_of(pairs, list) or set(map(len, pairs)) != {2}:
+    if not _all_of(pairs, list) or set(map(len, pairs)) - {2}:
         return None
     parts = list(chain.from_iterable(pairs))
     # Numbers are int or float but not bool, as in _require_number.
@@ -411,10 +412,14 @@ def _table_columns(body: dict, space: FiniteSpace) -> np.ndarray | None:
         return None
     if not np.isfinite(z).all():
         return None
-    # [re, im, re, im, ...]: the e1 values of the body's atoms, then e2.
+    # [re, im, ...]: e1 values, then e2; body k's rows start 2n * k into the stack.
+    if len(bodies) > 1:
+        offsets = np.repeat(np.arange(0, 2 * n * len(bodies), 2 * n), list(map(len, bodies)))
+        idx = offsets + np.array(idx, dtype=np.intp)
     z = z.view(np.complex128)
-    c[0].put(idx, z[: len(idx)])
-    c[1].put(idx, z[len(idx) :])
+    flat = c.reshape(-1)
+    flat.put(idx, z[: len(idx)])
+    flat[n:].put(idx, z[len(idx) :])
     return c
 
 
@@ -482,7 +487,7 @@ def parse_measure(
     data: entries may be stricter than the hint but never looser.
     """
     obj, space, body = _parse_document(obj, loc, space, "measure")
-    mu = TMeasure(space, *_parse_table(body, space, f"{loc}.measure"))
+    mu = _parse_table(body, space, f"{loc}.measure", TMeasure)
     hint = obj.get("kind_hint")
     if hint is not None:
         if not isinstance(hint, str) or hint not in _KIND_BY_HINT:
@@ -509,7 +514,18 @@ def parse_function(
     obj: Any, loc: str = "function", space: FiniteSpace | None = None
 ) -> TFunction:
     _, space, body = _parse_document(obj, loc, space, "function")
-    return TFunction(space, *_parse_table(body, space, f"{loc}.function"))
+    return _parse_table(body, space, f"{loc}.function", TFunction)
+
+
+def _parse_functions(objs: list, locs: list[str], space: FiniteSpace) -> list[TFunction]:
+    """``parse_function`` of each document; those without their own ``space`` are views
+    of one column pass. If it fails a check, parsing each alone names the first bad node."""
+    alone = [not isinstance(o, dict) or "space" in o for o in objs]
+    stack = _table_columns([o.get("function") for o, a in zip(objs, alone) if not a], space)
+    if stack is None:
+        return [parse_function(o, loc, space) for o, loc in zip(objs, locs)]
+    views = iter(TFunction._views(space, stack))
+    return [parse_function(o, loc, space) if a else next(views) for o, loc, a in zip(objs, locs, alone)]
 
 
 def map_to_obj(f: PointMap) -> dict:

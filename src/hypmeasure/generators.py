@@ -239,8 +239,6 @@ def gen_dct_instance(
     # consume, in that order: term by term, e1 before e2.
     theta = rng.uniform(0.0, 2.0 * np.pi, size=(n_terms, 2, n))
     noise = 0.9 * np.exp(1j * theta)
-    seq = [
-        TFunction(space, *(f.c + (g_rows / k) * noise[k - 1]))
-        for k in range(1, n_terms + 1)
-    ]
-    return seq, f, g, dominator, mu
+    # Term k is f + (g / k) * noise[k - 1]; one broadcast gives each term's own bits.
+    k = np.arange(1.0, n_terms + 1.0)[:, None, None]
+    return TFunction._views(space, f.c + (g_rows / k) * noise), f, g, dominator, mu

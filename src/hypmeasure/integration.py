@@ -280,9 +280,9 @@ def dct_run(
         # |f_n - f|_D is real, so the l1 sums of the gaps are their
         # integrals: a real product is the real part of the complex one
         # integrate would form.
-        ints = _ascending_sum(rows * m).tolist()
-    l1_trace = tuple(Hyperbolic(u, v) for u, v in gap_l1.tolist())
-    *integral_trace, limit_int = (Bicomplex(w1, w2) for w1, w2 in ints)
+        ints = _ascending_sum(rows * m)
+    l1_trace = tuple(map(Hyperbolic, *gap_l1.T.tolist()))
+    *integral_trace, limit_int = map(Bicomplex, *ints.T.tolist())
 
     final_gap = l1_trace[-1]
     bound = Hyperbolic(tol, tol)

@@ -142,11 +142,22 @@ class AtomTable:
         if c is None or c.shape != (2, space.size):
             raise ValueError("component arrays must have one entry per atom")
         c.setflags(write=False)
+        self._bind(space, c)
+
+    def _bind(self, space: FiniteSpace, c: np.ndarray) -> "AtomTable":
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "e1", c[0])
         object.__setattr__(self, "e2", c[1])
         object.__setattr__(self, "_kind", None)
+        return self
+
+    @classmethod
+    def _views(cls, space: FiniteSpace, stack: np.ndarray) -> list:
+        """A table over each (2, n) row pair of a complex (K, 2, n) array that
+        owns its data, without a copy; the array becomes read-only."""
+        stack.setflags(write=False)
+        return [object.__new__(cls)._bind(space, c) for c in stack]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -471,7 +482,7 @@ def probability_variant(mu: TMeasure) -> Hyperbolic:
 
     Returns the exact variant constant the total matches within the
     absolute slack ``_VARIANT_SLACK`` (1e-12), which admits hand-rounded
-    totals.
+    totals, plus the rounding bound of its n-term sum.
 
     Raises
     ------
@@ -481,8 +492,11 @@ def probability_variant(mu: TMeasure) -> Hyperbolic:
     """
     if not mu.is_d_measure():
         raise ValueError("a D-probability must be a D-measure")
-    t = mu.total().as_hyperbolic()
+    t1, t2 = _masked_sum(mu.c.real).tolist()
+    n = mu.space.size
+    # The fold errors of n equal masses all lean one way: allow their rounding bound.
+    bound = {v: _VARIANT_SLACK + _slack(n, v, n) for v in (0.0, 1.0)}
     for variant in _VARIANTS:
-        if t.isclose(variant, _VARIANT_SLACK):
+        if abs(t1 - variant.e1) <= bound[variant.e1] and abs(t2 - variant.e2) <= bound[variant.e2]:
             return variant
     raise ValueError("total mass is not e1+e2, e1 or e2")

@@ -5,7 +5,7 @@ e1*e2 = 0 and e1 + e2 = 1, so addition and multiplication act
 componentwise on the pair of coefficients. A :class:`Hyperbolic`
 number has real coefficients, a :class:`Bicomplex` number has complex
 ones; both inherit that componentwise arithmetic, with moduli, zero
-tests, closeness and reprs, from one private core class. The
+tests and reprs, from one private core class. The
 hyperbolic unit j equals e1 - e2.
 
 All values are immutable and every function here is pure, so the whole
@@ -91,10 +91,6 @@ class _Idempotent:
     def d_modulus(self) -> "Hyperbolic":
         """Componentwise modulus |w1|*e1 + |w2|*e2; lands in D+."""
         return Hyperbolic(abs(self.e1), abs(self.e2))
-
-    def isclose(self, other, tol: float = 1e-12) -> bool:
-        """Componentwise closeness within an absolute tolerance."""
-        return abs(self.e1 - other.e1) <= tol and abs(self.e2 - other.e2) <= tol
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.e1!r}, {self.e2!r})"

@@ -72,10 +72,16 @@ class FiniteSpace:
             raise ValueError(f"unknown atom label {label!r}") from None
 
     def empty(self) -> "SetMask":
-        return SetMask(self, np.zeros(self.size, dtype=bool))
+        return self._trivial_masks[0]
 
     def full(self) -> "SetMask":
-        return SetMask(self, np.ones(self.size, dtype=bool))
+        return self._trivial_masks[1]
+
+    @cached_property
+    def _trivial_masks(self) -> tuple["SetMask", "SetMask"]:
+        """The empty and the full mask, built once: masks are immutable."""
+        member = np.zeros(self.size, dtype=bool)
+        return SetMask(self, member), SetMask(self, ~member)
 
     def singleton(self, index: int) -> "SetMask":
         return self.subset_of_indices((index,))

@@ -42,7 +42,8 @@ from hypmeasure import (
 )
 from hypmeasure import generators as gen_mod
 from hypmeasure.cli import GEN_KINDS, build_parser, main
-from hypmeasure.codec import _SMALL_TABLE, table_to_obj
+from hypmeasure.codec import _SMALL_TABLE, _parse_functions, table_to_obj
+from hypmeasure.integration import dct_run
 from hypmeasure.measures import AtomTable
 import hypmeasure.verify as verify_mod
 
@@ -524,6 +525,40 @@ class TestColumnParse:
         assert _parse_function_body(body, space) == (
             f"f.function.{label}.e2[1]", "expected a finite number"
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([1, 23, 24]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 6),
+        mutation=st.sampled_from([None] + sorted(_ATOM_MUTATIONS)),
+        data=st.data(),
+    )
+    def test_documents_parsed_together_give_each_ones_parse(self, n, seed, k, mutation, data):
+        # Several function documents in one column pass: each row of the
+        # stack has its own per-atom bits, and a malformed body is named
+        # at its first bad node in document order.
+        rng = np.random.default_rng(seed)
+        space = gen_mod.make_space(n)
+        bodies = [_random_body(rng, space) for _ in range(k)]
+        if mutation is not None:
+            body = bodies[data.draw(st.integers(0, k - 1), label="document")]
+            label = space.atoms[0] if not body else list(body)[-1]
+            body[label] = _ATOM_MUTATIONS[mutation](body.get(label, {"e1": [1, 0], "e2": [0, 1]}))
+        bodies = json.loads(json.dumps(bodies))
+        locs = [f"f[{i}]" for i in range(k)]
+        want = [_per_atom_table(b, space, f"{loc}.function") for b, loc in zip(bodies, locs)]
+        docs = [{"function": b} for b in bodies]
+        got = _parse_outcome(lambda: _parse_functions(docs, locs, space))
+        errors = [w for w in want if isinstance(w, tuple)]
+        if errors:
+            assert got == errors[0]
+        else:
+            assert len(got) == k and all(_same_table(fn.c, w) for fn, w in zip(got, want))
+            # The rows of one read-only stack: the column pass took them all.
+            stack = got[0].c.base
+            assert stack is not None and stack.shape == (k, 2, n) and not stack.flags.writeable
+            assert all(fn.c.base is stack for fn in got)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -1442,6 +1477,53 @@ class TestCliIntegrate:
             "message": "expected a finite number",
         }
 
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            # A later bad node is not named.
+            ("bad node in term 3 of 16", ("input.sequence[3].function.x1.e2[1]", "expected a number")),
+            ("bad node in the dominator", ("input.dominator.function.x2", "expected exactly the keys e1 and e2")),
+            ("terms omit atoms", None),
+            ("a term with its own equal space", None),
+            ("a term on another space", ("input", "sequence terms live on different spaces")),
+            # Terms with a space of their own are parsed alone, in document order.
+            ("bad node after a term with its own space", ("input.sequence[9].function.x3", "expected an object")),
+            ("bad node in a term with its own space", ("input.sequence[2].function.x0.e1", "expected [re, im]")),
+        ],
+    )
+    def test_dct_functions_parse_as_each_one_alone(self, case, error):
+        doc = json.loads(json.dumps(_dct_document(np.random.default_rng(3), gen_mod.make_space(5), 16)))
+        doc["tol"] = 1.0
+        seq = doc["sequence"]
+        if case == "bad node in term 3 of 16":
+            seq[3]["function"]["x1"]["e2"][1] = "0"
+            seq[12]["function"]["x0"] = None
+        elif case == "bad node in the dominator":
+            del doc["dominator"]["function"]["x2"]["e1"]
+        elif case == "terms omit atoms":
+            for k, term in enumerate(seq):
+                del term["function"][f"x{k % 5}"]
+            seq[7]["function"] = {}
+        elif case == "a term on another space":
+            seq[5]["space"] = {"atoms": doc["space"]["atoms"][:4]}
+            del seq[5]["function"]["x4"]
+        elif case == "a term with its own equal space":
+            seq[5]["space"] = doc["space"]
+        else:
+            # Term 2 has its own space; term 9, without one, is bad.
+            seq[2]["space"] = doc["space"]
+            seq[9]["function"]["x3"] = [1.0, 0.0]
+            if case == "bad node in a term with its own space":
+                seq[2]["function"]["x0"]["e1"] = 1.0
+        code, out, err = _main_on_stdin(["integrate"], json.dumps(doc))
+        if error is None:
+            assert (code, out, err) == (0, _dct_by_term(doc), "")
+        else:
+            assert (code, out) == (2, "")
+            assert json.loads(err) == {
+                "error": "schema violation", "location": error[0], "message": error[1],
+            }
+
 
 class TestCliDynamics:
     def test_pushforward_iterations(self, tmp_path, capsys):
@@ -1525,6 +1607,18 @@ class TestCliDynamics:
         assert doc["converged"] is True and doc["burn_in"] == 0
         assert len(doc["basis"]) == 1 and len(doc["basis"][0]) == n
 
+    @pytest.mark.parametrize("command, n", [("find-invariant", 37_669), ("pushforward", 10**5)])
+    def test_uniform_probability_at_scale(self, command, n):
+        # The ascending sum of n masses 1/n misses 1 by more than the 1e-12
+        # hand-rounding slack at these sizes. find-invariant starts from the
+        # uniform measure by default; pushforward is given it.
+        atoms = list(gen_mod.make_space(n).atoms)
+        doc = {"space": {"atoms": atoms}, "map": dict.fromkeys(atoms, atoms[0])}
+        if command == "pushforward":
+            doc["measure"] = dict.fromkeys(atoms, {"e1": [1 / n, 0.0], "e2": [1 / n, 0.0]})
+        code, _, err = _main_on_stdin([command], json.dumps(doc))
+        assert (code, err) == (0, "")
+
     def test_find_invariant_memory_is_bounded_by_its_output(self, tmp_path):
         # An identity map has one basis measure per atom, so the output
         # holds n^2 atom nodes, nearly all of them zero. The writer must not
@@ -1585,6 +1679,30 @@ _SUBSTITUTES = [
 _DELETE = object()
 
 
+def _dct_document(rng, space, terms):
+    """A generated dominated-convergence document of ``integrate``."""
+    seq, f, _, dominator, mu = gen_mod.gen_dct_instance(rng, space, n_terms=terms)
+    doc = measure_to_obj(mu)
+    doc["sequence"] = [function_to_obj(g, with_space=False) for g in seq]
+    doc["limit"] = function_to_obj(f, with_space=False)
+    doc["dominator"] = function_to_obj(dominator, with_space=False)
+    return doc
+
+
+def _dct_by_term(doc):
+    """The output of a valid DCT document, with each function parsed alone."""
+    mu = parse_measure(doc, "input")
+    fns = [parse_function(obj, "f", mu.space) for obj in (*doc["sequence"], doc["limit"], doc["dominator"])]
+    report = dct_run(fns[:-2], fns[-2], fns[-1], mu, doc["tol"])
+    return dumps_canonical({
+        "domination_ok": report.domination_ok,
+        "l1_limit": [hyperbolic_to_obj(g) for g in report.l1_limit],
+        "integral_trace": [bicomplex_to_obj(v) for v in report.integral_trace],
+        "final_gap": hyperbolic_to_obj(report.final_gap),
+        "success": report.success,
+    })
+
+
 def _fuzz_document(command, rng, n):
     """A valid input document of ``command`` on ``n`` generated atoms."""
     space = gen_mod.make_space(n)
@@ -1595,12 +1713,7 @@ def _fuzz_document(command, rng, n):
         return doc
     if command == "integrate":
         if rng.random() < 0.3:
-            seq, f, _, dominator, mu = gen_mod.gen_dct_instance(rng, space, n_terms=3)
-            doc = measure_to_obj(mu)
-            doc["sequence"] = [function_to_obj(g, with_space=False) for g in seq]
-            doc["limit"] = function_to_obj(f, with_space=False)
-            doc["dominator"] = function_to_obj(dominator, with_space=False)
-            return doc
+            return _dct_document(rng, space, 3)
         doc = measure_to_obj(gen_mod.gen_d_measure(rng, space))
         doc["function"] = table_to_obj(gen_mod.gen_function(rng, space))
         if rng.random() < 0.5:

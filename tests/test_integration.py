@@ -347,6 +347,14 @@ def test_dct_instance_draws_the_stream_of_separate_draws(n):
             assert fn.e2.tobytes() == e2.tobytes()
 
 
+def test_dct_terms_are_read_only_views_of_one_stack():
+    space = gen.make_space(4)
+    seq, *_ = gen.gen_dct_instance(np.random.default_rng(0), space, 5)
+    stack = seq[0].c.base
+    assert stack.shape == (5, 2, 4) and not stack.flags.writeable
+    assert all(fn.c.base is stack and fn.e1.base is stack for fn in seq)
+
+
 @pytest.mark.parametrize("n", [1, 9, 10, 11, 1000])
 def test_make_space_labels_are_zero_padded(n):
     width = len(str(n - 1))

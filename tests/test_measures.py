@@ -368,6 +368,23 @@ class TestNormalization:
         with pytest.raises(ValueError):
             probability_variant(TMeasure.from_atoms(space, {"a": Bicomplex(2, 1)}))
 
+    @pytest.mark.parametrize("n", [37_669, 100_000, 1_000_000])
+    def test_uniform_masses_at_any_size(self, n):
+        # The ascending sum of n masses 1/n misses 1 by more than the
+        # 1e-12 hand-rounding slack from 37,669 atoms on.
+        space = gen.make_space(n)
+        u = np.full(n, 1.0 / n)
+        zero = np.zeros(n)
+        assert probability_variant(TMeasure(space, u, u)) == Hyperbolic(1, 1)
+        assert probability_variant(TMeasure(space, u, zero)) == Hyperbolic(1, 0)
+        assert probability_variant(TMeasure(space, zero, u)) == Hyperbolic(0, 1)
+
+    @pytest.mark.parametrize("total", [1.0 + 2e-12, 1.0 - 2e-12, 2e-12, math.inf])
+    def test_totals_past_the_slack_are_refused(self, space, total):
+        mu = TMeasure(space, [total, 0.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="total mass"):
+            probability_variant(mu)
+
 
 def _partition_walk(mu, e):
     """The scalar partition walk, the reference for the array oracle

@@ -310,5 +310,5 @@ def test_modulus_subadditive_and_multiplicative():
     assert leq_d(sum_mod, bound + Hyperbolic(1e-12, 1e-12))
     prod_mod = (a * b).d_modulus()
     exact = a.d_modulus() * b.d_modulus()
-    assert prod_mod.isclose(exact, 1e-12)
+    assert abs(prod_mod.e1 - exact.e1) <= 1e-12 and abs(prod_mod.e2 - exact.e2) <= 1e-12
     assert math.isclose(prod_mod.e1, 5 * math.sqrt(2))

@@ -29,6 +29,11 @@ class TestFiniteSpace:
         with pytest.raises(ValueError, match="unknown"):
             space.index_of("zz")
 
+    def test_trivial_masks_are_built_once(self, space):
+        assert space.empty() is space.empty() and space.full() is space.full()
+        assert not space.full().member.flags.writeable
+        assert space.full() == FiniteSpace(space.atoms).full()
+
     def test_builders(self, space):
         assert space.empty().member.tolist() == [False] * 4
         assert space.full().member.tolist() == [True] * 4
