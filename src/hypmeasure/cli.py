@@ -130,9 +130,12 @@ def _write_doc(args: argparse.Namespace, obj: Any) -> None:
         raise InternalInvariantError("result is not finite", {"reason": str(exc)}) from None
     if args.output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SchemaError("output", str(exc)) from None
 
 
 def _without_space(doc: dict) -> dict:
@@ -386,8 +389,6 @@ def _cmd_gen(args: argparse.Namespace) -> dict:
         return function_to_obj(gen_mod.gen_function(rng, space, args.mode), expand=False)
     elif kind == "map":
         return map_to_obj(gen_mod.gen_map(rng, space))
-    else:
-        raise SchemaError("kind", f"unknown kind {kind!r}")
     return measure_to_obj(mu, expand=False)
 
 

@@ -66,33 +66,45 @@ __all__ = [
 def dumps_canonical(obj: Any) -> str:
     """Serialize with sorted keys and a trailing newline.
 
-    For a JSON tree the text is exactly ``json.dumps(obj, indent=2,
-    sort_keys=True, allow_nan=False) + "\\n"``, and the same inputs raise
-    the same errors (``ValueError`` for a NaN or an infinity). A node may
-    also be an :class:`AtomTable` (a measure or a function): it is written
-    with the bytes, and raises the errors, of ``table_to_obj(t)`` in its
-    place.
+    The text is exactly ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``, and the same inputs raise the same errors
+    (``ValueError`` for a NaN or an infinity). A node may also be an
+    :class:`AtomTable` (a measure or a function): it is written as
+    ``table_to_obj(t)`` in its place.
 
-    The stdlib drops its C encoder when ``indent`` is set; this writer
-    appends the chunks to one list and joins them once, so each character
-    is copied once. A table of at least ``_SMALL_TABLE`` atoms adds its
-    labels and nodes to that list as they are: the labels' sort order and
-    escaped texts are cached on the space, each atom's node comes from one
-    template that also carries the separator after it, and every all-zero
-    node is one shared string. A list of strings and an object of string
-    values are one join each.
+    The stdlib drops its C encoder when ``indent`` is set, so the shapes
+    the CLI writes have a writer of their own. It appends the chunks to one
+    list and joins them once, so each character is copied once. A table
+    adds its labels and nodes to that list as they are: the labels' sort
+    order and escaped texts are cached on the space, each atom's node comes
+    from one template that also carries the separator after it, and every
+    all-zero node is one shared string. A list of strings and an object of
+    string values are one join each. Any other shape (a key that is not a
+    string, a number that is not finite, a type JSON lacks, a cycle) is
+    handed to the stdlib, which writes the bytes or raises the error.
     """
     chunks: list[str] = []
-    _encode(obj, 0, chunks, {})
+    try:
+        _encode(obj, 0, chunks)
+    except (_Stdlib, RecursionError):
+        # RecursionError: a cycle, or nesting past the stack.
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_tree) + "\n"
     chunks.append("\n")
     return "".join(chunks)
 
 
+class _Stdlib(Exception):
+    """A shape the fast writer leaves to ``json.dumps``."""
+
+
+def _tree(o: Any) -> dict:
+    """``json.dumps``'s ``default``: a table's tree; the stdlib's TypeError otherwise."""
+    if isinstance(o, AtomTable):
+        return table_to_obj(o)
+    return json.JSONEncoder.default(None, o)
+
+
 _escape = json.encoder.encode_basestring_ascii
-# Atom count from which a table is written from its cached keys and one node
-# template rather than as its tree: the two cost the same at about 15-22
-# atoms on a 2-core Xeon.
-_SMALL_TABLE = 24
 
 
 @functools.cache
@@ -103,13 +115,13 @@ def _node_template(level: int) -> str:
     return f'{{{inner}"e1": {pair},{inner}"e2": {pair}{at}}}'
 
 
-def _table_chunks(t: AtomTable, level: int) -> list[str] | None:
-    """The text of ``table_to_obj(t)`` at indent ``level`` in pieces; None if not finite."""
+def _table_chunks(t: AtomTable, level: int) -> list[str]:
+    """The text of ``table_to_obj(t)`` at indent ``level`` in pieces."""
     order, keys = t.space._json_keys
     # One row per atom in sorted label order: e1.re, e1.im, e2.re, e2.im.
     parts = t.c.T[order].view(np.float64)
     if not np.isfinite(parts).all():
-        return None
+        raise _Stdlib
     # Each node carries the ": " after its key and the separator before the
     # next key; the last one carries the closing brace instead.
     newline = "\n" + "  " * (level + 1)
@@ -129,38 +141,7 @@ def _table_chunks(t: AtomTable, level: int) -> list[str] | None:
     return pieces
 
 
-def _float_text(x: float) -> str:
-    if not math.isfinite(x):
-        # The stdlib's indent encoder raises its own error for it.
-        json.dumps(x, indent=2, allow_nan=False)
-    return float.__repr__(x)
-
-
-def _key_text(key: Any) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
-
-
-def _enter(o: Any, markers: dict) -> None:
-    if id(o) in markers:
-        raise ValueError("Circular reference detected")
-    markers[id(o)] = o
-
-
-def _encode(o: Any, level: int, chunks: list, markers: dict) -> None:
+def _encode(o: Any, level: int, chunks: list) -> None:
     """Append the text of ``o`` with its brackets at indent ``level`` to ``chunks``."""
     if type(o) is dict and len(o) == 2:
         p = o.get("e1")
@@ -188,64 +169,48 @@ def _encode(o: Any, level: int, chunks: list, markers: dict) -> None:
     elif isinstance(o, int):
         chunks.append(int.__repr__(o))
     elif isinstance(o, float):
-        chunks.append(_float_text(o))
+        if not math.isfinite(o):
+            raise _Stdlib
+        chunks.append(float.__repr__(o))
     elif isinstance(o, (list, tuple)):
         if not o:
             chunks.append("[]")
             return
-        # Strings hold no container, so such a list cannot be circular.
+        newline = "\n" + "  " * (level + 1)
         if set(map(type, o)) == {str}:
-            newline = "\n" + "  " * (level + 1)
             chunks.append("[" + newline)
             chunks.append(("," + newline).join(map(_escape, o)))
-            chunks.append("\n" + "  " * level + "]")
-            return
-        _enter(o, markers)
-        level += 1
-        newline = "\n" + "  " * level
-        sep = "[" + newline
-        for item in o:
-            chunks.append(sep)
-            sep = "," + newline
-            _encode(item, level, chunks, markers)
-        chunks.append("\n" + "  " * (level - 1) + "]")
-        del markers[id(o)]
+        else:
+            sep = "[" + newline
+            for item in o:
+                chunks.append(sep)
+                sep = "," + newline
+                _encode(item, level + 1, chunks)
+        chunks.append("\n" + "  " * level + "]")
     elif isinstance(o, dict):
         if not o:
             chunks.append("{}")
             return
-        if set(map(type, o.values())) == {str} and set(map(type, o)) == {str}:
-            keys = sorted(o)
-            newline = "\n" + "  " * (level + 1)
+        if set(map(type, o)) != {str}:
+            raise _Stdlib
+        keys = sorted(o)
+        newline = "\n" + "  " * (level + 1)
+        if set(map(type, o.values())) == {str}:
             chunks.append("{" + newline)
             chunks.append(("," + newline).join(map(
                 ": ".join, zip(map(_escape, keys), map(_escape, map(o.__getitem__, keys)))
             )))
-            chunks.append("\n" + "  " * level + "}")
-            return
-        _enter(o, markers)
-        level += 1
-        newline = "\n" + "  " * level
-        sep = "{" + newline
-        for key, value in sorted(o.items()):
-            if type(key) is not str:
-                key = _key_text(key)
-            chunks.append(sep + _escape(key) + ": ")
-            sep = "," + newline
-            _encode(value, level, chunks, markers)
-        chunks.append("\n" + "  " * (level - 1) + "}")
-        del markers[id(o)]
-    elif isinstance(o, AtomTable):
-        # A small table costs numpy's per-call overhead more than the join
-        # saves, and a table that is not finite must raise the stdlib's
-        # error for its first bad value: both are written as their tree.
-        pieces = _table_chunks(o, level) if o.space.size >= _SMALL_TABLE else None
-        if pieces is None:
-            _encode(table_to_obj(o), level, chunks, markers)
         else:
-            chunks += pieces
+            sep = "{" + newline
+            for key in keys:
+                chunks.append(sep + _escape(key) + ": ")
+                sep = "," + newline
+                _encode(o[key], level + 1, chunks)
+        chunks.append("\n" + "  " * level + "}")
+    elif isinstance(o, AtomTable):
+        chunks += _table_chunks(o, level)
     else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        raise _Stdlib
 
 
 def _as_float(x: int | float, loc: str) -> float:

@@ -42,7 +42,7 @@ from hypmeasure import (
 )
 from hypmeasure import generators as gen_mod
 from hypmeasure.cli import GEN_KINDS, build_parser, main
-from hypmeasure.codec import _SMALL_TABLE, _parse_functions, table_to_obj
+from hypmeasure.codec import _parse_functions, table_to_obj
 from hypmeasure.integration import dct_run
 from hypmeasure.measures import AtomTable
 import hypmeasure.verify as verify_mod
@@ -792,10 +792,9 @@ _ROW = st.one_of(
 def _tables(draw):
     """A measure or function on escaped labels in unsorted index order.
 
-    Sizes fall on both sides of the writer's small-table cutoff. In about a
-    quarter of the draws one part of one atom is NaN or ±inf.
+    In about a quarter of the draws one part of one atom is NaN or ±inf.
     """
-    n = draw(st.integers(1, 2 * _SMALL_TABLE))
+    n = draw(st.integers(1, 48))
     labels = draw(st.lists(_TEXT, min_size=n, max_size=n, unique=True))
     rows = np.array(draw(st.lists(_ROW, min_size=len(labels), max_size=len(labels))))
     if draw(st.integers(0, 3)) == 0:
@@ -810,14 +809,22 @@ def _tables(draw):
 
 @st.composite
 def _nested(draw, node):
-    """``node`` inside 0-3 levels of dicts and lists, with JSON siblings."""
+    """``node`` inside 0-3 levels of dicts and lists, with JSON siblings.
+
+    Some dicts have int, float or None keys, which the writer hands to the
+    stdlib together with the node under them.
+    """
     for _ in range(draw(st.integers(0, 3))):
         siblings = draw(st.lists(_LEAVES, max_size=2))
-        if draw(st.booleans()):
+        shape = draw(st.sampled_from(["list", "str keys", "int keys", "float keys", "None key"]))
+        if shape == "list":
             at = draw(st.integers(0, len(siblings)))
             node = siblings[:at] + [node] + siblings[at:]
+        elif shape == "None key":
+            node = {None: node}
         else:
-            keys = draw(st.lists(_TEXT, min_size=len(siblings) + 1, max_size=len(siblings) + 1, unique=True))
+            key = {"str keys": _TEXT, "int keys": st.integers(), "float keys": _FINITE}[shape]
+            keys = draw(st.lists(key, min_size=len(siblings) + 1, max_size=len(siblings) + 1, unique=True))
             node = dict(zip(keys, [node, *siblings]))
     return node
 
@@ -887,7 +894,7 @@ class TestCanonicalWriter:
         if not table.is_finite():
             assert want[0] is ValueError
 
-    @pytest.mark.parametrize("n", [_SMALL_TABLE, _SMALL_TABLE + 1])
+    @pytest.mark.parametrize("n", [1, 2, 24, 25])
     @pytest.mark.parametrize(
         "last_row",
         [(0.0, 0.0, 0.0, 0.0), (-0.0, 0.0, 0.0, -0.0), (1.5, -2.25, 5e-324, 0.0)],
@@ -1838,6 +1845,25 @@ class TestCliExitContract:
             "location": "input",
             "message": "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte",
         }
+
+    @pytest.mark.parametrize("command", _READING_COMMANDS + ["verify", "gen"])
+    def test_unwritable_output_exits_2(self, command, tmp_path):
+        if command == "verify":
+            argv, text = ["verify", "--cases", "1", "--suite", "order"], ""
+        elif command == "gen":
+            argv, text = ["gen", "--kind", "map", "--atoms", "3"], ""
+        else:
+            argv, text = [command], json.dumps(_fuzz_document(command, np.random.default_rng(1), 4))
+        good = tmp_path / "out.json"
+        assert _main_on_stdin(argv + ["--output", str(good)], text) == (0, "", "")
+        assert good.read_text().endswith("}\n")
+        # A missing directory, and a directory given as the file.
+        for path in (tmp_path / "missing" / "out.json", tmp_path):
+            code, out, err = _main_on_stdin(argv + ["--output", str(path)], text)
+            assert (code, out) == (2, "")
+            payload = json.loads(err)
+            assert (payload["error"], payload["location"]) == ("schema violation", "output")
+            assert str(path) in payload["message"]
 
     def test_non_finite_result_exits_3(self, monkeypatch):
         # Inputs are finite and overflow is checked at the result, so a NaN
