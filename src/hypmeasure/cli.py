@@ -54,7 +54,6 @@ from .codec import (
     parse_map,
     parse_mask,
     parse_measure,
-    space_to_obj,
 )
 from .decomposition import (
     certify_hahn,
@@ -185,9 +184,9 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         **certify_polar(mu, h),
         **certify_lrn(mu, ref, lrn),
     }
-    # Atom tables stay as they are: dumps_canonical writes each one in a join.
+    # The space and atom tables stay as they are: dumps_canonical joins each.
     result = {
-        "space": space_to_obj(space),
+        "space": space,
         "jordan": {"mu_plus": pair.mu_plus, "mu_minus": pair.mu_minus},
         "hahn": {
             "A": mask_to_obj(cells.A),
@@ -312,7 +311,7 @@ def _cmd_find_invariant(args: argparse.Namespace) -> dict:
     basis = invariant_basis_bruteforce(f)
     limit = trace.limit
     return {
-        "space": space_to_obj(space),
+        "space": space,
         "burn_in": trace.burn_in,
         "converged": trace.converged,
         "iterations": len(trace.gaps),

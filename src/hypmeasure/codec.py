@@ -69,8 +69,8 @@ def dumps_canonical(obj: Any) -> str:
     The text is exactly ``json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False) + "\\n"``, and the same inputs raise the same errors
     (``ValueError`` for a NaN or an infinity). A node may also be an
-    :class:`AtomTable` (a measure or a function): it is written as
-    ``table_to_obj(t)`` in its place.
+    :class:`AtomTable` (a measure or a function) or a :class:`FiniteSpace`:
+    it is written as ``table_to_obj(t)`` or ``space_to_obj(space)``.
 
     The stdlib drops its C encoder when ``indent`` is set, so the shapes
     the CLI writes have a writer of their own. It appends the chunks to one
@@ -98,9 +98,11 @@ class _Stdlib(Exception):
 
 
 def _tree(o: Any) -> dict:
-    """``json.dumps``'s ``default``: a table's tree; the stdlib's TypeError otherwise."""
+    """``json.dumps``'s ``default``: a table's or space's tree; the stdlib's TypeError otherwise."""
     if isinstance(o, AtomTable):
         return table_to_obj(o)
+    if isinstance(o, FiniteSpace):
+        return space_to_obj(o)
     return json.JSONEncoder.default(None, o)
 
 
@@ -209,6 +211,10 @@ def _encode(o: Any, level: int, chunks: list) -> None:
         chunks.append("\n" + "  " * level + "}")
     elif isinstance(o, AtomTable):
         chunks += _table_chunks(o, level)
+    elif isinstance(o, FiniteSpace):
+        inner, item = ("\n" + "  " * d for d in (level + 1, level + 2))
+        chunks.append("{" + inner + '"atoms": [' + item + ("," + item).join(o._json_labels))
+        chunks.append(inner + "]\n" + "  " * level + "}")
     else:
         raise _Stdlib
 
@@ -416,11 +422,11 @@ def table_to_obj(t: AtomTable) -> dict:
 
 
 def measure_to_obj(mu: TMeasure, expand: bool = True) -> dict:
-    """The measure document; ``expand=False`` keeps the table itself as its
-    ``measure`` node, which :func:`dumps_canonical` writes with the same bytes.
+    """The measure document; ``expand=False`` keeps the table and its space
+    themselves as nodes, which :func:`dumps_canonical` writes with the same bytes.
     """
     return {
-        "space": space_to_obj(mu.space),
+        "space": space_to_obj(mu.space) if expand else mu.space,
         "measure": table_to_obj(mu) if expand else mu,
         "kind_hint": mu.kind.value,
     }
@@ -471,7 +477,7 @@ def function_to_obj(f: TFunction, with_space: bool = True, expand: bool = True) 
     """The function document; ``expand`` as in :func:`measure_to_obj`."""
     obj: dict[str, Any] = {"function": table_to_obj(f) if expand else f}
     if with_space:
-        obj["space"] = space_to_obj(f.space)
+        obj["space"] = space_to_obj(f.space) if expand else f.space
     return obj
 
 

@@ -43,14 +43,24 @@ ZERO_PROB = 0.25
 MAX_CYCLE = 6
 # Label prefix of gen_interval_map_discretization's bins.
 BIN_PREFIX = "b"
+_LABELS: dict[tuple[str, int], tuple[str, ...]] = {}
 
 
 def make_space(n_atoms: int, prefix: str = "x") -> FiniteSpace:
-    """A space with zero-padded labels, so label order = index order."""
+    """A space with zero-padded labels, so label order = index order.
+
+    Labels are sliced from one tuple per (prefix, width) in ``_LABELS``,
+    formatted once and grown to the largest count asked for (racing threads
+    at worst format some twice). Each call builds a fresh space.
+    """
     if n_atoms < 1:
         raise ValueError("need at least one atom")
     width = len(str(n_atoms - 1))
-    return FiniteSpace(tuple(prefix + str(i).zfill(width) for i in range(n_atoms)))
+    labels = _LABELS.get((prefix, width), ())
+    if len(labels) < n_atoms:
+        labels += tuple(prefix + str(i).zfill(width) for i in range(len(labels), n_atoms))
+        _LABELS[prefix, width] = labels
+    return FiniteSpace(labels[:n_atoms])
 
 
 def _real_values(rng: Generator, n: int, mode: str, bound: float) -> np.ndarray:

@@ -125,9 +125,9 @@ class AtomTable:
         Component values per atom, in atom index order.
     """
 
-    # ``_kind`` caches TMeasure.kind; the slot lives here so both roles
-    # share one constructor.
-    __slots__ = ("space", "c", "e1", "e2", "_kind")
+    # ``_kind`` caches TMeasure.kind and ``_variant`` probability_variant;
+    # the slots live here so both roles share one constructor.
+    __slots__ = ("space", "c", "e1", "e2", "_kind", "_variant")
     _PLURAL = "tables"
     _SCALARS: tuple = ()
 
@@ -150,7 +150,15 @@ class AtomTable:
         object.__setattr__(self, "e1", c[0])
         object.__setattr__(self, "e2", c[1])
         object.__setattr__(self, "_kind", None)
+        object.__setattr__(self, "_variant", None)
         return self
+
+    @classmethod
+    def _owned(cls, space: FiniteSpace, m: np.ndarray) -> "AtomTable":
+        """A table over a fresh (2, n) array, made complex and read-only."""
+        c = m.astype(np.complex128, copy=False)
+        c.setflags(write=False)
+        return object.__new__(cls)._bind(space, c)
 
     @classmethod
     def _views(cls, space: FiniteSpace, stack: np.ndarray) -> list:
@@ -482,7 +490,8 @@ def probability_variant(mu: TMeasure) -> Hyperbolic:
 
     Returns the exact variant constant the total matches within the
     absolute slack ``_VARIANT_SLACK`` (1e-12), which admits hand-rounded
-    totals, plus the rounding bound of its n-term sum.
+    totals, plus the rounding bound of its n-term sum. It is computed once
+    and cached on the (immutable) measure; a failure is not cached.
 
     Raises
     ------
@@ -490,6 +499,8 @@ def probability_variant(mu: TMeasure) -> Hyperbolic:
         If the measure is not a D-measure or its total matches none
         of the admissible variants.
     """
+    if mu._variant is not None:
+        return mu._variant
     if not mu.is_d_measure():
         raise ValueError("a D-probability must be a D-measure")
     t1, t2 = _masked_sum(mu.c.real).tolist()
@@ -498,5 +509,6 @@ def probability_variant(mu: TMeasure) -> Hyperbolic:
     bound = {v: _VARIANT_SLACK + _slack(n, v, n) for v in (0.0, 1.0)}
     for variant in _VARIANTS:
         if abs(t1 - variant.e1) <= bound[variant.e1] and abs(t2 - variant.e2) <= bound[variant.e2]:
+            object.__setattr__(mu, "_variant", variant)
             return variant
     raise ValueError("total mass is not e1+e2, e1 or e2")

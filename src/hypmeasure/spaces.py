@@ -50,6 +50,11 @@ class FiniteSpace:
         return len(self.atoms)
 
     @cached_property
+    def _json_labels(self) -> list[str]:
+        """Each label's escaped JSON text, in atom order."""
+        return list(map(encode_basestring_ascii, self.atoms))
+
+    @cached_property
     def _json_keys(self) -> tuple[np.ndarray, list[str]]:
         """Atom indices in sorted label order, and each label's escaped text.
 
@@ -59,11 +64,9 @@ class FiniteSpace:
         """
         atoms = self.atoms
         if all(map(operator.lt, atoms, atoms[1:])):
-            order = np.arange(len(atoms), dtype=np.intp)
-            return order, list(map(encode_basestring_ascii, atoms))
+            return np.arange(len(atoms), dtype=np.intp), self._json_labels
         order = sorted(range(len(atoms)), key=atoms.__getitem__)
-        keys = list(map(encode_basestring_ascii, map(atoms.__getitem__, order)))
-        return np.array(order, dtype=np.intp), keys
+        return np.array(order, dtype=np.intp), list(map(self._json_labels.__getitem__, order))
 
     def index_of(self, label: str) -> int:
         try:

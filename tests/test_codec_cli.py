@@ -762,9 +762,12 @@ _JSON_TREES = st.recursive(_LEAVES, _containers, max_leaves=12)
 
 
 def _expand(obj):
-    """``obj`` with every atom table replaced by its ``table_to_obj`` tree."""
+    """``obj`` with every atom table and space replaced by its
+    ``table_to_obj`` or ``space_to_obj`` tree."""
     if isinstance(obj, AtomTable):
         return table_to_obj(obj)
+    if isinstance(obj, FiniteSpace):
+        return space_to_obj(obj)
     if isinstance(obj, dict):
         return {key: _expand(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -893,6 +896,31 @@ class TestCanonicalWriter:
         assert _outcome(_stdlib_canonical, _expand(nested)) == want
         if not table.is_finite():
             assert want[0] is ValueError
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_space_node_writes_its_tree(self, data):
+        # A space prints the bytes of its space_to_obj tree, nested or not,
+        # beside a table on the same space or handed to the stdlib with it.
+        table = data.draw(_tables(), label="table")
+        space = table.space
+        nested = data.draw(_nested({"space": space, "table": table}), label="document")
+        want = _outcome(dumps_canonical, _expand(nested))
+        assert _outcome(dumps_canonical, nested) == want
+        assert _outcome(_stdlib_canonical, _expand(nested)) == want
+        assert space._json_labels == [json.dumps(label) for label in space.atoms]
+
+    def test_documents_keep_space_to_obj_for_library_callers(self):
+        space = FiniteSpace(("b", 'a"é', "c"))
+        mu = TMeasure(space, [0.5, 0.25, 0.25], [1.0, 0.0, 0.0])
+        fn = TFunction(space, [1j, 2.0, 0.0], [0.0, -1.0, 3.0])
+        for expanded, kept in (
+            (measure_to_obj(mu), measure_to_obj(mu, expand=False)),
+            (function_to_obj(fn), function_to_obj(fn, expand=False)),
+        ):
+            assert expanded["space"] == space_to_obj(space) == {"atoms": list(space.atoms)}
+            assert kept["space"] is space
+            assert dumps_canonical(kept) == dumps_canonical(expanded)
 
     @pytest.mark.parametrize("n", [1, 2, 24, 25])
     @pytest.mark.parametrize(

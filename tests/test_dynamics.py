@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypmeasure import (
     Bicomplex,
@@ -18,9 +20,11 @@ from hypmeasure import (
     integrate,
     invariant_basis_bruteforce,
     is_invariant,
+    lt_d,
     pushforward,
     pushforward_iter,
 )
+from hypmeasure import generators as gen
 
 
 @pytest.fixture
@@ -441,6 +445,114 @@ class TestContinuityProbe:
         far, phi = [_delta(other, "x")], TFunction.indicator(other.singleton(0))
         with pytest.raises(ValueError, match="different spaces"):
             continuity_probe(f, far, _delta(other, "y"), [phi], tol=1e-9)
+
+
+def _probe_loop(f, mu_seq, mu_lim, test_fns, tol):
+    """continuity_probe as one integrate call per test function and
+    measure: the oracle of the stacked probe."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if not mu_seq:
+        raise ValueError("measure sequence must be nonempty")
+    if not test_fns:
+        raise ValueError("need at least one test function")
+    if f.space != mu_lim.space:
+        raise ValueError("map and measure live on different spaces")
+    last = mu_seq[-1]
+    bound = Hyperbolic(tol, tol)
+
+    def close_under(m_a, m_b):
+        return all(
+            lt_d((integrate(phi, m_a) - integrate(phi, m_b)).d_modulus(), bound)
+            for phi in test_fns
+        )
+
+    hypothesis = close_under(last, mu_lim)
+    conclusion = close_under(pushforward(f, last), pushforward(f, mu_lim)) if hypothesis else None
+    return {"pushforward_continuity": conclusion}
+
+
+def _outcome(probe, *args):
+    try:
+        return probe(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_FAULTS = (None, "other-space", "non-d-last", "non-d-limit", "overflow", "mixed")
+
+
+def _probe_case(seed, n, k, near, tol, fault, where):
+    """A continuity probe's arguments: a random map, a last term ``near``
+    from the limit, k random test functions, and an optional fault."""
+    rng = np.random.default_rng(seed)
+    space = gen.make_space(n)
+    f = gen.gen_map(rng, space)
+    mu = gen.gen_d_probability(rng, space)
+    nu = gen.gen_d_probability(rng, space)
+    fns = [gen.gen_function(rng, space) for _ in range(k)]
+    last, lim = convex_combine(mu, nu, 1.0 - near), mu
+    where %= k
+    if fault == "other-space":
+        fns[where] = gen.gen_function(rng, gen.make_space(n + 1))
+    elif fault == "non-d-last":
+        last = gen.gen_signed_measure(rng, space)
+    elif fault == "non-d-limit":
+        lim = gen.gen_signed_measure(rng, space)
+    elif fault == "mixed":
+        # integrate refuses both pairs, each with its own message.
+        last = gen.gen_d_probability(rng, gen.make_space(n + 1))
+        lim = gen.gen_signed_measure(rng, space)
+    elif fault == "overflow":
+        # Finite values whose products overflow against the scaled term.
+        fns[where] = fns[where] * 1e10
+        last = last * 1e300
+    return f, [nu, last], lim, fns, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    k=st.integers(1, 4),
+    near=st.sampled_from([0.0, 1e-12, 0.01, 0.2, 1.0]),
+    tol=st.sampled_from([1e-9, 0.05, 0.5, 5.0]),
+    fault=st.sampled_from(_FAULTS),
+    where=st.integers(0, 3),
+)
+def test_stacked_probe_matches_the_integrate_loop(seed, n, k, near, tol, fault, where):
+    args = _probe_case(seed, n, k, near, tol, fault, where)
+    assert _outcome(continuity_probe, *args) == _outcome(_probe_loop, *args)
+
+
+def test_stacked_probe_sweep_reaches_every_verdict_and_error():
+    # The same comparison over fixed draws, which must reach all three
+    # verdicts and each fault's error, so the comparison above can fail.
+    # A last term as far from the limit as tol reads False most often.
+    seen = set()
+    for seed in range(100):
+        tol = (0.05, 0.2, 0.5)[seed % 3]
+        near = 0.0 if seed % 4 == 0 else tol
+        for fault in _FAULTS:
+            args = _probe_case(seed, 1 + seed % 6, 1 + seed % 4, near, tol, fault, seed // 4)
+            got = _outcome(continuity_probe, *args)
+            assert got == _outcome(_probe_loop, *args)
+            seen.add(got["pushforward_continuity"] if isinstance(got, dict) else got)
+    assert {True, False, None} <= seen
+    assert {x[1] for x in seen if isinstance(x, tuple)} == {
+        "function and measure live on different spaces",
+        "integration needs a D-measure",
+        "function is not integrable against this measure",
+    }
+
+
+def test_stacked_probe_conclusion_can_read_false(cycle3):
+    # The hypothesis holds (the test function misses b and c), the pushed
+    # measures delta_c and delta_a differ on it: both probes read False.
+    space, f = cycle3
+    fns = [TFunction.constant(space, 1), TFunction.indicator(space.singleton(0))]
+    args = (f, [_delta(space, "b")], _delta(space, "c"), fns, 1e-9)
+    assert continuity_probe(*args) == _probe_loop(*args) == {"pushforward_continuity": False}
 
 
 def test_integral_against_pushforward_matches_pullback(cycle3):

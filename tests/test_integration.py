@@ -359,3 +359,25 @@ def test_dct_terms_are_read_only_views_of_one_stack():
 def test_make_space_labels_are_zero_padded(n):
     width = len(str(n - 1))
     assert gen.make_space(n).atoms == tuple(f"x{i:0{width}d}" for i in range(n))
+
+
+@pytest.mark.parametrize("prefix", ["x", gen.BIN_PREFIX])
+def test_make_space_labels_across_interleaved_calls(prefix, monkeypatch):
+    # From no cached labels on: growing, shrinking and crossing each width.
+    monkeypatch.setattr(gen, "_LABELS", {})
+    sizes = [3, 9, 10, 1, 11, 99, 100, 50, 101, 9, 999, 1000, 10, 1001, 998, 2, 1000, 100]
+    for n in sizes:
+        width = len(str(n - 1))
+        assert gen.make_space(n, prefix).atoms == tuple(f"{prefix}{i:0{width}d}" for i in range(n))
+
+
+def test_spaces_of_one_label_tuple_stay_distinct():
+    a, b = gen.make_space(500), gen.make_space(500)
+    alone = FiniteSpace(tuple(f"x{i:03d}" for i in range(500)))
+    assert a is not b and a == b == alone and hash(a) == hash(alone)
+    assert gen.make_space(499) != a
+    for space in (a, b):
+        order, keys = space._json_keys
+        assert order.tolist() == alone._json_keys[0].tolist() == list(range(500))
+        assert keys == alone._json_keys[1] == [f'"x{i:03d}"' for i in range(500)]
+    assert a._json_keys is not b._json_keys

@@ -17,10 +17,17 @@ from hypmeasure import (
     TMeasure,
     abs_continuous,
     all_subsets,
+    cesaro_invariant,
+    convex_combine,
     dominates,
     integrate,
+    invariant_basis_bruteforce,
+    measure_to_obj,
     normalize_to_probability,
+    parse_measure,
     probability_variant,
+    pushforward,
+    pushforward_iter,
     set_partitions,
     subset_sums,
     sup_d,
@@ -384,6 +391,63 @@ class TestNormalization:
         mu = TMeasure(space, [total, 0.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="total mass"):
             probability_variant(mu)
+
+
+def _built_every_way(rng, variant):
+    """Measures of one variant, each from another constructor: ``__init__``,
+    ``_views``, arithmetic, ``from_atoms``, ``parse_measure`` and the bound
+    (2, n) arrays of the dynamics."""
+    space = gen.make_space(int(rng.integers(1, 9)))
+    mu = gen.gen_d_probability(rng, space, variant=variant, dyadic=True)
+    nu = gen.gen_d_probability(rng, space, variant=variant)
+    f = gen.gen_map_with_small_cycles(rng, space)
+    stack = np.array([mu.c, nu.c])
+    return {
+        "init": TMeasure(space, *mu.c),
+        "views": TMeasure._views(space, stack)[1],
+        "sum": (mu + nu).scaled(0.5),
+        "difference": (mu + mu) - mu,
+        "negation": -(-nu),
+        "from_atoms": TMeasure.from_atoms(space, {a: mu.atom(i) for i, a in enumerate(space.atoms)}),
+        "parse": parse_measure(measure_to_obj(nu)),
+        "pushforward": pushforward(f, nu),
+        "pushforward_iter": pushforward_iter(f, mu, 5),
+        "convex_combine": convex_combine(mu, nu, 0.25),
+        "cesaro": cesaro_invariant(f, nu, max_iter=100, tol=1e-12).limit,
+        "basis": invariant_basis_bruteforce(f)[0],
+    }
+
+
+@pytest.mark.parametrize("variant", ["full", "e1", "e2"])
+def test_cached_variant_equals_a_fresh_computation(variant):
+    rng = np.random.default_rng(["full", "e1", "e2"].index(variant))
+    for _ in range(20):
+        for how, mu in _built_every_way(rng, variant).items():
+            assert mu._variant is None and not mu.c.flags.writeable, how
+            got = probability_variant(mu)
+            assert mu._variant is got, how
+            assert probability_variant(mu) is got, how
+            # A fresh measure over a copy of the masses computes it anew.
+            fresh = TMeasure(mu.space, *mu.c.copy())
+            assert probability_variant(fresh) == got, how
+            # A result of arithmetic starts with no variant of its own.
+            assert (mu + mu)._variant is None and probability_variant(-(-mu)) == got, how
+
+
+@pytest.mark.parametrize(
+    "e1, e2, message",
+    [
+        ([0.5, 0.6], [0.5, 0.5], "total mass"),
+        ([0.5, 0.5], [-0.5, 1.5], "D-measure"),
+        ([0.5, 0.5j], [0.5, 0.5], "D-measure"),
+    ],
+)
+def test_a_failed_variant_is_not_cached(space, e1, e2, message):
+    mu = TMeasure(space, e1, e2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            probability_variant(mu)
+        assert mu._variant is None
 
 
 def _partition_walk(mu, e):
