@@ -2,10 +2,18 @@
 
 Each suite draws seeded random instances and checks one family of
 guarantees; the registry keys are stable names a CLI or CI run can
-select with a glob. A failure records the first counterexample with
-enough information (seed, suite, case index) to regenerate it
-exactly: case ``k`` of suite ``s`` under seed ``q`` always uses the
-generator ``default_rng([q, crc32(s), k])``.
+select with a glob. Case ``k`` of suite ``s`` under seed ``q`` always
+uses the generator ``default_rng([q, crc32(s), k])``.
+
+A suite is a generator of ``(check, verdict)`` pairs, in the convention
+of the certifiers (``certify_*``, ``check_lattice_properties``,
+``continuity_probe``), whose dicts it yields from: ``True`` holds,
+``False`` fails and ``None`` is vacuous (a hypothesis that did not hold
+tested nothing). The first verdict that is neither ``None`` nor true is
+the case's failure, and the checks after it are never evaluated, so a
+check may rely on the ones before it. A failure names its check, its
+suite, seed and case; the case's generator regenerates every value the
+check saw.
 
 Heavy suites run a documented fraction of the requested case budget
 (see ``scale`` in the registry) so the default budget stays
@@ -18,7 +26,7 @@ import fnmatch
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from numpy.random import Generator, default_rng
@@ -47,6 +55,7 @@ from .measures import (
     TMeasure,
     _as_components,
     _close,
+    _slack,
     dominates,
     normalize_to_probability,
     probability_variant,
@@ -112,7 +121,8 @@ class VerifyReport:
         }
 
 
-_Runner = Callable[[Generator], Optional[dict]]
+_Verdicts = Iterable[tuple[str, Optional[bool]]]
+_Runner = Callable[[Generator], _Verdicts]
 _REGISTRY: list[tuple[str, int, _Runner]] = []
 
 
@@ -128,25 +138,12 @@ def suite_names() -> list[str]:
     return sorted(name for name, _, _ in _REGISTRY)
 
 
-def _fail(check: str, **detail) -> dict:
-    return {"check": check, **{k: repr(v) for k, v in detail.items()}}
-
-
-def _first_false(verdicts: dict, **detail) -> Optional[dict]:
-    """The failure named after the first verdict that is False; a None
-    verdict (vacuous) tested nothing and is not one."""
-    for verdict, value in verdicts.items():
-        if value is False:
-            return _fail(verdict, **detail)
-    return None
-
-
-def _first_not_close(laws: dict, **detail) -> Optional[dict]:
-    """The failure named after the first law whose two sides are apart by
-    more than the rounding bound (``_close``); all laws are checked in one
-    call. A law maps its name to (got, want, n, total): two bicomplex or
-    hyperbolic values (or pairs of numbers), each rounded from n terms
-    whose moduli sum to ``total`` per component."""
+def _laws_close(laws: dict) -> _Verdicts:
+    """Each law's verdict: its two sides lie within the rounding bound of
+    ``_close``, all laws in one pass. A law maps its name to (got, want,
+    n, total): two bicomplex or hyperbolic values (or pairs of numbers),
+    each rounded from n terms whose moduli sum to ``total`` per
+    component."""
     got, want, n, total = zip(*laws.values())
     got, want = (
         np.array([v if isinstance(v, tuple) else (v.e1, v.e2) for v in side])
@@ -154,12 +151,7 @@ def _first_not_close(laws: dict, **detail) -> Optional[dict]:
     )
     n = np.array(n)[:, None]
     total = np.array([t if np.ndim(t) else (t, t) for t in total])
-    if _close(got, want, n, total, n):
-        return None
-    for name, *row in zip(laws, got, want, n, total):
-        if not _close(*row, row[2]):
-            return _fail(name, **detail)
-    return None
+    return zip(laws, (np.abs(got - want) <= _slack(n, total, n)).all(axis=1).tolist())
 
 
 # ---------------------------------------------------------------- algebra
@@ -177,42 +169,31 @@ def _rand_hyp(rng: Generator, bound: float = 5.0) -> Hyperbolic:
 
 
 @_suite("algebra")
-def _run_algebra(rng: Generator) -> Optional[dict]:
+def _run_algebra(rng: Generator) -> _Verdicts:
     a, b, c = _rand_bc(rng), _rand_bc(rng), _rand_bc(rng)
     e1 = Bicomplex(1, 0)
     e2 = Bicomplex(0, 1)
     one = Bicomplex.one()
 
-    if (a + b) != (b + a):
-        return _fail("add-commutative", a=a, b=b)
-    if (a * b) != (b * a):
-        return _fail("mul-commutative", a=a, b=b)
-    if not (e1 * e2).is_zero() or (e1 + e2) != one:
-        return _fail("idempotent-units")
-    if e1 * e1 != e1 or e2 * e2 != e2:
-        return _fail("idempotent-squares")
-    if (a * one) != a:
-        return _fail("multiplicative-identity", a=a)
+    yield "add-commutative", (a + b) == (b + a)
+    yield "mul-commutative", (a * b) == (b * a)
+    yield "idempotent-units", (e1 * e2).is_zero() and (e1 + e2) == one
+    yield "idempotent-squares", e1 * e1 == e1 and e2 * e2 == e2
+    yield "multiplicative-identity", (a * one) == a
 
     w = complex(rng.uniform(0.5, 5.0), rng.uniform(-5.0, 5.0))
     zd = Bicomplex(w, 0j) if rng.random() < 0.5 else Bicomplex(0j, w)
-    if not zd.is_zero_divisor():
-        return _fail("zero-divisor-flag", zd=zd)
+    yield "zero-divisor-flag", zd.is_zero_divisor()
     s1, s2 = zd.to_canonical()
-    if s1 * s1 + s2 * s2 != 0:
-        return _fail("zero-divisor-canonical-criterion", zd=zd)
-    if Bicomplex.zero().is_zero_divisor():
-        return _fail("zero-not-divisor")
-    if a.e1 != 0 and a.e2 != 0 and a.is_zero_divisor():
-        return _fail("invertible-flagged-divisor", a=a)
+    yield "zero-divisor-canonical-criterion", s1 * s1 + s2 * s2 == 0
+    yield "zero-not-divisor", not Bicomplex.zero().is_zero_divisor()
+    invertible = a.e1 != 0 and a.e2 != 0
+    yield "invertible-flagged-divisor", not a.is_zero_divisor() if invertible else None
 
     m = a.d_modulus()
-    if not m.in_d_plus():
-        return _fail("modulus-in-d-plus", a=a)
-    if Bicomplex.zero().d_modulus() != Hyperbolic(0, 0):
-        return _fail("modulus-zero")
-    if not a.is_zero() and m == Hyperbolic(0, 0):
-        return _fail("modulus-definite", a=a)
+    yield "modulus-in-d-plus", m.in_d_plus()
+    yield "modulus-zero", Bicomplex.zero().d_modulus() == Hyperbolic(0, 0)
+    yield "modulus-definite", m != Hyperbolic(0, 0) if not a.is_zero() else None
 
     x, y, z = _rand_hyp(rng), _rand_hyp(rng), _rand_hyp(rng)
     u = Hyperbolic(
@@ -221,9 +202,11 @@ def _run_algebra(rng: Generator) -> Optional[dict]:
     )
     try:
         Hyperbolic(u.e1, 0.0).reciprocal()
-        return _fail("zero-divisor-reciprocal-accepted", u=u)
     except ValueError:
-        pass
+        refused = True
+    else:
+        refused = False
+    yield "zero-divisor-reciprocal-accepted", refused
 
     # Laws that hold up to rounding: two roundings of one value, scaled by
     # the operands' moduli; n = 3 for a sum of three, 2 for two products
@@ -232,7 +215,7 @@ def _run_algebra(rng: Generator) -> Optional[dict]:
     ma, mb, mc, mx, my, mz = (np.abs((v.e1, v.e2)) for v in (a, b, c, x, y, z))
     z1, z2 = a.to_canonical()
     w1, w2 = b.to_canonical()
-    return _first_not_close(
+    yield from _laws_close(
         {
             "add-associative": ((a + b) + c, a + (b + c), 3, ma + mb + mc),
             "mul-associative": ((a * b) * c, a * (b * c), 2, ma * mb * mc),
@@ -248,8 +231,7 @@ def _run_algebra(rng: Generator) -> Optional[dict]:
             "hyp-mul-associative": ((x * y) * z, x * (y * z), 2, mx * my * mz),
             "hyp-distributive": (x * (y + z), x * y + x * z, 2, mx * (my + mz)),
             "hyp-reciprocal": (u * u.reciprocal(), Hyperbolic(1, 1), 1, 1.0),
-        },
-        a=a, b=b, c=c, x=x, y=y, z=z, u=u,
+        }
     )
 
 
@@ -257,82 +239,68 @@ def _run_algebra(rng: Generator) -> Optional[dict]:
 
 
 @_suite("order")
-def _run_order(rng: Generator) -> Optional[dict]:
+def _run_order(rng: Generator) -> _Verdicts:
     n = int(rng.integers(1, 65))
     items = [_rand_hyp(rng) for _ in range(n)]
     s = sup_d(items)
-    for h in items:
-        if not leq_d(h, s):
-            return _fail("sup-not-upper-bound", item=h, sup=s)
-    if s.e1 not in {h.e1 for h in items} or s.e2 not in {h.e2 for h in items}:
-        return _fail("sup-not-attained-componentwise", sup=s)
+    yield "sup-not-upper-bound", all(leq_d(h, s) for h in items)
+    yield "sup-not-attained-componentwise", (
+        s.e1 in {h.e1 for h in items} and s.e2 in {h.e2 for h in items}
+    )
 
     a = _rand_hyp(rng)
-    if compare_d(a, a) is not Order.EQUAL:
-        return _fail("not-reflexive", a=a)
+    yield "not-reflexive", compare_d(a, a) is Order.EQUAL
     b = a if rng.random() < 0.5 else _rand_hyp(rng)
-    if leq_d(a, b) and leq_d(b, a) and a != b:
-        return _fail("antisymmetry", a=a, b=b)
+    yield "antisymmetry", a == b if leq_d(a, b) and leq_d(b, a) else None
     inc1 = Hyperbolic(rng.uniform(0, 3), rng.uniform(0, 3))
     inc2 = Hyperbolic(rng.uniform(0, 3), rng.uniform(0, 3))
     mid = a + inc1
     top = mid + inc2
-    if not (leq_d(a, mid) and leq_d(mid, top) and leq_d(a, top)):
-        return _fail("transitivity", a=a, mid=mid, top=top)
+    yield "transitivity", leq_d(a, mid) and leq_d(mid, top) and leq_d(a, top)
 
     x = float(rng.uniform(-5, 5))
     y = float(rng.uniform(-5, 5))
     cmp_real = compare_d(Hyperbolic.from_real(x), Hyperbolic.from_real(y))
     want = Order.EQUAL if x == y else (Order.LESS if x < y else Order.GREATER)
-    if cmp_real is not want:
-        return _fail("real-embedding-order", x=x, y=y)
+    yield "real-embedding-order", cmp_real is want
 
-    if compare_d(Hyperbolic(0, 1), Hyperbolic(1, 0)) is not Order.INCOMPARABLE:
-        return _fail("incomparable-pair")
-    if not lt_d(Hyperbolic(0, 0), Hyperbolic(0, 1)):
-        return _fail("lenient-strict-less")
-    if lt_d(a, a):
-        return _fail("strict-irreflexive", a=a)
-    return None
+    yield "incomparable-pair", (
+        compare_d(Hyperbolic(0, 1), Hyperbolic(1, 0)) is Order.INCOMPARABLE
+    )
+    yield "lenient-strict-less", lt_d(Hyperbolic(0, 0), Hyperbolic(0, 1))
+    yield "strict-irreflexive", not lt_d(a, a)
 
 
 # ----------------------------------------------------------------- series
 
 
 @_suite("series", scale=10)
-def _run_series(rng: Generator) -> Optional[dict]:
+def _run_series(rng: Generator) -> _Verdicts:
     length = int(rng.integers(8, 21))
     eps = Hyperbolic(0.1, 0.1)
 
     geometric = [Hyperbolic(0.5**k, 0.5**k) for k in range(length)]
     w = check_series(geometric, eps)
-    if not (w.cauchy_witness and w.abs_convergent_witness):
-        return _fail("geometric-series-witness", length=length)
+    yield "geometric-series-witness", w.cauchy_witness and w.abs_convergent_witness
 
     alternating = [Hyperbolic((-1.0) ** k, (-1.0) ** k) for k in range(length)]
     w = check_series(alternating, Hyperbolic(0.5, 0.5))
-    if w.cauchy_witness or w.abs_convergent_witness:
-        return _fail("alternating-series-witness", length=length)
+    yield "alternating-series-witness", not (w.cauchy_witness or w.abs_convergent_witness)
 
     zeros = [Hyperbolic(0, 0)] * length
     w = check_series(zeros, eps)
-    if not (w.cauchy_witness and w.abs_convergent_witness):
-        return _fail("zero-series-witness")
+    yield "zero-series-witness", w.cauchy_witness and w.abs_convergent_witness
 
     terms = [_rand_hyp(rng, 1.0) * (0.5**k) for k in range(length)]
     w = check_series(terms, Hyperbolic(3.0, 3.0))
-    if w.abs_convergent_witness and not w.cauchy_witness:
-        return _fail("abs-implies-cauchy", terms=len(terms))
+    yield "abs-implies-cauchy", w.cauchy_witness if w.abs_convergent_witness else None
 
     prefix = [Hyperbolic(1.0 / (k + 1), 1.0 / (k + 1)) for k in range(12)]
-    if not check_convergence(prefix, Hyperbolic(0, 0), Hyperbolic(0.2, 0.2), 6):
-        return _fail("harmonic-prefix-converges")
-    if check_convergence(prefix, Hyperbolic(0, 0), Hyperbolic(0.2, 0.2), 3):
-        return _fail("harmonic-prefix-early-tail")
+    zero, tol = Hyperbolic(0, 0), Hyperbolic(0.2, 0.2)
+    yield "harmonic-prefix-converges", check_convergence(prefix, zero, tol, 6)
+    yield "harmonic-prefix-early-tail", not check_convergence(prefix, zero, tol, 3)
     cst = _rand_hyp(rng)
-    if not check_convergence([cst] * 5, cst, Hyperbolic(1e-9, 1e-9), 0):
-        return _fail("constant-prefix", cst=cst)
-    return None
+    yield "constant-prefix", check_convergence([cst] * 5, cst, Hyperbolic(1e-9, 1e-9), 0)
 
 
 # ------------------------------------------------------------- measure-ops
@@ -344,7 +312,7 @@ def _random_mask(rng: Generator, space) -> SetMask:
 
 
 @_suite("measure-ops")
-def _run_measure_ops(rng: Generator) -> Optional[dict]:
+def _run_measure_ops(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(1, 9)))
     a = gen.gen_t_measure(rng, space)
     b = gen.gen_t_measure(rng, space)
@@ -354,59 +322,49 @@ def _run_measure_ops(rng: Generator) -> Optional[dict]:
     n = space.size
     tv_e, tv_b, tv_x = a.total_variation(e), b.total_variation(e), a.total_variation(space.full())
     tv_a = np.array([tv_e.e1, tv_e.e2])
-    laws = {
-        "additivity-of-sum": ((a + b).of(e), a.of(e) + b.of(e), n, tv_a + (tv_b.e1, tv_b.e2)),
-        "scaling-commutes": (
-            a.scaled(c).of(e), c.as_bicomplex() * a.of(e), n, np.abs((c.e1, c.e2)) * tv_a
-        ),
-        "tv-additive-disjoint": (
-            tv_x, tv_e + a.total_variation(e.complement()), n, (tv_x.e1, tv_x.e2)
-        ),
-    }
-    if failed := _first_not_close(laws, e=e.labels(), c=c):
-        return failed
+    yield from _laws_close(
+        {
+            "additivity-of-sum": ((a + b).of(e), a.of(e) + b.of(e), n, tv_a + (tv_b.e1, tv_b.e2)),
+            "scaling-commutes": (
+                a.scaled(c).of(e), c.as_bicomplex() * a.of(e), n, np.abs((c.e1, c.e2)) * tv_a
+            ),
+            "tv-additive-disjoint": (
+                tv_x, tv_e + a.total_variation(e.complement()), n, (tv_x.e1, tv_x.e2)
+            ),
+        }
+    )
 
     d = gen.gen_d_measure(rng, space)
-    nonneg = c.d_modulus()
-    if not d.scaled(nonneg).is_d_measure():
-        return _fail("d-closure-under-scaling", c=nonneg)
-    if not (d + gen.gen_d_measure(rng, space)).is_d_measure():
-        return _fail("d-closure-under-addition")
+    yield "d-closure-under-scaling", d.scaled(c.d_modulus()).is_d_measure()
+    yield "d-closure-under-addition", (d + gen.gen_d_measure(rng, space)).is_d_measure()
 
     signed = gen.gen_signed_measure(rng, space)
     perturbed = TMeasure(space, signed.e1 + 1j, signed.e2)
-    if KIND_RANK[perturbed.kind] > KIND_RANK[signed.kind]:
-        return _fail("classification-monotonicity", kind=perturbed.kind)
+    yield "classification-monotonicity", KIND_RANK[perturbed.kind] <= KIND_RANK[signed.kind]
 
     var = variation_measure(a)
-    if not var.is_d_measure():
-        return _fail("variation-not-d-measure")
+    yield "variation-not-d-measure", var.is_d_measure()
     ve = var.of(e)
-    if Hyperbolic(ve.e1.real, ve.e2.real) != a.total_variation(e):
-        return _fail("variation-measure-agrees", e=e.labels())
+    yield "variation-measure-agrees", Hyperbolic(ve.e1.real, ve.e2.real) == a.total_variation(e)
     # |a|_D dominates a atom by atom by construction; its half must not,
     # unless a is zero, so the check can fail.
-    if not dominates(var, a) or ((a.c != 0).any() and dominates(var.scaled(0.5), a)):
-        return _fail("variation-dominates", a=a)
-    if not dominates(d, d):
-        return _fail("self-domination", d=d)
+    yield "variation-dominates", dominates(var, a) and not (
+        (a.c != 0).any() and dominates(var.scaled(0.5), a)
+    )
+    yield "self-domination", dominates(d, d)
 
     if d.total() != Bicomplex.zero():
-        p = normalize_to_probability(d)
-        probability_variant(p)
-    if not a.is_finite():
-        return _fail("finite-measure-flagged", a=a)
+        probability_variant(normalize_to_probability(d))
+    yield "finite-measure-flagged", a.is_finite()
     bad = TMeasure(space, np.full(space.size, np.inf), np.zeros(space.size))
-    if bad.is_finite():
-        return _fail("infinite-measure-passed")
-    return None
+    yield "infinite-measure-passed", not bad.is_finite()
 
 
 # -------------------------------------------------------- total-variation
 
 
 @_suite("total-variation")
-def _run_total_variation(rng: Generator) -> Optional[dict]:
+def _run_total_variation(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(1, 7)))
     n = space.size
     # Axis-aligned Gaussian-integer masses keep every partition sum
@@ -418,26 +376,17 @@ def _run_total_variation(rng: Generator) -> Optional[dict]:
 
     mu = TMeasure(space, axis_values(), axis_values())
     masks = [space.full()] + [_random_mask(rng, space) for _ in range(3)]
-    for e in masks:
-        closed = mu.total_variation(e)
-        brute = total_variation_bruteforce(mu, e)
-        if closed != brute:
-            return _fail(
-                "closed-form-vs-bruteforce",
-                mask=e.labels(),
-                closed=closed,
-                brute=brute,
-            )
-    if total_variation_bruteforce(mu, space.empty()) != Hyperbolic(0, 0):
-        return _fail("empty-set-tv")
-    return None
+    yield "closed-form-vs-bruteforce", all(
+        mu.total_variation(e) == total_variation_bruteforce(mu, e) for e in masks
+    )
+    yield "empty-set-tv", total_variation_bruteforce(mu, space.empty()) == Hyperbolic(0, 0)
 
 
 # ------------------------------------------------------------ integration
 
 
 @_suite("integration")
-def _run_integration(rng: Generator) -> Optional[dict]:
+def _run_integration(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(1, 9)))
     exact_mode = rng.random() < 0.5
     mode = "integer" if exact_mode else "float"
@@ -457,20 +406,16 @@ def _run_integration(rng: Generator) -> Optional[dict]:
         alpha = _rand_bc(rng, 3.0)
         beta = _rand_bc(rng, 3.0)
 
-    if not check_linearity(f, g, alpha, beta, mu):
-        return _fail("linearity", alpha=alpha, beta=beta)
+    yield "linearity", check_linearity(f, g, alpha, beta, mu)
     if exact_mode:
         lhs = integrate(f.scaled(alpha) + g.scaled(beta), mu)
         rhs = alpha * integrate(f, mu) + beta * integrate(g, mu)
-        if lhs != rhs:
-            return _fail("linearity-exact-integers", lhs=lhs, rhs=rhs)
+        yield "linearity-exact-integers", lhs == rhs
 
     report = check_modulus_inequality(f, mu)
-    if not report.holds:
-        return _fail("modulus-inequality", lhs=report.lhs, rhs=report.rhs)
+    yield "modulus-inequality", report.holds
 
-    if failed := _first_false(dec.certify_polar(f, f.polar_factor())):
-        return failed
+    yield from dec.certify_polar(f, f.polar_factor()).items()
 
     e = _random_mask(rng, space)
     rest = e.complement()
@@ -478,8 +423,9 @@ def _run_integration(rng: Generator) -> Optional[dict]:
     parts = integrate(f, mu, e) + integrate(f, mu, rest)
     # report.rhs is the integral of |f|_D, the sum|x| of both sides.
     total = np.array([report.rhs.e1, report.rhs.e2])
-    if not _close(np.array([whole.e1 - parts.e1, whole.e2 - parts.e2]), 0.0, space.size, total, space.size):
-        return _fail("integral-additive-over-masks", e=e.labels())
+    yield "integral-additive-over-masks", _close(
+        np.array([whole.e1 - parts.e1, whole.e2 - parts.e2]), 0.0, space.size, total, space.size
+    )
 
     # Independent oracle with the same ascending-order contract.
     s1 = 0j
@@ -487,128 +433,107 @@ def _run_integration(rng: Generator) -> Optional[dict]:
     for i in range(space.size):
         s1 += f.e1[i] * mu.e1[i].real
         s2 += f.e2[i] * mu.e2[i].real
-    if whole != Bicomplex(complex(s1), complex(s2)):
-        return _fail("summation-order-contract")
-    return None
+    yield "summation-order-contract", whole == Bicomplex(complex(s1), complex(s2))
 
 
 # ------------------------------------------------------------------- dct
 
 
 @_suite("dct", scale=5)
-def _run_dct(rng: Generator) -> Optional[dict]:
+def _run_dct(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(1, 7)))
     seq, f, g, dominator, mu = gen.gen_dct_instance(rng, space, n_terms=100)
     int_g = integrate(g, mu)
     threshold = Hyperbolic(0.05 * int_g.e1.real, 0.05 * int_g.e2.real)
     report = dct_run(seq, f, dominator, mu, tol=1.0)
-    if not report.domination_ok:
-        return _fail("domination-hypothesis")
-    if not lt_d(report.final_gap, threshold):
-        return _fail("gap-above-threshold", gap=report.final_gap, threshold=threshold)
-    if len(report.l1_limit) != len(seq) or len(report.integral_trace) != len(seq):
-        return _fail("trace-length")
-    crossed = any(lt_d(gap, threshold) for gap in report.l1_limit)
-    if not crossed:
-        return _fail("no-crossing-within-budget")
-    return None
+    yield "domination-hypothesis", report.domination_ok
+    yield "gap-above-threshold", lt_d(report.final_gap, threshold)
+    yield "trace-length", len(report.l1_limit) == len(report.integral_trace) == len(seq)
+    yield "no-crossing-within-budget", any(lt_d(gap, threshold) for gap in report.l1_limit)
 
 
 # ------------------------------------------------------------ jordan-hahn
 
 
 @_suite("jordan-hahn")
-def _run_jordan_hahn(rng: Generator) -> Optional[dict]:
+def _run_jordan_hahn(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(1, 7)))
     # Exactness claims run on integer masses; every third case draws
     # floats, where the sign classification must still be exact.
     mode = "float" if rng.integers(3) == 0 else "integer"
     mu = gen.gen_signed_measure(rng, space, mode=mode)
     pair = dec.jordan(mu)
-    if not pair.mu_plus.is_d_measure() or not pair.mu_minus.is_d_measure():
-        return _fail("jordan-parts-not-d")
-    if failed := _first_false(dec.certify_jordan(mu, pair)):
-        return failed
+    yield "jordan-parts-not-d", pair.mu_plus.is_d_measure() and pair.mu_minus.is_d_measure()
+    yield from dec.certify_jordan(mu, pair).items()
 
     p = dec.hahn(mu)
-    if not (p.A.member.astype(int) + p.B.member + p.C.member + p.D.member == 1).all():
-        return _fail("partition-not-disjoint-cover")
-    if failed := _first_false(dec.certify_hahn(mu, p), mu=mu):
-        return failed
-    stray = np.flatnonzero((mu.e1.real == 0) & (mu.e2.real == 0) & ~p.A.member)
-    if stray.size:
-        return _fail("zero-atom-not-in-A", atom=int(stray[0]))
+    yield "partition-not-disjoint-cover", (
+        p.A.member.astype(int) + p.B.member + p.C.member + p.D.member == 1
+    ).all()
+    yield from dec.certify_hahn(mu, p).items()
+    yield "zero-atom-not-in-A", not (
+        (mu.e1.real == 0) & (mu.e2.real == 0) & ~p.A.member
+    ).any()
 
-    nonneg = variation_measure(mu)
-    p2 = dec.hahn(nonneg)
-    if not (p2.B.is_empty() and p2.C.is_empty() and p2.D.is_empty()):
-        return _fail("d-plus-measure-hahn-cells")
-    return None
+    p2 = dec.hahn(variation_measure(mu))
+    yield "d-plus-measure-hahn-cells", p2.B.is_empty() and p2.C.is_empty() and p2.D.is_empty()
 
 
 # ---------------------------------------------------------- polar-measure
 
 
 @_suite("polar-measure")
-def _run_polar_measure(rng: Generator) -> Optional[dict]:
+def _run_polar_measure(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(1, 7)))
     mu = gen.gen_t_measure(rng, space)
-    if failed := _first_false(dec.certify_polar(mu, dec.polar_density(mu)), mu=mu):
-        return failed
-    zero = TMeasure.zero(space)
-    hz = dec.polar_density(zero)
-    if not (hz.c == 1.0).all():
-        return _fail("zero-mass-convention")
-    return None
+    yield from dec.certify_polar(mu, dec.polar_density(mu)).items()
+    yield "zero-mass-convention", (dec.polar_density(TMeasure.zero(space)).c == 1.0).all()
 
 
 # -------------------------------------------------------------------- lrn
 
 
 @_suite("lrn")
-def _run_lrn(rng: Generator) -> Optional[dict]:
+def _run_lrn(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(1, 7)))
     mu = gen.gen_d_measure(rng, space)
     lam = gen.gen_t_measure(rng, space)
     res = dec.lebesgue_radon_nikodym(lam, mu)
-    if failed := _first_false(dec.certify_lrn(lam, mu, res)):
-        return failed
+    yield from dec.certify_lrn(lam, mu, res).items()
     # Uniqueness: moving mass between the parts on any atom must break
     # the sum, absolute continuity or singularity.
     atom = int(rng.integers(0, space.size))
     shift = TMeasure(space, np.eye(space.size)[atom] * 0.5, np.zeros(space.size))
     moved = dec.LRNResult(res.lambda_ac + shift, res.lambda_sing - shift, res.density)
     verdicts = dec.certify_lrn(lam, mu, moved)
-    if all(verdicts[k] for k in ("lrn_sum", "lrn_abs_continuous", "lrn_singular")):
-        return _fail("lrn-uniqueness", atom=atom)
-    return None
+    yield "lrn-uniqueness", not all(
+        verdicts[k] for k in ("lrn_sum", "lrn_abs_continuous", "lrn_singular")
+    )
 
 
 # ---------------------------------------------------------- indefinite-tv
 
 
 @_suite("indefinite-tv")
-def _run_indefinite_tv(rng: Generator) -> Optional[dict]:
+def _run_indefinite_tv(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(1, 7)))
     mu = gen.gen_d_measure(rng, space)
     g = gen.gen_function(rng, space)
     e = _random_mask(rng, space)
-    res = dec.tv_of_indefinite_integral(g, mu, e)
-    if not res.equal:
-        return _fail("tv-vs-integral-of-modulus", tv=res.tv, iom=res.integral_of_modulus)
+    yield "tv-vs-integral-of-modulus", dec.tv_of_indefinite_integral(g, mu, e).equal
     ones = TFunction.constant(space, 1.0)
     res_id = dec.tv_of_indefinite_integral(ones, mu, e)
     me = np.array(_as_components(mu.of(e))).real
-    if not _close(np.array([res_id.tv.e1, res_id.tv.e2]), me, space.size, me, space.size):
-        return _fail("unit-integrand-identity")
-    return None
+    yield "unit-integrand-identity", _close(
+        np.array([res_id.tv.e1, res_id.tv.e2]), me, space.size, me, space.size
+    )
 
 
 # ---------------------------------------------------------- epsilon-delta
 
 
 @_suite("epsilon-delta")
-def _run_epsilon_delta(rng: Generator) -> Optional[dict]:
+def _run_epsilon_delta(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(1, 11)))
     mu = gen.gen_d_measure(rng, space)
     if rng.random() < 0.5:
@@ -625,26 +550,19 @@ def _run_epsilon_delta(rng: Generator) -> Optional[dict]:
     )
 
     delta = dec.epsilon_delta_witness(lam, mu, eps)
-    ac = dec.abs_continuous(lam, mu)
-    if (delta is None) == ac:
-        return _fail("witness-vs-absolute-continuity", ac=ac)
-    if delta is None:
-        return None
-    if not (delta.e1 > 0 and delta.e2 > 0):
-        return _fail("delta-not-positive", delta=delta)
-    hyp = _lt_d_rows(subset_sums(mu.c.real), np.array([[delta.e1], [delta.e2]]))
-    concl = _lt_d_rows(lam_sums, np.array([[eps.e1], [eps.e2]]))
-    if not (~hyp | concl).all():
-        bad = int(np.flatnonzero(hyp & ~concl)[0])
-        return _fail("delta-fails-subset", subset_bits=bad, delta=delta, eps=eps)
-    return None
+    yield "witness-vs-absolute-continuity", (delta is None) != dec.abs_continuous(lam, mu)
+    if delta is not None:
+        yield "delta-not-positive", delta.e1 > 0 and delta.e2 > 0
+        hyp = _lt_d_rows(subset_sums(mu.c.real), np.array([[delta.e1], [delta.e2]]))
+        concl = _lt_d_rows(lam_sums, np.array([[eps.e1], [eps.e2]]))
+        yield "delta-fails-subset", (~hyp | concl).all()
 
 
 # ---------------------------------------------------------------- lattice
 
 
 @_suite("lattice")
-def _run_lattice(rng: Generator) -> Optional[dict]:
+def _run_lattice(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(1, 7)))
     mu = gen.gen_d_measure(rng, space)
     choice = rng.random()
@@ -668,36 +586,32 @@ def _run_lattice(rng: Generator) -> Optional[dict]:
         lam_p = gen.gen_t_measure(rng, space)
         lam_pp = TMeasure.zero(space)
         lam = TMeasure.zero(space)
-    return _first_false(dec.check_lattice_properties(lam, lam_p, lam_pp, mu))
+    return dec.check_lattice_properties(lam, lam_p, lam_pp, mu).items()
 
 
 # ------------------------------------------------------ change-of-variables
 
 
 @_suite("change-of-variables")
-def _run_change_of_variables(rng: Generator) -> Optional[dict]:
+def _run_change_of_variables(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(1, 7)))
     variant = ["full", "e1", "e2"][int(rng.integers(0, 3))]
     mu = gen.gen_d_probability(rng, space, variant=variant, dyadic=True)
     phi = gen.gen_function(rng, space, mode="integer")
     f = gen.gen_map(rng, space)
     res = dyn.change_of_variables_check(f, mu, phi)
-    if not res.equal:
-        return _fail("cov-tolerance", lhs=res.lhs, rhs=res.rhs)
-    if res.lhs != res.rhs:
-        return _fail("cov-not-exact-on-dyadics", lhs=res.lhs, rhs=res.rhs)
+    yield "cov-tolerance", res.equal
+    yield "cov-not-exact-on-dyadics", res.lhs == res.rhs
     ind = TFunction.indicator(_random_mask(rng, space))
     res_ind = dyn.change_of_variables_check(f, mu, ind)
-    if res_ind.lhs != res_ind.rhs:
-        return _fail("cov-indicator-base-case")
-    return None
+    yield "cov-indicator-base-case", res_ind.lhs == res_ind.rhs
 
 
 # ---------------------------------------------------- pushforward-linearity
 
 
 @_suite("pushforward-linearity")
-def _run_pushforward_linearity(rng: Generator) -> Optional[dict]:
+def _run_pushforward_linearity(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(1, 7)))
     variant = ["full", "e1", "e2"][int(rng.integers(0, 3))]
     a = gen.gen_d_probability(rng, space, variant=variant, dyadic=True)
@@ -706,19 +620,15 @@ def _run_pushforward_linearity(rng: Generator) -> Optional[dict]:
     f = gen.gen_map(rng, space)
     lhs = dyn.pushforward(f, dyn.convex_combine(a, b, t))
     rhs = dyn.convex_combine(dyn.pushforward(f, a), dyn.pushforward(f, b), t)
-    if not lhs.equal_exact(rhs):
-        return _fail("pushforward-convex-linearity", t=t)
-    pa = dyn.pushforward(f, a)
-    if pa.total() != a.total():
-        return _fail("mass-not-preserved")
-    return None
+    yield "pushforward-convex-linearity", lhs.equal_exact(rhs)
+    yield "mass-not-preserved", dyn.pushforward(f, a).total() == a.total()
 
 
 # ------------------------------------------------------------- cesaro-hull
 
 
 @_suite("cesaro-hull", scale=20)
-def _run_cesaro_hull(rng: Generator) -> Optional[dict]:
+def _run_cesaro_hull(rng: Generator) -> _Verdicts:
     sizes = [2, 3, 5, 8, 13, 40, 150, 1000]
     n = int(sizes[int(rng.integers(0, len(sizes)))])
     space = gen.make_space(n)
@@ -726,19 +636,13 @@ def _run_cesaro_hull(rng: Generator) -> Optional[dict]:
     variant = ["full", "e1", "e2"][int(rng.integers(0, 3))]
     mu0 = gen.gen_d_probability(rng, space, variant=variant, dyadic=True)
     trace = dyn.cesaro_invariant(f, mu0, max_iter=200, tol=1e-12)
-    if not trace.converged:
-        return _fail("cesaro-did-not-converge", size=n)
+    yield "cesaro-did-not-converge", trace.converged
     limit = trace.limit
-    if not dyn.is_invariant(f, limit, 1e-12):
-        return _fail("cesaro-limit-not-invariant", size=n)
-    if not dyn.in_invariant_hull(f, limit):
-        return _fail("cesaro-limit-outside-hull", size=n)
+    yield "cesaro-limit-not-invariant", dyn.is_invariant(f, limit, 1e-12)
+    yield "cesaro-limit-outside-hull", dyn.in_invariant_hull(f, limit)
     basis = dyn.invariant_basis_bruteforce(f)
-    if not basis:
-        return _fail("empty-basis", size=n)
-    for i, m in enumerate(basis):
-        if not dyn.is_invariant(f, m, 1e-12):
-            return _fail("basis-element-not-invariant", index=i)
+    yield "empty-basis", len(basis) > 0
+    yield "basis-element-not-invariant", all(dyn.is_invariant(f, m, 1e-12) for m in basis)
 
     # Oracle: after burn-in, the limit is the per-cycle average of the
     # advanced initial measure.
@@ -751,35 +655,31 @@ def _run_cesaro_hull(rng: Generator) -> Optional[dict]:
     expected = np.zeros_like(masses)
     for cycle in f._cycle_structure()[1]:
         expected[:, cycle] = masses[:, cycle].sum(axis=1, keepdims=True) / len(cycle)
-    if not _close(limit.c.real, expected, n, masses.sum(axis=1, keepdims=True), n):
-        return _fail("cesaro-limit-vs-cycle-average", size=n)
-    return None
+    yield "cesaro-limit-vs-cycle-average", _close(
+        limit.c.real, expected, n, masses.sum(axis=1, keepdims=True), n
+    )
 
 
 # ------------------------------------------------------- invariant-nonempty
 
 
 @_suite("invariant-nonempty")
-def _run_invariant_nonempty(rng: Generator) -> Optional[dict]:
+def _run_invariant_nonempty(rng: Generator) -> _Verdicts:
     n = int(rng.integers(1, 1001))
     space = gen.make_space(n)
     f = gen.gen_map(rng, space)
     basis = dyn.invariant_basis_bruteforce(f)
-    if not basis:
-        return _fail("no-invariant-measure", size=n)
+    yield "no-invariant-measure", len(basis) > 0
     first = basis[0]
-    if probability_variant(first) != Hyperbolic(1.0, 1.0):
-        return _fail("basis-not-probability")
-    if not dyn.is_invariant(f, first, 1e-12):
-        return _fail("basis-not-invariant", size=n)
-    return None
+    yield "basis-not-probability", probability_variant(first) == Hyperbolic(1.0, 1.0)
+    yield "basis-not-invariant", dyn.is_invariant(f, first, 1e-12)
 
 
 # -------------------------------------------------------------- continuity
 
 
 @_suite("continuity", scale=5)
-def _run_continuity(rng: Generator) -> Optional[dict]:
+def _run_continuity(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(2, 7)))
     f = gen.gen_map(rng, space)
     mu = gen.gen_d_probability(rng, space)
@@ -788,46 +688,38 @@ def _run_continuity(rng: Generator) -> Optional[dict]:
     seq = [
         dyn.convex_combine(mu, nu, 1.0 - 1.0 / k) for k in range(1, 12)
     ]
-    if dyn.continuity_probe(f, seq, mu, fns, tol=1.0)["pushforward_continuity"] is False:
-        return _fail("continuity-linear-sequence")
+    probe = dyn.continuity_probe(f, seq, mu, fns, tol=1.0)
+    yield "continuity-linear-sequence", probe["pushforward_continuity"]
     # A constant sequence meets the hypothesis, so the verdict must be True.
     const = dyn.continuity_probe(f, [mu] * 3, mu, fns, tol=1e-9)
-    if const["pushforward_continuity"] is not True:
-        return _fail("continuity-constant-sequence")
+    yield "continuity-constant-sequence", const["pushforward_continuity"] is True
 
     g = gen.gen_map_with_small_cycles(rng, space)
     basis = dyn.invariant_basis_bruteforce(g)
     if len(basis) >= 2:
-        t = float(rng.random())
-        combo = dyn.convex_combine(basis[0], basis[1], t)
-        if not dyn.is_invariant(g, combo, 1e-12):
-            return _fail("convex-combination-not-invariant", t=t)
-    return None
+        combo = dyn.convex_combine(basis[0], basis[1], float(rng.random()))
+        yield "convex-combination-not-invariant", dyn.is_invariant(g, combo, 1e-12)
 
 
 # ------------------------------------------------------------------- codec
 
 
 @_suite("codec", scale=5)
-def _run_codec(rng: Generator) -> Optional[dict]:
+def _run_codec(rng: Generator) -> _Verdicts:
     space = gen.make_space(int(rng.integers(1, 7)))
     mu = gen.gen_t_measure(rng, space)
     doc = measure_to_obj(mu)
     back = parse_measure(doc)
-    if not back.equal_exact(mu):
-        return _fail("measure-round-trip")
-    if dumps_canonical(doc) != dumps_canonical(measure_to_obj(back)):
-        return _fail("measure-serialization-determinism")
+    yield "measure-round-trip", back.equal_exact(mu)
+    yield "measure-serialization-determinism", (
+        dumps_canonical(doc) == dumps_canonical(measure_to_obj(back))
+    )
 
     fn = gen.gen_function(rng, space)
-    if not parse_function(function_to_obj(fn)).equal_exact(fn):
-        return _fail("function-round-trip")
+    yield "function-round-trip", parse_function(function_to_obj(fn)).equal_exact(fn)
 
     pm = gen.gen_map(rng, space)
-    back_pm = parse_map(map_to_obj(pm))
-    if not np.array_equal(back_pm.image, pm.image):
-        return _fail("map-round-trip")
-    return None
+    yield "map-round-trip", np.array_equal(parse_map(map_to_obj(pm)).image, pm.image)
 
 
 # ------------------------------------------------------------------ driver
@@ -840,8 +732,10 @@ def _case_rng(seed: int, suite_name: str, case: int) -> Generator:
 def run_suite(name: str, seed: int, cases: int) -> SuiteResult:
     """Run one registered suite at the given case budget.
 
-    A case that raises is a failure whose check is ``raised``, with the
-    exception's type and message as its ``error``.
+    A case fails at its first verdict that is neither None nor true, and
+    its failure is ``{"suite", "seed", "case", "check"}``. A case that
+    raises is a failure whose check is ``raised``, with the exception's
+    type and message as its ``error``.
     """
     for reg_name, scale, runner in _REGISTRY:
         if reg_name == name:
@@ -854,7 +748,9 @@ def run_suite(name: str, seed: int, cases: int) -> SuiteResult:
     start = time.perf_counter()
     for case in range(effective):
         try:
-            detail = runner(_case_rng(seed, name, case))
+            verdicts = runner(_case_rng(seed, name, case))
+            check = next((c for c, v in verdicts if v is not None and not v), None)
+            detail = None if check is None else {"check": check}
         except Exception as exc:  # a failing case; (suite, seed, case) replays it
             detail = {"check": "raised", "error": f"{type(exc).__name__}: {exc}"}
         if detail is not None:

@@ -140,3 +140,26 @@ def test_criterion_11_full_verify_wall_time(capsys, full_verify):
         )
     assert report.all_passed
     assert report.total_seconds < 60.0
+    # Each suite runs 1000 // scale cases; the benchmark's verify workload
+    # is scored only while these counts hold.
+    assert {s.name: s.cases for s in report.suites} == {
+        "algebra": 1000,
+        "cesaro-hull": 50,
+        "change-of-variables": 1000,
+        "codec": 200,
+        "continuity": 200,
+        "dct": 200,
+        "epsilon-delta": 1000,
+        "indefinite-tv": 1000,
+        "integration": 1000,
+        "invariant-nonempty": 1000,
+        "jordan-hahn": 1000,
+        "lattice": 1000,
+        "lrn": 1000,
+        "measure-ops": 1000,
+        "order": 1000,
+        "polar-measure": 1000,
+        "pushforward-linearity": 1000,
+        "series": 100,
+        "total-variation": 1000,
+    }

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import gc
 import io
 import json
@@ -45,6 +46,8 @@ from hypmeasure.cli import GEN_KINDS, build_parser, main
 from hypmeasure.codec import _parse_functions, table_to_obj
 from hypmeasure.integration import dct_run
 from hypmeasure.measures import AtomTable
+from hypmeasure.numbers import SeriesWitness
+import hypmeasure.measures as measures_mod
 import hypmeasure.verify as verify_mod
 
 
@@ -2021,6 +2024,95 @@ def _assert_exit_contract(code, out, err):
         assert isinstance(json.loads(err), dict)
 
 
+def _false_then_raise(rng):
+    yield "first", False
+    raise AssertionError("a check after the first failure ran")
+
+
+def _raise_before_yield(rng):
+    raise ValueError("before any verdict")
+    yield "never", True
+
+
+_TOTAL_VARIATION = TMeasure.total_variation
+_HAHN = verify_mod.dec.hahn
+_CERTIFY_HAHN = verify_mod.dec.certify_hahn
+_PUSHFORWARD = verify_mod.dyn.pushforward
+
+
+def _refuse(*_):
+    raise ValueError("not a D-probability")
+
+
+def _zero_slack(n, total, floors):
+    return 0.0
+
+
+# Each row breaks one library function (at every module that binds it) and
+# names the check that must catch it first, at seed 42 within 50 cases.
+_FAULTS = {
+    "tv-doubled-closed-form": (
+        [(TMeasure, "total_variation", lambda mu, *e: _TOTAL_VARIATION(mu, *e) * 2)],
+        [
+            ("total-variation", "closed-form-vs-bruteforce"),
+            ("measure-ops", "variation-measure-agrees"),
+            ("indefinite-tv", "tv-vs-integral-of-modulus"),
+        ],
+    ),
+    "hahn-A-as-B": (
+        [(verify_mod.dec, "hahn", lambda mu: dataclasses.replace(_HAHN(mu), B=_HAHN(mu).A))],
+        [("jordan-hahn", "partition-not-disjoint-cover")],
+    ),
+    "certify-hahn-false-minus": (
+        [(verify_mod.dec, "certify_hahn", lambda *a: {**_CERTIFY_HAHN(*a), "hahn_mu_minus": False})],
+        [("jordan-hahn", "hahn_mu_minus")],
+    ),
+    "check-series-always-witnesses": (
+        [(verify_mod, "check_series", lambda *_: SeriesWitness(True, True))],
+        [("series", "alternating-series-witness")],
+    ),
+    "lt-d-always-false": (
+        [(verify_mod, "lt_d", lambda a, b: False)],
+        [("order", "lenient-strict-less"), ("dct", "gap-above-threshold")],
+    ),
+    "is-invariant-always-false": (
+        [(verify_mod.dyn, "is_invariant", lambda *_: False)],
+        [("cesaro-hull", "cesaro-limit-not-invariant"), ("invariant-nonempty", "basis-not-invariant")],
+    ),
+    "pushforward-scaled": (
+        [(verify_mod.dyn, "pushforward", lambda f, mu: _PUSHFORWARD(f, mu) * 1.5)],
+        [("change-of-variables", "cov-tolerance")],
+    ),
+    "mutually-singular-always": (
+        [(verify_mod.dec, "mutually_singular", lambda a, b: True)],
+        [("lrn", "lrn-uniqueness")],
+    ),
+    "probability-variant-raises": (
+        [(verify_mod, "probability_variant", _refuse)],
+        [("invariant-nonempty", "raised")],
+    ),
+    "zero-slack": (
+        [(measures_mod, "_slack", _zero_slack), (verify_mod, "_slack", _zero_slack)],
+        [("algebra", "mul-associative"), ("integration", "linearity")],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fault, suite, check",
+    [
+        pytest.param(fault, suite, check, id=f"{fault}-{suite}")
+        for fault, (_, caught) in _FAULTS.items()
+        for suite, check in caught
+    ],
+)
+def test_every_check_can_fail(monkeypatch, fault, suite, check):
+    for owner, name, broken in _FAULTS[fault][0]:
+        monkeypatch.setattr(owner, name, broken)
+    failure = verify_mod.run_suite(suite, 42, 50).first_counterexample
+    assert failure is not None and failure["check"] == check
+
+
 class TestCliVerify:
     def test_small_clean_run(self, capsys):
         code, out, err = _run(
@@ -2033,7 +2125,7 @@ class TestCliVerify:
 
     def test_failing_suite_exits_3(self, capsys):
         def always_fails(rng):
-            return {"check": "forced failure"}
+            yield "forced failure", False
 
         verify_mod._REGISTRY.append(("zz-forced-failure", 1, always_fails))
         try:
@@ -2063,7 +2155,7 @@ class TestCliVerify:
             calls.append(rng)
             if len(calls) == 2:
                 raise exc
-            return None
+            return ()
 
         calls = []
         monkeypatch.setattr(
@@ -2077,6 +2169,26 @@ class TestCliVerify:
         assert json.loads(err)["counterexamples"] == [
             {"suite": "zz-raises", "seed": 5, "case": 1, "check": "raised", "error": error}
         ]
+
+    @pytest.mark.parametrize(
+        "runner, failure",
+        [
+            (lambda rng: [("x", True), ("y", np.False_)], {"check": "y"}),
+            (lambda rng: [("x", None), ("y", None)], None),
+            (_false_then_raise, {"check": "first"}),
+            (_raise_before_yield, {"check": "raised", "error": "ValueError: before any verdict"}),
+        ],
+        ids=["numpy-false-fails", "vacuous-passes", "lazy-after-failure", "raises-first"],
+    )
+    def test_first_false_verdict_names_the_failure(self, monkeypatch, runner, failure):
+        # A suite yields (check, verdict) pairs: the first verdict that is
+        # neither None nor true is the failure, and nothing after it runs.
+        monkeypatch.setattr(verify_mod, "_REGISTRY", [("zz-verdicts", 1, runner)])
+        result = verify_mod.run_suite("zz-verdicts", 3, 2)
+        assert result.failures == (0 if failure is None else 2)
+        assert result.first_counterexample == (
+            failure and {"suite": "zz-verdicts", "seed": 3, "case": 0, **failure}
+        )
 
     def test_unknown_suite_is_schema_error(self, capsys):
         code, _, err = _run(["verify", "--suite", "no-such-suite"], capsys)
