@@ -10,7 +10,7 @@ Cesaro averages of push-forward orbits converge onto that span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,23 +89,11 @@ class PointMap:
             raise ValueError("function lives on a different space")
         return TFunction._owned(self.space, phi.c[:, self.image])
 
-    def _cycle_structure(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """On-cycle flags and the cycles, computed once per map.
-
-        Each cycle is a read-only index array that starts at its smallest
-        member and follows the map; cycles are ordered by that member.
-        """
-        cached = self._cycle_cache
-        if cached is None:
-            on_cycle = _cycle_flags(self.image)
-            cycles = tuple(
-                np.array(c, dtype=np.int64) for c in _cycles(self.image, on_cycle)
-            )
-            for arr in (on_cycle, *cycles):
-                arr.setflags(write=False)
-            cached = (on_cycle, cycles)
-            object.__setattr__(self, "_cycle_cache", cached)
-        return cached
+    def _cycle_structure(self) -> _CycleRecord:
+        """The map's cycle record, built once per map."""
+        if self._cycle_cache is None:
+            object.__setattr__(self, "_cycle_cache", _cycle_record(self.image))
+        return self._cycle_cache
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -169,7 +157,7 @@ def pushforward_iter(f: PointMap, mu: TMeasure, i: int) -> TMeasure:
         # No atom holds -0.0 after a push (a bincount sum starts at
         # +0.0) and every tail atom now holds +0.0, so each further push
         # moves the cycle atoms' values to their images unchanged.
-        src = np.flatnonzero(f._cycle_structure()[0])
+        src = f._cycle_structure().order
         out = np.zeros_like(m)
         out[:, _power(f.image, rest)[src]] = m[:, src]
         m = out
@@ -186,7 +174,7 @@ def _settle(f: PointMap, m: np.ndarray, limit: int, push) -> tuple[np.ndarray, i
     pushes = 0
     if limit < 1:
         return m, pushes
-    tail = np.flatnonzero(~f._cycle_structure()[0])
+    tail = np.flatnonzero(~f._cycle_structure().on_cycle)
     while pushes < limit and m[:, tail].any():
         m = push(m)
         pushes += 1
@@ -216,7 +204,7 @@ def is_invariant(f: PointMap, mu: TMeasure, tol: float) -> bool:
     ValueError
         If tol is not positive.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     nu = pushforward(f, mu)
     return bool(_lt_d_rows(np.abs(nu.c - mu.c), tol).all())
@@ -270,31 +258,41 @@ def convex_combine(a: TMeasure, b: TMeasure, t: float) -> TMeasure:
     return TMeasure._owned(a.space, t * a.c.real + (1.0 - t) * b.c.real)
 
 
-def _cycle_flags(image: np.ndarray) -> np.ndarray:
-    # Every orbit reaches its cycle within n steps and the map permutes
-    # each cycle, so the on-cycle atoms are exactly the image of the
-    # n-fold map.
+class _CycleRecord(NamedTuple):
+    """A map's cycle structure as three read-only arrays.
+
+    ``on_cycle[x]`` says whether atom x lies on a cycle. ``order`` holds
+    every cycle, each from its smallest member along the map, ordered by
+    that member; cycle k starts at ``order[starts[k]]``.
+    """
+
+    on_cycle: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+
+def _cycle_record(image: np.ndarray) -> _CycleRecord:
+    """The cycle record of a map, from one walk over its cycle atoms."""
+    # Every orbit reaches its cycle within n steps and the map permutes each
+    # cycle, so the on-cycle atoms are exactly the image of the n-fold map.
     on_cycle = np.zeros(len(image), dtype=bool)
     on_cycle[_power(image, len(image))] = True
-    return on_cycle
-
-
-def _cycles(image: np.ndarray, on_cycle: np.ndarray) -> list[list[int]]:
-    """Cycles of the functional graph, ordered by smallest member."""
     step = image.tolist()
     seen = [False] * len(step)
-    cycles: list[list[int]] = []
+    order: list[int] = []
+    starts: list[int] = []
     for start in np.flatnonzero(on_cycle).tolist():
-        if seen[start]:
-            continue
-        cycle = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cycle.append(x)
-            x = step[x]
-        cycles.append(cycle)
-    return cycles
+        if not seen[start]:
+            starts.append(len(order))
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                order.append(x)
+                x = step[x]
+    record = _CycleRecord(on_cycle, *(np.array(a, dtype=np.int64) for a in (order, starts)))
+    for arr in record:
+        arr.setflags(write=False)
+    return record
 
 
 @dataclass(frozen=True)
@@ -330,11 +328,11 @@ def cesaro_invariant(
     Raises
     ------
     ValueError
-        If max_iter < 1, tol <= 0, or mu0 is not a D-probability.
+        If max_iter < 1, tol is not positive, or mu0 is not a D-probability.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     _require_same_space(f, mu0)
     probability_variant(mu0)
@@ -371,10 +369,12 @@ def invariant_basis_bruteforce(f: PointMap) -> list[TMeasure]:
     is_invariant at tight tolerance, and Cesaro limits lie in their
     componentwise convex hull. Ordered by smallest cycle member.
     """
-    cycles = f._cycle_structure()[1]
-    masses = np.zeros((len(cycles), 2, f.space.size), dtype=np.complex128)
-    for mass, cycle in zip(masses, cycles):
-        mass[:, cycle] = 1.0 / len(cycle)
+    _, order, starts = f._cycle_structure()
+    lengths = np.concatenate((starts[1:], [len(order)])) - starts
+    masses = np.zeros((len(starts), 2, f.space.size), dtype=np.complex128)
+    # One scatter: each cycle atom's pair of masses in its cycle's table.
+    ids = np.repeat(np.arange(len(starts)), lengths)
+    masses[ids, :, order] = np.repeat(1.0 / lengths, lengths)[:, None]
     return TMeasure._views(f.space, masses)
 
 
@@ -389,11 +389,10 @@ def in_invariant_hull(f: PointMap, mu: TMeasure) -> bool:
     component's masses, along a cycle those of the cycle.
     """
     _require_same_space(f, mu)
-    on_cycle, cycles = f._cycle_structure()
+    on_cycle, order, starts = f._cycle_structure()
     n, m = f.space.size, mu.c.real
     # The cycles' masses side by side, each cycle from its offset on.
-    on = m[:, np.concatenate(cycles)]
-    starts = np.cumsum([0, *map(len, cycles[:-1])])
+    on = m[:, order]
     low = np.minimum.reduceat(on, starts, axis=1)
     mass = np.add.reduceat(np.abs(on), starts, axis=1)
     total = np.abs(m).sum(axis=1)
@@ -429,7 +428,7 @@ def continuity_probe(
         On an empty sequence, empty test set, space mismatch, a non-D
         measure, a non-integrable pair, or non-positive tol.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if not mu_seq:
         raise ValueError("measure sequence must be nonempty")

@@ -250,7 +250,7 @@ def dct_run(
     """
     if not fn_seq:
         raise ValueError("sequence must be nonempty")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     space = f_limit.space
     for fn in fn_seq:

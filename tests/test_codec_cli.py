@@ -2089,7 +2089,7 @@ _FAULTS = {
     ),
     "probability-variant-raises": (
         [(verify_mod, "probability_variant", _refuse)],
-        [("invariant-nonempty", "raised")],
+        [("invariant-nonempty", "raised"), ("measure-ops", "normalized-not-probability")],
     ),
     "zero-slack": (
         [(measures_mod, "_slack", _zero_slack), (verify_mod, "_slack", _zero_slack)],

@@ -148,8 +148,8 @@ class TestPushforward:
         f = PointMap(space, image)
         mass = rng.random((2, n)) * (rng.random((2, n)) < 0.6)
         if case == "on-cycles":
-            mass[:, ~f._cycle_structure()[0]] = 0.0
-            mass[:, np.flatnonzero(f._cycle_structure()[0])[0]] += 0.25
+            mass[:, ~f._cycle_structure().on_cycle] = 0.0
+            mass[:, f._cycle_structure().order[0]] += 0.25
         else:
             mass[:, n - 1 if case == "path" else 0] += 0.25
         mass /= mass.sum(axis=1, keepdims=True)
@@ -194,8 +194,12 @@ class TestInvariance:
 
     def test_tol_validation(self, cycle3):
         space, f = cycle3
-        with pytest.raises(ValueError, match="positive"):
-            is_invariant(f, _uniform(space), 0.0)
+        # NaN is not positive: each comparison with it is false.
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="positive"):
+                is_invariant(f, _uniform(space), tol)
+            with pytest.raises(ValueError, match="positive"):
+                cesaro_invariant(f, _uniform(space), 5, tol)
 
     def test_component_lenient_edge(self):
         # On the swap map each atom's mass moves by exactly 0.25 in the
@@ -384,25 +388,26 @@ def test_cycle_structure_is_computed_once(monkeypatch):
     import hypmeasure.dynamics as dyn
 
     calls = []
-    real = dyn._cycle_flags
+    real = dyn._cycle_record
 
     def counted(image):
         calls.append(image)
         return real(image)
 
-    monkeypatch.setattr(dyn, "_cycle_flags", counted)
+    monkeypatch.setattr(dyn, "_cycle_record", counted)
     space = FiniteSpace(tuple("abcdef"))
     f = PointMap(space, [1, 0, 0, 4, 5, 3])
     trace = cesaro_invariant(f, _uniform(space), max_iter=50, tol=1e-12)
+    pushforward_iter(f, _uniform(space), 7)
     basis = invariant_basis_bruteforce(f)
     assert in_invariant_hull(f, trace.limit)
     assert not in_invariant_hull(f, _uniform(space))
     assert len(calls) == 1
     assert len(basis) == 2
-    on_cycle, cycles = f._cycle_structure()
+    on_cycle, order, starts = f._cycle_structure()
     assert on_cycle.tolist() == [True, True, False, True, True, True]
-    assert [c.tolist() for c in cycles] == [[0, 1], [3, 4, 5]]
-    assert not on_cycle.flags.writeable and not cycles[0].flags.writeable
+    assert order.tolist() == [0, 1, 3, 4, 5]
+    assert starts.tolist() == [0, 2]
 
 
 class TestContinuityProbe:
@@ -438,8 +443,9 @@ class TestContinuityProbe:
             continuity_probe(f, [], mu, fns, tol=1e-9)
         with pytest.raises(ValueError, match="test function"):
             continuity_probe(f, [mu], mu, [], tol=1e-9)
-        with pytest.raises(ValueError, match="positive"):
-            continuity_probe(f, [mu], mu, fns, tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="positive"):
+                continuity_probe(f, [mu], mu, fns, tol=tol)
         # Measures of another space, even far apart (vacuous).
         other = FiniteSpace(("x", "y", "z"))
         far, phi = [_delta(other, "x")], TFunction.indicator(other.singleton(0))
@@ -609,6 +615,14 @@ def _cycle_structure_reference(image):
     return on_cycle, cycles
 
 
+def _basis_per_cycle(n, cycles):
+    """The cycle basis masses, written one cycle's table at a time."""
+    masses = np.zeros((len(cycles), 2, n), dtype=np.complex128)
+    for mass, cycle in zip(masses, cycles):
+        mass[:, cycle] = 1.0 / len(cycle)
+    return masses
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
 def test_cycle_structure_matches_pointwise_reference(n):
     space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
@@ -617,8 +631,14 @@ def test_cycle_structure_matches_pointwise_reference(n):
     images += [rng.integers(0, n, size=n) for _ in range(20)]
     # Long tails into a short cycle: every atom points one step down.
     images.append(np.maximum(np.arange(n) - 1, 0))
+    # 2-cycles, and a fixed point last when n is odd.
+    images.append(np.minimum(np.arange(n) ^ 1, n - 1))
     for image in images:
-        on_cycle, cycles = PointMap(space, image)._cycle_structure()
+        f = PointMap(space, image)
+        on_cycle, order, starts = f._cycle_structure()
         want_on, want_cycles = _cycle_structure_reference(image)
         assert on_cycle.tolist() == want_on
-        assert [c.tolist() for c in cycles] == want_cycles
+        assert [c.tolist() for c in np.split(order, starts[1:])] == want_cycles
+        assert not any(a.flags.writeable for a in (on_cycle, order, starts))
+        basis = np.array([m.c for m in invariant_basis_bruteforce(f)])
+        assert basis.tobytes() == _basis_per_cycle(n, want_cycles).tobytes()

@@ -191,8 +191,9 @@ class TestDct:
         g = _mk_fn(space, [1.0, 1.0])
         with pytest.raises(ValueError, match="nonempty"):
             dct_run([], f, g, prob, tol=0.1)
-        with pytest.raises(ValueError, match="tol"):
-            dct_run([f], f, g, prob, tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                dct_run([f], f, g, prob, tol=tol)
         other = FiniteSpace(("x", "y"))
         with pytest.raises(ValueError):
             dct_run([TFunction.constant(other, 1.0)], f, g, prob, tol=0.1)
