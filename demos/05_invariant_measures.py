@@ -51,7 +51,7 @@ print("burn-in:", trace.burn_in, " iterations:", len(trace.gaps),
       " converged:", trace.converged)
 print("limit masses:", [str(limit.atom(i)) for i in range(space.size)])
 assert trace.converged
-assert is_invariant(f, limit, 1e-12)
+assert is_invariant(f, limit)
 
 # The extremal invariant measures are the uniform distributions on
 # the cycles; every Cesaro limit is a componentwise mixture of them.

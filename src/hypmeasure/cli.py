@@ -16,8 +16,9 @@ Subcommands map one-to-one onto the library's operation families:
 
 Exit codes: 0 on success, 2 on schema or usage violations (with a
 dotted document location on stderr), 3 on internal invariant
-violations, a check that is false, or failing verification suites
-(with a counterexample dump on stderr).
+violations, a false check of ``decompose`` or ``integrate``, or failing
+verification suites (with a counterexample dump on stderr).
+``find-invariant`` reports its two flags and exits 0 whatever they read.
 
 Outputs are canonical JSON (sorted keys, two-space indent, trailing
 newline), so identical inputs and flags produce byte-identical bytes.
@@ -317,7 +318,7 @@ def _cmd_find_invariant(args: argparse.Namespace) -> dict:
         "iterations": len(trace.gaps),
         "gaps": [hyperbolic_to_obj(g) for g in trace.gaps],
         "limit": limit,
-        "limit_is_invariant": is_invariant(f, limit, args.tol),
+        "limit_is_invariant": is_invariant(f, limit),
         "limit_in_hull": in_invariant_hull(f, limit),
         "basis": basis,
     }

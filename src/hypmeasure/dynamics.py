@@ -16,7 +16,7 @@ import numpy as np
 
 from .integration import TFunction, integrate
 from .measures import TMeasure, _ascending_sum, _at_most, _close, probability_variant
-from .numbers import Bicomplex, Hyperbolic, _lt_d_rows, lt_d
+from .numbers import Bicomplex, Hyperbolic, lt_d
 from .spaces import FiniteSpace, SetMask
 
 __all__ = [
@@ -42,13 +42,16 @@ class PointMap:
     ----------
     space : FiniteSpace
     image : array_like of int
-        image[x] is the index the atom x maps to.
+        image[x] is the index the atom x maps to (integer dtype only).
     """
 
     __slots__ = ("space", "image", "_cycle_cache")
 
     def __init__(self, space: FiniteSpace, image) -> None:
-        arr = np.array(image, dtype=np.int64)
+        arr = np.asarray(image)
+        if arr.dtype.kind not in "iu":
+            raise ValueError("image must hold integer indices")
+        arr = arr.astype(np.int64)
         if arr.shape != (space.size,):
             raise ValueError("image must assign one target per atom")
         if arr.size and (arr.min() < 0 or arr.max() >= space.size):
@@ -192,22 +195,16 @@ def _power(image: np.ndarray, r: int) -> np.ndarray:
     return result
 
 
-def is_invariant(f: PointMap, mu: TMeasure, tol: float) -> bool:
-    """Whether f_*mu = mu within tol, atomwise.
+def is_invariant(f: PointMap, mu: TMeasure) -> bool:
+    """Whether f_*mu = mu, atom by atom, up to rounding.
 
-    Each atom's mass difference must be strictly below tol*(e1+e2) in
-    the component-lenient order; on an atomic space this controls
-    every subset up to |X|*tol.
-
-    Raises
-    ------
-    ValueError
-        If tol is not positive.
+    Each pushed mass is an ascending sum of at most n of mu's masses, so
+    every atom allows the rounding bound (``_close``) of n terms of its
+    component's masses. A mu that is not a D-probability raises through
+    :func:`pushforward`.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    nu = pushforward(f, mu)
-    return bool(_lt_d_rows(np.abs(nu.c - mu.c), tol).all())
+    n, m = f.space.size, mu.c.real
+    return _close(pushforward(f, mu).c.real, m, n, np.abs(m).sum(axis=1, keepdims=True), n)
 
 
 @dataclass(frozen=True)
@@ -366,8 +363,8 @@ def invariant_basis_bruteforce(f: PointMap) -> list[TMeasure]:
     """Uniform D-probabilities on the cycles of the functional graph.
 
     These are the extremal invariant measures: every output passes
-    is_invariant at tight tolerance, and Cesaro limits lie in their
-    componentwise convex hull. Ordered by smallest cycle member.
+    is_invariant, and Cesaro limits lie in their componentwise convex
+    hull. Ordered by smallest cycle member.
     """
     _, order, starts = f._cycle_structure()
     lengths = np.concatenate((starts[1:], [len(order)])) - starts
@@ -379,7 +376,7 @@ def invariant_basis_bruteforce(f: PointMap) -> list[TMeasure]:
 
 
 def in_invariant_hull(f: PointMap, mu: TMeasure) -> bool:
-    """Whether mu lies in the componentwise hull of the cycle basis.
+    """Whether mu is real and lies in the componentwise hull of the cycle basis.
 
     Componentwise: each component of mu must vanish off the cycles, be
     constant and nonnegative along each cycle, with cycle weights
@@ -397,7 +394,8 @@ def in_invariant_hull(f: PointMap, mu: TMeasure) -> bool:
     mass = np.add.reduceat(np.abs(on), starts, axis=1)
     total = np.abs(m).sum(axis=1)
     return (
-        _close(m[:, ~on_cycle], 0.0, n, total[:, None], n)
+        mu.is_real()
+        and _close(m[:, ~on_cycle], 0.0, n, total[:, None], n)
         and _close(np.maximum.reduceat(on, starts, axis=1), low, n, mass, n)
         and _at_most(0.0, low, n, mass, n)
         and _close(on.sum(axis=1), m.sum(axis=1), n, total, n)

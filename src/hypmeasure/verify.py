@@ -644,11 +644,11 @@ def _run_cesaro_hull(rng: Generator) -> _Verdicts:
     trace = dyn.cesaro_invariant(f, mu0, max_iter=200, tol=1e-12)
     yield "cesaro-did-not-converge", trace.converged
     limit = trace.limit
-    yield "cesaro-limit-not-invariant", dyn.is_invariant(f, limit, 1e-12)
+    yield "cesaro-limit-not-invariant", dyn.is_invariant(f, limit)
     yield "cesaro-limit-outside-hull", dyn.in_invariant_hull(f, limit)
     basis = dyn.invariant_basis_bruteforce(f)
     yield "empty-basis", len(basis) > 0
-    yield "basis-element-not-invariant", all(dyn.is_invariant(f, m, 1e-12) for m in basis)
+    yield "basis-element-not-invariant", all(dyn.is_invariant(f, m) for m in basis)
 
     # Oracle: after burn-in, the limit is the per-cycle average of the
     # advanced initial measure.
@@ -680,7 +680,7 @@ def _run_invariant_nonempty(rng: Generator) -> _Verdicts:
     yield "no-invariant-measure", len(basis) > 0
     first = basis[0]
     yield "basis-not-probability", probability_variant(first) == Hyperbolic(1.0, 1.0)
-    yield "basis-not-invariant", dyn.is_invariant(f, first, 1e-12)
+    yield "basis-not-invariant", dyn.is_invariant(f, first)
 
 
 # -------------------------------------------------------------- continuity
@@ -706,7 +706,7 @@ def _run_continuity(rng: Generator) -> _Verdicts:
     basis = dyn.invariant_basis_bruteforce(g)
     if len(basis) >= 2:
         combo = dyn.convex_combine(basis[0], basis[1], float(rng.random()))
-        yield "convex-combination-not-invariant", dyn.is_invariant(g, combo, 1e-12)
+        yield "convex-combination-not-invariant", dyn.is_invariant(g, combo)
 
 
 # ------------------------------------------------------------------- codec

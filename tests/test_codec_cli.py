@@ -1631,6 +1631,21 @@ class TestCliDynamics:
         assert doc["limit"]["c"] == {"e1": [0.0, 0.0], "e2": [0.0, 0.0]}
         assert len(doc["basis"]) == 1
 
+    def test_find_invariant_loose_tol_stops_short_of_invariance(self, capsys):
+        # --tol 1e-3 stops the Cesaro loop at its first average, 4e-5 from
+        # invariant: both certificates, under the rounding bound, read false.
+        doc_in = {
+            "space": {"atoms": ["a", "b"]},
+            "map": {"a": "b", "b": "a"},
+            "measure": {"a": {"e1": [0.50001, 0], "e2": [0.5, 0]}, "b": {"e1": [0.49999, 0], "e2": [0.5, 0]}},
+        }
+        code, out, err = _main_on_stdin(["find-invariant", "--tol", "1e-3"], json.dumps(doc_in))
+        doc = json.loads(out)
+        assert (code, err) == (0, "")
+        assert doc["converged"] is True and doc["iterations"] == 1
+        assert doc["limit_is_invariant"] is False
+        assert doc["limit_in_hull"] is False
+
     def test_find_invariant_has_no_size_cap(self, tmp_path, capsys):
         # One cycle through 2**16 + 1 atoms, one past the old basis cap.
         n = (1 << 16) + 1
@@ -2038,6 +2053,7 @@ _TOTAL_VARIATION = TMeasure.total_variation
 _HAHN = verify_mod.dec.hahn
 _CERTIFY_HAHN = verify_mod.dec.certify_hahn
 _PUSHFORWARD = verify_mod.dyn.pushforward
+_CONVEX_COMBINE = verify_mod.dyn.convex_combine
 
 
 def _refuse(*_):
@@ -2046,6 +2062,13 @@ def _refuse(*_):
 
 def _zero_slack(n, total, floors):
     return 0.0
+
+
+def _bumped_combination(a, b, t):
+    # Atom 0's masses off by 1e-13 relative: far below an absolute 1e-12.
+    m = _CONVEX_COMBINE(a, b, t).c.real.copy()
+    m[:, 0] *= 1.0 + 1e-13
+    return TMeasure(a.space, *m)
 
 
 # Each row breaks one library function (at every module that binds it) and
@@ -2078,6 +2101,10 @@ _FAULTS = {
     "is-invariant-always-false": (
         [(verify_mod.dyn, "is_invariant", lambda *_: False)],
         [("cesaro-hull", "cesaro-limit-not-invariant"), ("invariant-nonempty", "basis-not-invariant")],
+    ),
+    "convex-combination-bumped": (
+        [(verify_mod.dyn, "convex_combine", _bumped_combination)],
+        [("continuity", "convex-combination-not-invariant")],
     ),
     "pushforward-scaled": (
         [(verify_mod.dyn, "pushforward", lambda f, mu: _PUSHFORWARD(f, mu) * 1.5)],
@@ -2457,11 +2484,10 @@ class TestCliParser:
     @pytest.mark.parametrize("command", ["integrate", "find-invariant"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_tol_is_schema_error(self, tmp_path, capsys, command, tol):
-        # A NaN or infinite threshold would make every convergence or
-        # invariance check pass (or fail) whatever the data. find-invariant
-        # takes it as --tol and never reads the input; integrate takes it
-        # only as the document's "tol" (json.dumps writes NaN, Infinity and
-        # -Infinity).
+        # A NaN or infinite threshold would make every convergence check
+        # pass (or fail) whatever the data. find-invariant takes it as
+        # --tol and never reads the input; integrate takes it only as the
+        # document's "tol" (json.dumps writes NaN, Infinity and -Infinity).
         path = tmp_path / "in.json"
         if command == "integrate":
             unit = {"function": {"a": {"e1": [1, 0], "e2": [1, 0]}}}

@@ -56,6 +56,10 @@ class TestPointMap:
             PointMap(space, [0, 2])
         with pytest.raises(ValueError, match="one target"):
             PointMap(space, [0])
+        # A non-integer image is refused, not truncated or parsed.
+        for image in ([0.9, 1.7], [0.0, 1.0], ["1", "0"], [True, False], np.array([1.0, 0.0])):
+            with pytest.raises(ValueError, match="integer indices"):
+                PointMap(space, image)
 
     def test_from_labels_total(self):
         space = FiniteSpace(("a", "b"))
@@ -185,35 +189,42 @@ class TestPushforward:
 class TestInvariance:
     def test_uniform_on_cycle(self, cycle3):
         space, f = cycle3
-        assert is_invariant(f, _uniform(space), 1e-12)
+        assert is_invariant(f, _uniform(space))
 
     def test_transient_mass_breaks_it(self, tail_map):
         space, f = tail_map
-        assert is_invariant(f, _delta(space, "a"), 1e-12)
-        assert not is_invariant(f, _delta(space, "c"), 1e-12)
+        assert is_invariant(f, _delta(space, "a"))
+        assert not is_invariant(f, _delta(space, "c"))
 
     def test_tol_validation(self, cycle3):
         space, f = cycle3
         # NaN is not positive: each comparison with it is false.
         for tol in (0.0, float("nan")):
             with pytest.raises(ValueError, match="positive"):
-                is_invariant(f, _uniform(space), tol)
-            with pytest.raises(ValueError, match="positive"):
                 cesaro_invariant(f, _uniform(space), 5, tol)
 
-    def test_component_lenient_edge(self):
-        # On the swap map each atom's mass moves by exactly 0.25 in the
-        # unbalanced components (dyadic values, so the gaps are exact).
+    def test_one_ulp_is_within_the_rounding_bound(self):
+        # Dyadic masses on the swap map, one of them one ulp above 1/2:
+        # pushed, two atoms move by 2**-53, inside 4*eps*n*sum|m| ~ 2**-49.
         space = FiniteSpace(("x", "y"))
         f = PointMap(space, [1, 0])
-        one = TMeasure(space, [0.5, 0.5], [0.625, 0.375])
-        both = TMeasure(space, [0.625, 0.375], [0.375, 0.625])
-        # A gap equal to tol in one component, strictly below in the other.
-        assert is_invariant(f, one, 0.25)
-        assert not is_invariant(f, one, 0.125)
-        # Equal to tol in both components is not strictly below it.
-        assert not is_invariant(f, both, 0.25)
-        assert is_invariant(f, both, 0.5)
+        mu = TMeasure(space, [np.nextafter(0.5, 1.0), 0.5], [0.5, 0.5])
+        assert not pushforward(f, mu).equal_exact(mu)
+        assert is_invariant(f, mu)
+
+    @pytest.mark.parametrize("period", [2, 3, 5, 8])
+    def test_relative_bump_of_1e_13_is_caught(self, period):
+        # Uniform on a cycle, with a tail feeding it: invariant until the
+        # first half of the cycle masses grow by 1e-13 relative, a change
+        # far below an absolute slack of 1e-12.
+        n = period + 3
+        space = FiniteSpace(tuple(f"x{i}" for i in range(n)))
+        f = PointMap(space, [(i + 1) % period if i < period else i - 1 for i in range(n)])
+        mass = np.zeros((2, n))
+        mass[:, :period] = 1.0 / period
+        assert is_invariant(f, TMeasure(space, *mass))
+        mass[:, : (period + 1) // 2] *= 1.0 + 1e-13
+        assert not is_invariant(f, TMeasure(space, *mass))
 
 
 class TestChangeOfVariables:
@@ -264,7 +275,7 @@ class TestConvexCombine:
         assert mix.equal_exact(want)
         # invariance is preserved under mixing of invariant inputs
         u = _uniform(space)
-        assert is_invariant(f, convex_combine(u, u, 0.5), 1e-12)
+        assert is_invariant(f, convex_combine(u, u, 0.5))
 
     def test_t_bounds(self, cycle3):
         space, _ = cycle3
@@ -297,7 +308,7 @@ class TestCesaro:
         assert trace.burn_in == 2
         assert trace.converged
         assert trace.limit.equal_exact(_delta(space, "a"))
-        assert is_invariant(f, trace.limit, 1e-12)
+        assert is_invariant(f, trace.limit)
         # On random maps the burn-in is the longest tail below an atom
         # with nonzero mass, walked here atom by atom.
         rng = np.random.default_rng(3)
@@ -368,7 +379,7 @@ class TestInvariantBasis:
         basis = invariant_basis_bruteforce(f)
         assert len(basis) == 1
         assert basis[0].equal_exact(_uniform(space))
-        assert is_invariant(f, basis[0], 1e-15)
+        assert is_invariant(f, basis[0])
 
     def test_hull_membership(self):
         space = FiniteSpace(("a", "b", "c"))
@@ -377,6 +388,9 @@ class TestInvariantBasis:
         assert in_invariant_hull(f, w)
         # mass on the transient atom c is not in the hull
         assert not in_invariant_hull(f, _delta(space, "c"))
+        # nor is a T-measure: its masses are not in D
+        swap = PointMap(FiniteSpace(("x", "y")), [1, 0])
+        assert not in_invariant_hull(swap, TMeasure(swap.space, [0.5 + 1j, 0.5 - 3j], [0.5, 0.5]))
 
     def test_nonconstant_on_cycle_rejected(self, cycle3):
         space, f = cycle3
